@@ -22,10 +22,8 @@ from .core import (
 from .engine import (
     ExperimentSpec,
     SpecValidationError,
-    Task,
     feature_catalog,
     feature_name,
-    plan,
     run,
     table_columns,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "RasterHeader",
     "ShapeParams",
     "SpecValidationError",
-    "Task",
     "TextureParams",
     "check_aligned",
     "compare_tables",
@@ -97,7 +94,6 @@ __all__ = [
     "measure_radial",
     "measure_shape",
     "measure_texture",
-    "plan",
     "quantize",
     "read_header",
     "read_table",

@@ -13,16 +13,30 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import engine, postprocess, raster_io, tessellate
 from .coloc import ColocParams
-from .core import ImagePlane, LabelMask
 from .granularity import GranularityParams
 from .radial import RadialParams
 from .shape import ShapeParams
 from .texture import TextureParams
 from .engine import ExperimentSpec, SpecValidationError
+
+
+def _add_family_flags(parser) -> None:
+    """The --features flag and the family-parameter flags, shared by
+    extract and list-features."""
+    parser.add_argument(
+        "--features",
+        default=",".join(engine.FAMILIES),
+        help="comma-separated families (default: all)",
+    )
+    parser.add_argument("--texture-distance", type=int, default=1)
+    parser.add_argument("--texture-gray-levels", type=int, default=8)
+    parser.add_argument("--zernike-order", type=int, default=9)
+    parser.add_argument("--radial-bins", type=int, default=4)
+    parser.add_argument("--manders-threshold", type=float, default=0.15)
+    parser.add_argument("--granularity-length", type=int, default=16)
+    parser.add_argument("--granularity-background-radius", type=int, default=10)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,18 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--channel-names", default="", help="comma-separated channel names")
     ex.add_argument("--mask", action="append", default=[], help="label mask (repeatable)")
     ex.add_argument("--mask-names", default="", help="comma-separated object set names")
-    ex.add_argument(
-        "--features",
-        default=",".join(engine.FAMILIES),
-        help="comma-separated families (default: all)",
-    )
-    ex.add_argument("--texture-distance", type=int, default=1)
-    ex.add_argument("--texture-gray-levels", type=int, default=8)
-    ex.add_argument("--zernike-order", type=int, default=9)
-    ex.add_argument("--radial-bins", type=int, default=4)
-    ex.add_argument("--manders-threshold", type=float, default=0.15)
-    ex.add_argument("--granularity-length", type=int, default=16)
-    ex.add_argument("--granularity-background-radius", type=int, default=10)
+    _add_family_flags(ex)
     ex.add_argument("--batch-size", type=int, default=256)
     ex.add_argument("--workers", type=int, default=1)
     ex.add_argument("--out", required=True, help="output stem or .csv path")
@@ -74,18 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--r2-threshold", type=float, default=0.9)
 
     lf = sub.add_parser("list-features", help="print the feature dictionary as CSV")
-    lf.add_argument(
-        "--features",
-        default=",".join(engine.FAMILIES),
-        help="comma-separated families (default: all)",
-    )
-    lf.add_argument("--texture-distance", type=int, default=1)
-    lf.add_argument("--texture-gray-levels", type=int, default=8)
-    lf.add_argument("--zernike-order", type=int, default=9)
-    lf.add_argument("--radial-bins", type=int, default=4)
-    lf.add_argument("--manders-threshold", type=float, default=0.15)
-    lf.add_argument("--granularity-length", type=int, default=16)
-    lf.add_argument("--granularity-background-radius", type=int, default=10)
+    _add_family_flags(lf)
     return parser
 
 
@@ -178,18 +170,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_list_features(args) -> int:
-    families = tuple(_split_names(args.features))
-    placeholder = ImagePlane(np.zeros((1, 1)))
-    spec = ExperimentSpec(
-        channels=(("Chan1", placeholder), ("Chan2", placeholder)),
-        object_sets=(("objects", LabelMask(np.zeros((1, 1), dtype=np.int64))),),
-        families=families,
-        **_family_params(args),
-    )
+    rows = engine.feature_catalog(_split_names(args.features), **_family_params(args))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["name", "family", "input_kind", "params"])
-    for row in engine.feature_catalog(spec):
-        writer.writerow(row)
+    writer.writerows(rows)
     return 0
 
 

@@ -215,17 +215,6 @@ def check_aligned(mask: LabelMask, planes: list[ImagePlane]) -> None:
             )
 
 
-def local_centroid(local_mask: np.ndarray) -> tuple[float, float]:
-    """Mean (row, col) of True pixel centers, in local coordinates.
-
-    Computed from exact integer coordinate sums so the result is bitwise
-    reproducible for congruent masks.
-    """
-    rr, cc = np.nonzero(local_mask)
-    n = rr.size
-    return float(int(rr.sum())) / n, float(int(cc.sum())) / n
-
-
 def centered_deviations(local_mask: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """(n, n*row - sum(rows), n*col - sum(cols)) over True pixels.
 

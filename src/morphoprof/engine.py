@@ -1,50 +1,129 @@
-"""Measurement planner and deterministic, memory-bounded batch executor.
+"""Family registry and deterministic, memory-bounded batch executor.
 
-The engine expands an experiment into tasks over object-sets, channels
-and channel pairs, then measures objects in ascending-label batches.
-Determinism is structural: labels ascend, channels keep declaration
-order, families keep a fixed canonical order, and every measurement is
-a pure function of one object's cropped data, so the output tables are
-byte-identical for any worker count or batch size.
+Each measurement family is one :class:`Family` record in ``REGISTRY``.
+Table columns, per-object values, the feature catalog and experiment
+validation are generic loops over those records, and columns and values
+are read from the same key list, so they cannot drift apart.
 
-Workers receive per-object bbox crops rather than whole images, which
-bounds the peak working set by batch size and image size instead of the
-total object count.
+Objects are measured in ascending-label batches.  Determinism is
+structural: labels ascend, families keep registry order, a family of
+arity k runs over ``itertools.combinations(channels, k)`` in declaration
+order, and every measurement is a pure function of one object's cropped
+data, so the output tables are byte-identical for any worker count or
+batch size.
+
+Workers receive family names, their params, the channel names and
+per-object bbox crops rather than whole images, which bounds the peak
+working set by batch size and image size instead of the total object
+count.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import re
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
 from . import coloc, granularity, intensity, radial, shape, texture
 from .core import FeatureTable, ImagePlane, LabelMask, ObjectRegion, extract_objects
 
-FAMILIES = ("shape", "intensity", "texture", "granularity", "radial", "coloc")
+#: One value of a family: (dict key, column feature, column suffix, catalog param text).
+Key = tuple[str, str, str, str]
 
-FAMILY_TOKENS = {
-    "shape": "Shape",
-    "intensity": "Intensity",
-    "texture": "Texture",
-    "granularity": "Granularity",
-    "radial": "RadialDistribution",
-    "coloc": "Coloc",
-}
 
-#: Families measured from the mask alone / one channel / a channel pair.
-TYPE1_FAMILIES = ("shape",)
-TYPE2_FAMILIES = ("intensity", "texture", "granularity", "radial")
-TYPE3_FAMILIES = ("coloc",)
+@dataclass(frozen=True)
+class Family:
+    """One measurement family: everything the engine knows about it."""
+
+    name: str
+    #: Column token, e.g. ``RadialDistribution``.
+    token: str
+    #: Channels per measurement: 0 mask only, 1 one channel, 2 a channel pair.
+    arity: int
+    #: The ExperimentSpec field holding the family's params; None if it has none.
+    params_field: str | None
+    keys: Callable[[Any], list[Key]]
+    #: (region, crops of the measured channels, params) -> {dict key: value}.
+    measure: Callable[[ObjectRegion, tuple[np.ndarray, ...], Any], dict[str, float]]
+
+
+def _param_text(params) -> str:
+    return ";".join(f"{f.name}={getattr(params, f.name)}" for f in dataclasses.fields(params))
+
+
+def _plain(names, suffix: str = "", text: str = "") -> list[Key]:
+    return [(name, name, suffix, text) for name in names]
+
+
+def _shape_keys(params: shape.ShapeParams) -> list[Key]:
+    text = _param_text(params)
+    return [
+        (key, key, "", text if key.startswith("Zernike") else "")
+        for key in shape.feature_keys(params)
+    ]
+
+
+REGISTRY = (
+    Family(
+        "shape", "Shape", 0, "shape_params", _shape_keys,
+        lambda region, crops, p: shape.measure_shape(region, p),
+    ),
+    Family(
+        "intensity", "Intensity", 1, None, lambda p: _plain(intensity.FEATURES),
+        lambda region, crops, p: intensity.intensity_from_crop(region.local_mask, *crops),
+    ),
+    Family(
+        "texture", "Texture", 1, "texture_params",
+        lambda p: _plain(texture.FEATURES, f"d{p.distance}_g{p.gray_levels}", _param_text(p)),
+        lambda region, crops, p: texture.texture_from_crop(region.local_mask, *crops, p),
+    ),
+    Family(
+        "granularity", "Granularity", 1, "granularity_params",
+        lambda p: _plain(map(str, range(1, p.spectrum_length + 1)), text=_param_text(p)),
+        lambda region, crops, p: granularity.granularity_from_crop(region.local_mask, *crops, p),
+    ),
+    Family(
+        "radial", "RadialDistribution", 1, "radial_params",
+        # Key "FracAtD_1of4" is column feature "FracAtD" with suffix "1of4".
+        lambda p: [(key, *key.split("_"), _param_text(p)) for key in radial.feature_keys(p)],
+        lambda region, crops, p: radial.radial_from_crop(region.local_mask, *crops, p),
+    ),
+    Family(
+        "coloc", "Coloc", 2, "coloc_params",
+        lambda p: _plain(coloc.FEATURES, text=_param_text(p)),
+        lambda region, crops, p: coloc.coloc_from_crops(region.local_mask, *crops, p),
+    ),
+)
+
+_BY_NAME = {family.name: family for family in REGISTRY}
+FAMILIES = tuple(_BY_NAME)
+_INPUT_KINDS = ("object", "object+channel", "object+channel_pair")
+_NEEDS = ("", "one channel", "two channels")
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 
 
 class SpecValidationError(ValueError):
     """An ExperimentSpec violates its invariants (bad names, dims, families)."""
+
+
+def _canonical(families) -> tuple[str, ...]:
+    """Known family names in registry order, however the caller listed them."""
+    families = tuple(families)
+    unknown = [f for f in families if f not in _BY_NAME]
+    if unknown:
+        raise SpecValidationError(f"unknown measurement families: {unknown}")
+    return tuple(f for f in FAMILIES if f in families)
+
+
+def _enabled(families, params) -> list[tuple[Family, Any]]:
+    """(record, params) per family name; ``params`` maps spec field names to values."""
+    return [(_BY_NAME[f], params.get(_BY_NAME[f].params_field)) for f in families]
 
 
 @dataclass(frozen=True)
@@ -67,14 +146,7 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
         object.__setattr__(self, "object_sets", tuple(self.object_sets))
-        families = tuple(self.families)
-        unknown = [f for f in families if f not in FAMILIES]
-        if unknown:
-            raise SpecValidationError(f"unknown measurement families: {unknown}")
-        # Canonical family order, independent of how the caller listed them.
-        object.__setattr__(
-            self, "families", tuple(f for f in FAMILIES if f in families)
-        )
+        object.__setattr__(self, "families", _canonical(self.families))
         self._validate()
 
     def _validate(self):
@@ -98,51 +170,14 @@ class ExperimentSpec:
             raise SpecValidationError("batch_size must be >= 1")
         if self.workers < 1:
             raise SpecValidationError("workers must be >= 1")
-        needs_channel = [f for f in self.families if f in TYPE2_FAMILIES + TYPE3_FAMILIES]
-        if needs_channel and not self.channels:
-            raise SpecValidationError(
-                f"families {needs_channel} need at least one channel"
-            )
-        if "coloc" in self.families and len(self.channels) < 2:
-            raise SpecValidationError("coloc needs at least two channels")
+        for name in self.families:
+            arity = _BY_NAME[name].arity
+            if arity > len(self.channels):
+                raise SpecValidationError(f"{name} needs at least {_NEEDS[arity]}")
 
     @property
     def channel_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.channels)
-
-
-@dataclass(frozen=True)
-class Task:
-    """One planned measurement: an object set, a family, and its channels."""
-
-    object_set: str
-    family: str
-    channel: str | None = None
-    channel_pair: tuple[str, str] | None = None
-
-
-def channel_pairs(channel_names) -> list[tuple[str, str]]:
-    """Unordered pairs in declaration order: (0,1), (0,2), (1,2), ..."""
-    return list(itertools.combinations(channel_names, 2))
-
-
-def plan(spec: ExperimentSpec) -> list[Task]:
-    """Expand the experiment into its canonical nested task order."""
-    tasks = []
-    for set_name, _ in spec.object_sets:
-        for family in spec.families:
-            if family in TYPE1_FAMILIES:
-                tasks.append(Task(set_name, family))
-            elif family in TYPE2_FAMILIES:
-                tasks.extend(
-                    Task(set_name, family, channel=ch) for ch in spec.channel_names
-                )
-            else:
-                tasks.extend(
-                    Task(set_name, family, channel_pair=pair)
-                    for pair in channel_pairs(spec.channel_names)
-                )
-    return tasks
 
 
 def feature_name(
@@ -159,134 +194,42 @@ def feature_name(
     return "_".join(parts)
 
 
-def _family_columns(family: str, spec: ExperimentSpec) -> list[tuple[str, tuple[str, ...], str]]:
-    """(feature, channels, param token) triples in canonical order."""
-    if family == "shape":
-        return [(key, (), "") for key in shape.feature_keys(spec.shape_params)]
-    if family == "intensity":
-        return [
-            (key, (ch,), "")
-            for ch in spec.channel_names
-            for key in intensity.FEATURES
-        ]
-    if family == "texture":
-        token = f"d{spec.texture_params.distance}_g{spec.texture_params.gray_levels}"
-        return [
-            (key, (ch,), token)
-            for ch in spec.channel_names
-            for key in texture.FEATURES
-        ]
-    if family == "granularity":
-        length = spec.granularity_params.spectrum_length
-        return [
-            (str(i), (ch,), "")
-            for ch in spec.channel_names
-            for i in range(1, length + 1)
-        ]
-    if family == "radial":
-        bins = spec.radial_params.bins
-        return [
-            (stat, (ch,), f"{b}of{bins}")
-            for ch in spec.channel_names
-            for stat in radial.STATS
-            for b in range(1, bins + 1)
-        ]
-    if family == "coloc":
-        return [
-            (key, pair, "")
-            for pair in channel_pairs(spec.channel_names)
-            for key in coloc.FEATURES
-        ]
-    raise SpecValidationError(f"unknown family {family!r}")
-
-
 def table_columns(spec: ExperimentSpec, object_set: str) -> list[str]:
     """Full canonical column list for one object set's table."""
     cols = []
-    for family in spec.families:
-        token = FAMILY_TOKENS[family]
-        for feature, chans, params in _family_columns(family, spec):
-            cols.append(feature_name(object_set, token, feature, chans, params))
+    for family, params in _enabled(spec.families, vars(spec)):
+        keys = family.keys(params)
+        for chans in itertools.combinations(spec.channel_names, family.arity):
+            cols.extend(
+                feature_name(object_set, family.token, feature, chans, suffix)
+                for _, feature, suffix, _ in keys
+            )
     return cols
 
 
-def _measure_object(local_mask, bbox, crops, spec: ExperimentSpec) -> np.ndarray:
-    """All enabled features of one object, flattened in canonical column order."""
-    row: list[float] = []
-    for family in spec.families:
-        if family == "shape":
-            region = ObjectRegion(label=1, bbox=bbox, local_mask=local_mask)
-            values = shape.measure_shape(region, spec.shape_params)
-            row.extend(values[key] for key in shape.feature_keys(spec.shape_params))
-        elif family == "intensity":
-            for ch in spec.channel_names:
-                values = intensity.intensity_from_crop(local_mask, crops[ch])
-                row.extend(values[key] for key in intensity.FEATURES)
-        elif family == "texture":
-            for ch in spec.channel_names:
-                values = texture.texture_from_crop(local_mask, crops[ch], spec.texture_params)
-                row.extend(values[key] for key in texture.FEATURES)
-        elif family == "granularity":
-            for ch in spec.channel_names:
-                values = granularity.granularity_from_crop(
-                    local_mask, crops[ch], spec.granularity_params
-                )
-                row.extend(
-                    values[str(i)]
-                    for i in range(1, spec.granularity_params.spectrum_length + 1)
-                )
-        elif family == "radial":
-            for ch in spec.channel_names:
-                values = radial.radial_from_crop(local_mask, crops[ch], spec.radial_params)
-                row.extend(values[key] for key in radial.feature_keys(spec.radial_params))
-        elif family == "coloc":
-            for ch_a, ch_b in channel_pairs(spec.channel_names):
-                values = coloc.coloc_from_crops(
-                    local_mask, crops[ch_a], crops[ch_b], spec.coloc_params
-                )
-                row.extend(values[key] for key in coloc.FEATURES)
-    return np.asarray(row, dtype=np.float64)
-
-
 def _measure_batch(payload):
-    """Worker entry point: measure a batch of pre-cropped objects."""
-    spec, objects = payload
-    return [
-        (label, _measure_object(local_mask, bbox, crops, spec))
-        for label, bbox, local_mask, crops in objects
-    ]
+    """Worker entry point: measure a batch of pre-cropped objects.
 
-
-def _batch_objects(spec: ExperimentSpec, regions: list[ObjectRegion]):
-    planes = {name: plane.pixels for name, plane in spec.channels}
-    needs_channels = any(f != "shape" for f in spec.families)
-    objects = []
-    for region in regions:
-        crops = {}
-        if needs_channels:
-            crops = {name: region.crop(arr).copy() for name, arr in planes.items()}
-        objects.append((region.label, region.bbox, region.local_mask, crops))
-    return objects
-
-
-_TINY_PLANE = ImagePlane(np.zeros((1, 1)))
-_TINY_MASK = LabelMask(np.zeros((1, 1), dtype=np.int64))
-
-
-def _bare_spec(spec: ExperimentSpec) -> ExperimentSpec:
-    """Copy of the experiment without image payloads, cheap to ship to workers."""
-    return ExperimentSpec(
-        channels=tuple((name, _TINY_PLANE) for name, _ in spec.channels),
-        object_sets=(("placeholder", _TINY_MASK),),
-        families=spec.families,
-        shape_params=spec.shape_params,
-        texture_params=spec.texture_params,
-        granularity_params=spec.granularity_params,
-        radial_params=spec.radial_params,
-        coloc_params=spec.coloc_params,
-        batch_size=spec.batch_size,
-        workers=1,
-    )
+    ``payload`` is (family names, their params, channel names, objects);
+    each object is (region, {channel name: bbox crop}).
+    """
+    names, params, channel_names, objects = payload
+    steps = []
+    for name, family_params in zip(names, params):
+        family = _BY_NAME[name]
+        keys = [key for key, *_ in family.keys(family_params)]
+        steps.extend(
+            (family.measure, family_params, keys, chans)
+            for chans in itertools.combinations(channel_names, family.arity)
+        )
+    rows = []
+    for region, crops in objects:
+        row: list[float] = []
+        for measure, family_params, keys, chans in steps:
+            values = measure(region, tuple(crops[ch] for ch in chans), family_params)
+            row.extend(values[key] for key in keys)
+        rows.append((region.label, np.asarray(row, dtype=np.float64)))
+    return rows
 
 
 def run(spec: ExperimentSpec) -> list[FeatureTable]:
@@ -295,25 +238,32 @@ def run(spec: ExperimentSpec) -> list[FeatureTable]:
     Output is identical (to the byte, after serialization) for any
     (batch_size, workers) combination.
     """
+    enabled = _enabled(spec.families, vars(spec))
+    config = (spec.families, tuple(params for _, params in enabled), spec.channel_names)
+    planes = {}
+    if any(family.arity for family, _ in enabled):
+        planes = {name: plane.pixels for name, plane in spec.channels}
     tables = []
-    worker_spec = _bare_spec(spec)
     for set_name, mask in spec.object_sets:
         regions = extract_objects(mask)
         columns = table_columns(spec, set_name)
         labels = np.asarray([r.label for r in regions], dtype=np.int64)
         row_of = {label: i for i, label in enumerate(labels.tolist())}
         values = np.empty((len(regions), len(columns)), dtype=np.float64)
-        batches = [
-            regions[i : i + spec.batch_size]
+        # Crops are copied batch by batch, only as the batches are consumed.
+        payloads = (
+            (*config, [
+                (region, {name: region.crop(arr).copy() for name, arr in planes.items()})
+                for region in regions[i : i + spec.batch_size]
+            ])
             for i in range(0, len(regions), spec.batch_size)
-        ]
+        )
         if spec.workers == 1:
-            for batch in batches:
-                payload = (worker_spec, _batch_objects(spec, batch))
+            for payload in payloads:
                 for label, row in _measure_batch(payload):
                     values[row_of[label]] = row
         else:
-            _run_parallel(spec, worker_spec, batches, row_of, values)
+            _run_parallel(spec.workers, payloads, row_of, values)
         tables.append(
             FeatureTable(
                 object_set=set_name,
@@ -325,7 +275,7 @@ def run(spec: ExperimentSpec) -> list[FeatureTable]:
     return tables
 
 
-def _run_parallel(spec, worker_spec, batches, row_of, values) -> None:
+def _run_parallel(workers, payloads, row_of, values) -> None:
     # Keep a bounded number of batches in flight so memory tracks
     # batch_size, not the total object count.
     def drain(done):
@@ -334,64 +284,36 @@ def _run_parallel(spec, worker_spec, batches, row_of, values) -> None:
                 values[row_of[label]] = row
 
     pending = set()
-    with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-        for batch in batches:
-            if len(pending) >= spec.workers + 1:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for payload in payloads:
+            if len(pending) >= workers + 1:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 drain(done)
-            payload = (worker_spec, _batch_objects(spec, batch))
             pending.add(pool.submit(_measure_batch, payload))
         drain(pending)
 
 
-def feature_catalog(spec: ExperimentSpec) -> list[tuple[str, str, str, str]]:
+_DEFAULT_PARAMS = {
+    f.name: f.default_factory()
+    for f in dataclasses.fields(ExperimentSpec)
+    if f.name in {family.params_field for family in REGISTRY}
+}
+
+
+def feature_catalog(families=FAMILIES, **params) -> list[tuple[str, str, str, str]]:
     """(name, family, input kind, params) rows describing every feature
-    the enabled families produce, channel placeholders elided."""
-    kinds = {**{f: "object" for f in TYPE1_FAMILIES},
-             **{f: "object+channel" for f in TYPE2_FAMILIES},
-             **{f: "object+channel_pair" for f in TYPE3_FAMILIES}}
-    param_text = {
-        "shape": f"zernike_max_order={spec.shape_params.zernike_max_order}",
-        "intensity": "",
-        "texture": (
-            f"distance={spec.texture_params.distance};"
-            f"gray_levels={spec.texture_params.gray_levels}"
-        ),
-        "granularity": (
-            f"spectrum_length={spec.granularity_params.spectrum_length};"
-            f"background_radius={spec.granularity_params.background_radius}"
-        ),
-        "radial": f"bins={spec.radial_params.bins}",
-        "coloc": f"manders_threshold_frac={spec.coloc_params.manders_threshold_frac}",
-    }
+    the named families produce, channel placeholders elided.
+
+    ``params`` takes the ExperimentSpec params fields (``texture_params=``
+    and so on); omitted ones keep their defaults.
+    """
+    unknown = set(params) - set(_DEFAULT_PARAMS)
+    if unknown:
+        raise TypeError(f"unknown params fields: {sorted(unknown)}")
     rows = []
-    for family in spec.families:
-        token = FAMILY_TOKENS[family]
-        if family == "shape":
-            keys = shape.feature_keys(spec.shape_params)
-            for key in keys:
-                params = param_text["shape"] if key.startswith("Zernike") else ""
-                rows.append((f"{token}_{key}", token, kinds[family], params))
-        elif family == "intensity":
-            rows.extend((f"{token}_{k}", token, kinds[family], "") for k in intensity.FEATURES)
-        elif family == "texture":
-            rows.extend(
-                (f"{token}_{k}", token, kinds[family], param_text[family])
-                for k in texture.FEATURES
-            )
-        elif family == "granularity":
-            rows.extend(
-                (f"{token}_{i}", token, kinds[family], param_text[family])
-                for i in range(1, spec.granularity_params.spectrum_length + 1)
-            )
-        elif family == "radial":
-            rows.extend(
-                (f"{token}_{k}", token, kinds[family], param_text[family])
-                for k in radial.feature_keys(spec.radial_params)
-            )
-        elif family == "coloc":
-            rows.extend(
-                (f"{token}_{k}", token, kinds[family], param_text[family])
-                for k in coloc.FEATURES
-            )
+    for family, family_params in _enabled(_canonical(families), {**_DEFAULT_PARAMS, **params}):
+        rows.extend(
+            (f"{family.token}_{key}", family.token, _INPUT_KINDS[family.arity], text)
+            for key, _, _, text in family.keys(family_params)
+        )
     return rows

@@ -1,8 +1,8 @@
 """Feature-table normalization, filtering, and cross-tool fidelity comparison.
 
 ``robust_standardize`` applies the conventional robust z-score
-(x - median) / (1.4826 * MAD), drops constant and mostly-missing
-features, and imputes remaining gaps with 0 (the post-standardization
+(x - median) / (1.4826 * MAD), drops constant, all-missing and
+mostly-missing features, and imputes remaining gaps with 0 (the post-standardization
 median).  ``correlation_filter`` greedily removes features that are
 nearly collinear with an earlier kept feature.  ``compare_tables`` fits
 an ordinary least-squares line per shared feature and reports R^2, the
@@ -45,7 +45,7 @@ def robust_standardize(
         col = table.values[:, j]
         present = np.isfinite(col)
         missing_frac = 1.0 - present.sum() / col.size
-        if missing_frac > params.drop_missing_frac:
+        if not present.any() or missing_frac > params.drop_missing_frac:
             continue
         med = float(np.median(col[present]))
         mad = float(np.median(np.abs(col[present] - med)))

@@ -182,9 +182,11 @@ def load_mask(path) -> LabelMask:
 
 
 def save_mask(mask: LabelMask, path, fmt: str = "RAWU32") -> None:
-    """Write a LabelMask as RAWU32 (any label) or PGM16 (labels <= 65535)."""
+    """Write a LabelMask as RAWU32 (labels < 2**32) or PGM16 (labels <= 65535)."""
     max_label = int(mask.labels.max(initial=0))
     if fmt == "RAWU32":
+        if max_label > 2**32 - 1:
+            raise ValueError(f"label {max_label} exceeds RAWU32 range")
         header = f"MPROF U32 {mask.width} {mask.height}\n".encode()
         payload = mask.labels.astype("<u4").tobytes()
     elif fmt == "PGM16":
@@ -255,9 +257,12 @@ def read_table(path) -> FeatureTable:
                 raise FormatError(f"{path}: non-numeric cell {cell!r} in row {i + 2}") from None
             if not np.isfinite(values[i, j]):
                 raise FormatError(f"{path}: non-finite cell {cell!r} in row {i + 2}")
-    return FeatureTable(
-        object_set=object_set,
-        columns=columns,
-        labels=np.asarray(labels, dtype=np.int64),
-        values=values,
-    )
+    try:
+        return FeatureTable(
+            object_set=object_set,
+            columns=columns,
+            labels=np.asarray(labels, dtype=np.int64),
+            values=values,
+        )
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None

@@ -153,6 +153,18 @@ def test_normalize_flow(workspace):
         assert abs(np.median(col)) < 1e-9
 
 
+def test_normalize_malformed_table_exits_1(workspace, capsys):
+    tmp_path, paths = workspace
+    assert main(extract_args(paths)) == 0
+    table_path = tmp_path / "features_cells.csv"
+    header, first, second, *rest = table_path.read_text().splitlines(keepends=True)
+    table_path.write_text("".join([header, second, first, *rest]))
+    args = ["normalize", "--in", str(table_path), "--out", str(tmp_path / "n.csv")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert str(table_path) in err and "ascending" in err
+
+
 def test_compare_flow_and_summary(workspace, capsys):
     tmp_path, paths = workspace
     assert main(extract_args(paths, features="shape")) == 0

@@ -1,11 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from morphoprof import (
+    ColocParams,
     ExperimentSpec,
+    GranularityParams,
     ImagePlane,
     LabelMask,
+    RadialParams,
+    ShapeParams,
     SpecValidationError,
+    TextureParams,
     extract_objects,
     feature_name,
     measure_coloc,
@@ -14,12 +21,11 @@ from morphoprof import (
     measure_radial,
     measure_shape,
     measure_texture,
-    plan,
     run,
     table_columns,
     write_table,
 )
-from morphoprof.engine import FAMILIES, channel_pairs, feature_catalog
+from morphoprof.engine import FAMILIES, REGISTRY, feature_catalog
 from synth import experiment
 
 
@@ -39,13 +45,25 @@ def tiny_spec(n_channels=3, n_sets=2, families=FAMILIES, **kw):
     )
 
 
+def measurements(spec):
+    """(object set, family, channels) for every measurement the registry
+    expands the experiment into, in canonical order."""
+    return [
+        (set_name, family.name, chans)
+        for set_name, _ in spec.object_sets
+        for family in REGISTRY
+        if family.name in spec.families
+        for chans in itertools.combinations(spec.channel_names, family.arity)
+    ]
+
+
 def test_plan_counts_all_families():
-    tasks = plan(tiny_spec(n_channels=3, n_sets=2))
+    tasks = measurements(tiny_spec(n_channels=3, n_sets=2))
     assert len(tasks) == 2 + 2 * 3 * 4 + 2 * 3
-    shape_tasks = [t for t in tasks if t.family == "shape"]
-    assert all(t.channel is None and t.channel_pair is None for t in shape_tasks)
-    coloc_tasks = [t for t in tasks if t.family == "coloc"]
-    assert [t.channel_pair for t in coloc_tasks][:3] == [
+    shape_tasks = [t for t in tasks if t[1] == "shape"]
+    assert all(chans == () for _, _, chans in shape_tasks)
+    coloc_tasks = [t for t in tasks if t[1] == "coloc"]
+    assert [chans for _, _, chans in coloc_tasks][:3] == [
         ("Chan1", "Chan2"),
         ("Chan1", "Chan3"),
         ("Chan2", "Chan3"),
@@ -53,8 +71,38 @@ def test_plan_counts_all_families():
 
 
 def test_plan_shape_only_single_task():
-    tasks = plan(tiny_spec(n_channels=2, n_sets=1, families=("shape",)))
+    tasks = measurements(tiny_spec(n_channels=2, n_sets=1, families=("shape",)))
     assert len(tasks) == 1
+
+
+NON_DEFAULT_PARAMS = dict(
+    shape_params=ShapeParams(zernike_max_order=4),
+    texture_params=TextureParams(distance=2, gray_levels=5),
+    granularity_params=GranularityParams(spectrum_length=5, background_radius=4),
+    radial_params=RadialParams(bins=3),
+    coloc_params=ColocParams(manders_threshold_frac=0.3),
+)
+
+
+def test_measure_keys_follow_registry_key_list():
+    spec = tiny_spec(n_channels=2, n_sets=1, **NON_DEFAULT_PARAMS)
+    region = extract_objects(spec.object_sets[0][1])[0]
+    plane_a, plane_b = (plane for _, plane in spec.channels)
+    public = {
+        "shape": lambda p: measure_shape(region, p),
+        "intensity": lambda p: measure_intensity(region, plane_a),
+        "texture": lambda p: measure_texture(region, plane_a, p),
+        "granularity": lambda p: measure_granularity(region, plane_a, p),
+        "radial": lambda p: measure_radial(region, plane_a, p),
+        "coloc": lambda p: measure_coloc(region, plane_a, plane_b, p),
+    }
+    assert tuple(public) == FAMILIES
+    crops = (region.crop(plane_a.pixels), region.crop(plane_b.pixels))
+    for family in REGISTRY:
+        params = getattr(spec, family.params_field) if family.params_field else None
+        keys = [key for key, *_ in family.keys(params)]
+        assert list(family.measure(region, crops[: family.arity], params)) == keys, family.name
+        assert list(public[family.name](params)) == keys, family.name
 
 
 def test_coloc_requires_two_channels():
@@ -180,7 +228,7 @@ def test_each_cell_equals_direct_single_object_call():
             for k, v in measure_radial(region, plane, spec.radial_params).items():
                 stat, bins = k.split("_")
                 direct[f"{set_name}_RadialDistribution_{stat}_{ch}_{bins}"] = v
-        for ch_a, ch_b in channel_pairs(tuple(planes)):
+        for ch_a, ch_b in itertools.combinations(planes, 2):
             vals = measure_coloc(region, planes[ch_a], planes[ch_b], spec.coloc_params)
             for k, v in vals.items():
                 direct[f"{set_name}_Coloc_{k}_{ch_a}_{ch_b}"] = v
@@ -202,9 +250,14 @@ def test_row_and_column_shape():
 
 def test_catalog_row_count_default_params():
     spec = tiny_spec(n_channels=2, n_sets=1)
-    rows = feature_catalog(spec)
+    rows = feature_catalog(spec.families)
     assert len(rows) == 44 + 12 + 13 + 16 + 12 + 5
     families = {family for _, family, _, _ in rows}
     assert families == {
         "Shape", "Intensity", "Texture", "Granularity", "RadialDistribution", "Coloc",
     }
+
+
+def test_catalog_rejects_unknown_params_field():
+    with pytest.raises(TypeError, match="texture_param"):
+        feature_catalog(texture_param=TextureParams(distance=2))

@@ -61,6 +61,14 @@ def test_missing_fraction_drop_and_imputation():
     assert lax.values[1, 1] == 0.0  # imputed with the post-standardization median
 
 
+@pytest.mark.filterwarnings("error")
+def test_all_missing_column_is_dropped_at_any_missing_frac():
+    values = np.array([[1.0, np.nan], [2.0, np.nan], [4.0, np.nan]])
+    table = table_from(["keep", "empty"], values)
+    out = robust_standardize(table, NormalizeParams(drop_missing_frac=1.0))
+    assert out.columns == ("keep",)
+
+
 def test_empty_table_rejected():
     table = FeatureTable(
         object_set="cells",

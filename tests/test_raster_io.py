@@ -83,6 +83,14 @@ def test_pgm16_mask_rejects_oversized_labels(tmp_path):
         save_mask(mask, tmp_path / "m.pgm", fmt="PGM16")
 
 
+def test_rawu32_mask_rejects_labels_beyond_uint32(tmp_path):
+    path = tmp_path / "m.raw"
+    save_mask(LabelMask(np.array([[0, 2**32 - 1]], dtype=np.int64)), path)
+    assert load_mask(path).labels.tolist() == [[0, 2**32 - 1]]
+    with pytest.raises(ValueError, match="RAWU32"):
+        save_mask(LabelMask(np.array([[2**32 + 5]], dtype=np.int64)), path)
+
+
 def random_table(rng, n_rows=6, n_cols=4):
     values = rng.standard_normal((n_rows, n_cols))
     values[rng.random((n_rows, n_cols)) < 0.2] = np.nan
