@@ -176,14 +176,18 @@ def extract_objects(mask: LabelMask) -> list[ObjectRegion]:
     spans all of them; no connectivity split is performed.
     """
     labels = mask.labels
-    present = np.unique(labels)
-    present = present[present > 0]
+    foreground = labels > 0
+    values = labels[foreground]
+    present = np.unique(values)
     if present.size == 0:
         return []
-    slices = scipy.ndimage.find_objects(labels, max_label=int(present[-1]))
+    # find_objects sizes its output by the largest label, so rank the labels
+    # 1..n first: the cost then follows the object count, not label values.
+    ranked = np.zeros(labels.shape, dtype=np.min_scalar_type(present.size))
+    ranked[foreground] = np.searchsorted(present, values) + 1
+    slices = scipy.ndimage.find_objects(ranked, max_label=present.size)
     regions = []
-    for label in present.tolist():
-        sl = slices[label - 1]
+    for label, sl in zip(present.tolist(), slices):
         local = labels[sl] == label
         r0, c0 = sl[0].start, sl[1].start
         r1, c1 = sl[0].stop - 1, sl[1].stop - 1

@@ -258,12 +258,14 @@ def run(spec: ExperimentSpec) -> list[FeatureTable]:
             ])
             for i in range(0, len(regions), spec.batch_size)
         )
-        if spec.workers == 1:
+        # No more workers than batches; a single batch is measured in-process.
+        workers = min(spec.workers, -(-len(regions) // spec.batch_size))
+        if workers <= 1:
             for payload in payloads:
                 for label, row in _measure_batch(payload):
                     values[row_of[label]] = row
         else:
-            _run_parallel(spec.workers, payloads, row_of, values)
+            _run_parallel(workers, payloads, row_of, values)
         tables.append(
             FeatureTable(
                 object_set=set_name,

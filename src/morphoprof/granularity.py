@@ -9,16 +9,43 @@ lost at each step.
 All operators are mask-aware: pixels outside the object behave as +inf
 for erosion and -inf for dilation, so values never leak across the
 object boundary.
+
+Two kernels carry the cost, and both give exactly the values of the
+plain definitions, because min and max only select values:
+
+* Disk erosion and dilation of radius ``_RECTANGLES_FROM_RADIUS`` and up
+  run as separable 1-D filters over the disk's centered rectangles, one
+  rectangle per distinct row width, combined by elementwise min or max.
+  Smaller disks use one footprint filter, which measured faster there.
+* Reconstruction iterates dense 3x3 dilations while many pixels change.
+  On crops of at least ``_SPARSE_MIN_SIZE`` pixels it then switches to a
+  sparse front that revisits only the neighbours of the pixels changed by
+  the last iteration, in the manner of L. Vincent's hybrid algorithm
+  (IEEE TIP 2(2), 1993).  A pixel with no changed neighbour cannot
+  change, so the front goes through the same sequence of states as the
+  dense iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.ndimage
 
 from .core import ImagePlane, ObjectRegion
+
+
+#: Disks of this radius and up are filtered as a union of rectangles;
+#: below it one footprint filter measured as fast or faster, on crops of
+#: 100 to 40,000 px.
+_RECTANGLES_FROM_RADIUS = 5
+#: Reconstruction switches to the sparse front on crops of at least this
+#: many pixels (dense iteration was faster below about 1,000 px) ...
+_SPARSE_MIN_SIZE = 1024
+#: ... once fewer than one pixel in this many changed in an iteration.
+_SPARSE_RATIO = 16
 
 
 @dataclass(frozen=True)
@@ -39,21 +66,57 @@ def disk_footprint(radius: int) -> np.ndarray:
     return span[:, None] ** 2 + span[None, :] ** 2 <= radius * radius
 
 
+@lru_cache(maxsize=None)
+def _disk(radius: int) -> np.ndarray:
+    """disk_footprint, built once per radius and read-only."""
+    disk = disk_footprint(radius)
+    disk.flags.writeable = False
+    return disk
+
+
+@lru_cache(maxsize=None)
+def _disk_rectangles(radius: int) -> tuple[tuple[int, int], ...]:
+    """The disk as a union of centered (rows, cols) rectangles, one per
+    distinct row width, widest first."""
+    widths = _disk(radius).sum(axis=1)
+    return tuple(
+        (int(np.count_nonzero(widths >= cols)), int(cols))
+        for cols in sorted(set(widths.tolist()), reverse=True)
+    )
+
+
+def _disk_filter(guarded: np.ndarray, radius: int, erode: bool) -> np.ndarray:
+    """Minimum (erode) or maximum filter over the disk; values beyond the
+    image are the filter's identity, +inf or -inf."""
+    if erode:
+        rank, rank1d, combine, cval = (
+            scipy.ndimage.minimum_filter, scipy.ndimage.minimum_filter1d, np.minimum, np.inf
+        )
+    else:
+        rank, rank1d, combine, cval = (
+            scipy.ndimage.maximum_filter, scipy.ndimage.maximum_filter1d, np.maximum, -np.inf
+        )
+    if radius < _RECTANGLES_FROM_RADIUS:
+        return rank(guarded, footprint=_disk(radius), mode="constant", cval=cval)
+    out = None
+    for rows, cols in _disk_rectangles(radius):
+        part = guarded
+        for axis, size in enumerate((rows, cols)):
+            if size > 1:
+                part = rank1d(part, size, axis=axis, mode="constant", cval=cval)
+        out = part if out is None else combine(out, part, out=out)
+    return out
+
+
 def gray_erode(values: np.ndarray, mask: np.ndarray, radius: int) -> np.ndarray:
     """Masked grayscale erosion by a disk; off-mask output is 0."""
-    guarded = np.where(mask, values, np.inf)
-    eroded = scipy.ndimage.minimum_filter(
-        guarded, footprint=disk_footprint(radius), mode="constant", cval=np.inf
-    )
+    eroded = _disk_filter(np.where(mask, values, np.inf), radius, erode=True)
     return np.where(mask, eroded, 0.0)
 
 
 def gray_dilate(values: np.ndarray, mask: np.ndarray, radius: int) -> np.ndarray:
     """Masked grayscale dilation by a disk; off-mask output is 0."""
-    guarded = np.where(mask, values, -np.inf)
-    dilated = scipy.ndimage.maximum_filter(
-        guarded, footprint=disk_footprint(radius), mode="constant", cval=-np.inf
-    )
+    dilated = _disk_filter(np.where(mask, values, -np.inf), radius, erode=False)
     return np.where(mask, dilated, 0.0)
 
 
@@ -65,6 +128,10 @@ def gray_open(values: np.ndarray, mask: np.ndarray, radius: int) -> np.ndarray:
 def gray_reconstruct(marker: np.ndarray, limit: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Reconstruction by dilation: iterate marker <- min(dilate3x3(marker), limit)
     until stable.  Requires marker <= limit on the mask; off-mask output is 0.
+
+    The iterations run dense over the whole crop, then, once few pixels
+    change on a large crop, as a sparse front over the changed pixels'
+    neighbours (see the module docstring); both produce the same states.
     """
     if np.any(marker[mask] > limit[mask]):
         raise ValueError("marker must not exceed limit")
@@ -73,9 +140,48 @@ def gray_reconstruct(marker: np.ndarray, limit: np.ndarray, mask: np.ndarray) ->
     while True:
         grown = scipy.ndimage.maximum_filter(cur, size=3, mode="constant", cval=-np.inf)
         nxt = np.minimum(grown, bounded)
-        if np.array_equal(nxt, cur):
+        moved = nxt != cur
+        count = np.count_nonzero(moved)
+        if count == 0:
             return np.where(mask, cur, 0.0)
+        if cur.size >= _SPARSE_MIN_SIZE and count * _SPARSE_RATIO < cur.size:
+            return np.where(mask, _reconstruct_front(nxt, bounded, moved), 0.0)
         cur = nxt
+
+
+def _reconstruct_front(cur: np.ndarray, bounded: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """Continue the dense iteration from state ``cur``, in which the pixels
+    ``moved`` changed, over a flat -inf-padded copy.
+
+    Values only rise, and after one dense step each pixel below its limit
+    holds the max of its previous neighbourhood, so the next value of q is
+    max(q, min(p, limit(q)) for each neighbour p changed last).  Each
+    changed pixel offers its value to its 8 neighbours; only offers that
+    raise a neighbour are applied, and those neighbours form the next front.
+    """
+    height, width = cur.shape
+    stride = width + 2
+    flat = np.full((height + 2, stride), -np.inf)
+    bound = np.full((height + 2, stride), -np.inf)
+    flat[1:-1, 1:-1] = cur
+    bound[1:-1, 1:-1] = bounded
+    flat, bound = flat.ravel(), bound.ravel()
+    slot = np.empty(flat.size, dtype=np.intp)
+    around = (np.arange(-1, 2)[:, None] * stride + np.arange(-1, 2)).ravel()
+    around = around[around != 0]
+    rows, cols = np.nonzero(moved)
+    changed = (rows + 1) * stride + cols + 1
+    while changed.size:
+        targets = (changed[:, None] + around).ravel()
+        offers = np.minimum(np.repeat(flat[changed], around.size), bound[targets])
+        rise = offers > flat[targets]
+        targets, offers = targets[rise], offers[rise]
+        np.maximum.at(flat, targets, offers)
+        # Deduplicate without sorting: one occurrence of each target keeps its slot.
+        order = np.arange(targets.size)
+        slot[targets] = order
+        changed = targets[slot[targets] == order]
+    return flat.reshape(height + 2, stride)[1:-1, 1:-1]
 
 
 def measure_granularity(

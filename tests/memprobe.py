@@ -8,7 +8,7 @@ import resource
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+sys.path[:0] = [str(Path(__file__).parent), str(Path(__file__).parents[1] / "src")]
 
 from synth import experiment  # noqa: E402
 

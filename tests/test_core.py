@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,23 @@ def test_multicomponent_label_is_one_region():
     (region,) = extract_objects(LabelMask(mask))
     assert region.bbox == (1, 1, 8, 8)
     assert region.pixel_count == 2
+
+
+def test_extraction_cost_does_not_scale_with_label_value():
+    mask = np.zeros((64, 64), dtype=np.int64)
+    mask[10, 20] = 4_000_000
+    mask[30:33, 5:9] = 17
+    tracemalloc.start()
+    try:
+        regions = extract_objects(LabelMask(mask))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [(r.label, r.bbox, r.pixel_count) for r in regions] == [
+        (17, (30, 5, 32, 8), 12),
+        (4_000_000, (10, 20, 10, 20), 1),
+    ]
 
 
 @st.composite

@@ -25,6 +25,7 @@ from morphoprof import (
     table_columns,
     write_table,
 )
+from morphoprof import engine
 from morphoprof.engine import FAMILIES, REGISTRY, feature_catalog
 from synth import experiment
 
@@ -189,6 +190,32 @@ def test_run_is_deterministic_across_workers_and_batching(tmp_path):
         write_table(table, path)
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+
+def test_pool_never_has_more_workers_than_batches(tmp_path, monkeypatch):
+    built = []
+
+    class RecordingPool(engine.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+
+    def csv_bytes(workers, batch_size):
+        spec = experiment(n_objects=12, size=64, seed=3, workers=workers, batch_size=batch_size)
+        (table,) = run(spec)
+        path = tmp_path / f"{workers}-{batch_size}.csv"
+        write_table(table, path)
+        return path.read_bytes(), len(extract_objects(spec.object_sets[0][1]))
+
+    reference, n_objects = csv_bytes(1, 256)
+    # One batch: measured in-process whatever the worker count.
+    assert csv_bytes(4, 256)[0] == reference
+    assert built == []
+    assert csv_bytes(4, 5)[0] == reference
+    assert built == [min(4, -(-n_objects // 5))] == [3]
 
 
 def test_empty_mask_gives_header_only_table(tmp_path):
