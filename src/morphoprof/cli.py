@@ -30,13 +30,16 @@ def _add_family_flags(parser) -> None:
         default=",".join(engine.FAMILIES),
         help="comma-separated families (default: all)",
     )
-    parser.add_argument("--texture-distance", type=int, default=1)
-    parser.add_argument("--texture-gray-levels", type=int, default=8)
-    parser.add_argument("--zernike-order", type=int, default=9)
-    parser.add_argument("--radial-bins", type=int, default=4)
-    parser.add_argument("--manders-threshold", type=float, default=0.15)
-    parser.add_argument("--granularity-length", type=int, default=16)
-    parser.add_argument("--granularity-background-radius", type=int, default=10)
+    for flag, default in (
+        ("--texture-distance", TextureParams.distance),
+        ("--texture-gray-levels", TextureParams.gray_levels),
+        ("--zernike-order", ShapeParams.zernike_max_order),
+        ("--radial-bins", RadialParams.bins),
+        ("--manders-threshold", ColocParams.manders_threshold_frac),
+        ("--granularity-length", GranularityParams.spectrum_length),
+        ("--granularity-background-radius", GranularityParams.background_radius),
+    ):
+        parser.add_argument(flag, type=type(default), default=default)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import MISSING, ImagePlane, ObjectRegion
 
 FEATURES = ("Pearson", "Overlap", "Slope", "MandersM1", "MandersM2")
@@ -33,16 +31,8 @@ def measure_coloc(
     params: ColocParams = ColocParams(),
 ) -> dict[str, float]:
     """Colocalization features of one region over two aligned channels."""
-    return coloc_from_crops(
-        region.local_mask, region.crop(plane_a.pixels), region.crop(plane_b.pixels), params
-    )
-
-
-def coloc_from_crops(
-    local_mask: np.ndarray, crop_a: np.ndarray, crop_b: np.ndarray, params: ColocParams
-) -> dict[str, float]:
-    a = crop_a[local_mask]
-    b = crop_b[local_mask]
+    a = region.crop(plane_a.pixels)[region.local_mask]
+    b = region.crop(plane_b.pixels)[region.local_mask]
     mean_a = float(a.mean())
     mean_b = float(b.mean())
     var_a = float(((a - mean_a) ** 2).mean())

@@ -98,7 +98,7 @@ class ObjectRegion:
     label: int
     bbox: tuple[int, int, int, int]
     local_mask: np.ndarray
-    pixel_count: int = field(default=0)
+    pixel_count: int = field(init=False)
 
     def __post_init__(self):
         mask = np.ascontiguousarray(self.local_mask, dtype=bool)
@@ -110,8 +110,6 @@ class ObjectRegion:
         count = int(mask.sum())
         if count < 1:
             raise ValueError("object region must contain at least one pixel")
-        if self.pixel_count and self.pixel_count != count:
-            raise ValueError("pixel_count does not match local_mask")
         if not (mask[0].any() and mask[-1].any() and mask[:, 0].any() and mask[:, -1].any()):
             raise ValueError("bbox is not tight around local_mask")
         object.__setattr__(self, "local_mask", _freeze(mask))

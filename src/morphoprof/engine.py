@@ -12,10 +12,12 @@ order, and every measurement is a pure function of one object's cropped
 data, so the output tables are byte-identical for any worker count or
 batch size.
 
-Workers receive family names, their params, the channel names and
-per-object bbox crops rather than whole images, which bounds the peak
-working set by batch size and image size instead of the total object
-count.
+Workers receive family names, their params, the channel names and, per
+object, its region and its bbox crops as image planes rather than whole
+images, which bounds the peak working set by batch size and image size
+instead of the total object count.  Channel families run the public
+``measure_X`` functions on the object's region in its crop's frame, so
+the pipeline and a direct call measure the same way.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ class Family:
     #: The ExperimentSpec field holding the family's params; None if it has none.
     params_field: str | None
     keys: Callable[[Any], list[Key]]
-    #: (region, crops of the measured channels, params) -> {dict key: value}.
-    measure: Callable[[ObjectRegion, tuple[np.ndarray, ...], Any], dict[str, float]]
+    #: (region, planes of the measured channels, params) -> {dict key: value}.
+    #: Channel families get crop planes and the region in the crop's frame.
+    measure: Callable[[ObjectRegion, tuple[ImagePlane, ...], Any], dict[str, float]]
 
 
 def _param_text(params) -> str:
@@ -71,32 +74,32 @@ def _shape_keys(params: shape.ShapeParams) -> list[Key]:
 REGISTRY = (
     Family(
         "shape", "Shape", 0, "shape_params", _shape_keys,
-        lambda region, crops, p: shape.measure_shape(region, p),
+        lambda region, planes, p: shape.measure_shape(region, p),
     ),
     Family(
         "intensity", "Intensity", 1, None, lambda p: _plain(intensity.FEATURES),
-        lambda region, crops, p: intensity.intensity_from_crop(region.local_mask, *crops),
+        lambda region, planes, p: intensity.measure_intensity(region, *planes),
     ),
     Family(
         "texture", "Texture", 1, "texture_params",
         lambda p: _plain(texture.FEATURES, f"d{p.distance}_g{p.gray_levels}", _param_text(p)),
-        lambda region, crops, p: texture.texture_from_crop(region.local_mask, *crops, p),
+        lambda region, planes, p: texture.measure_texture(region, *planes, p),
     ),
     Family(
         "granularity", "Granularity", 1, "granularity_params",
         lambda p: _plain(map(str, range(1, p.spectrum_length + 1)), text=_param_text(p)),
-        lambda region, crops, p: granularity.granularity_from_crop(region.local_mask, *crops, p),
+        lambda region, planes, p: granularity.measure_granularity(region, *planes, p),
     ),
     Family(
         "radial", "RadialDistribution", 1, "radial_params",
         # Key "FracAtD_1of4" is column feature "FracAtD" with suffix "1of4".
         lambda p: [(key, *key.split("_"), _param_text(p)) for key in radial.feature_keys(p)],
-        lambda region, crops, p: radial.radial_from_crop(region.local_mask, *crops, p),
+        lambda region, planes, p: radial.measure_radial(region, *planes, p),
     ),
     Family(
         "coloc", "Coloc", 2, "coloc_params",
         lambda p: _plain(coloc.FEATURES, text=_param_text(p)),
-        lambda region, crops, p: coloc.coloc_from_crops(region.local_mask, *crops, p),
+        lambda region, planes, p: coloc.measure_coloc(region, *planes, p),
     ),
 )
 
@@ -211,7 +214,8 @@ def _measure_batch(payload):
     """Worker entry point: measure a batch of pre-cropped objects.
 
     ``payload`` is (family names, their params, channel names, objects);
-    each object is (region, {channel name: bbox crop}).
+    each object is (region, {channel name: ImagePlane of its bbox crop}).
+    Channel families see the region in its crop's frame.
     """
     names, params, channel_names, objects = payload
     steps = []
@@ -224,9 +228,13 @@ def _measure_batch(payload):
         )
     rows = []
     for region, crops in objects:
+        h, w = region.local_mask.shape
+        local = ObjectRegion(region.label, (0, 0, h - 1, w - 1), region.local_mask)
         row: list[float] = []
         for measure, family_params, keys, chans in steps:
-            values = measure(region, tuple(crops[ch] for ch in chans), family_params)
+            # Shape keeps the global region: its Centroid_Row/Col add the bbox offset.
+            target = local if chans else region
+            values = measure(target, tuple(crops[ch] for ch in chans), family_params)
             row.extend(values[key] for key in keys)
         rows.append((region.label, np.asarray(row, dtype=np.float64)))
     return rows
@@ -250,10 +258,10 @@ def run(spec: ExperimentSpec) -> list[FeatureTable]:
         labels = np.asarray([r.label for r in regions], dtype=np.int64)
         row_of = {label: i for i, label in enumerate(labels.tolist())}
         values = np.empty((len(regions), len(columns)), dtype=np.float64)
-        # Crops are copied batch by batch, only as the batches are consumed.
+        # Crops are copied into image planes batch by batch, only as the batches are consumed.
         payloads = (
             (*config, [
-                (region, {name: region.crop(arr).copy() for name, arr in planes.items()})
+                (region, {name: ImagePlane(region.crop(arr)) for name, arr in planes.items()})
                 for region in regions[i : i + spec.batch_size]
             ])
             for i in range(0, len(regions), spec.batch_size)

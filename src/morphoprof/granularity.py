@@ -127,14 +127,15 @@ def gray_open(values: np.ndarray, mask: np.ndarray, radius: int) -> np.ndarray:
 
 def gray_reconstruct(marker: np.ndarray, limit: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Reconstruction by dilation: iterate marker <- min(dilate3x3(marker), limit)
-    until stable.  Requires marker <= limit on the mask; off-mask output is 0.
+    until stable.  Requires marker <= limit (no NaN) on the mask; off-mask output is 0.
 
     The iterations run dense over the whole crop, then, once few pixels
     change on a large crop, as a sparse front over the changed pixels'
     neighbours (see the module docstring); both produce the same states.
     """
-    if np.any(marker[mask] > limit[mask]):
-        raise ValueError("marker must not exceed limit")
+    # NaN fails the comparison too; with it the iteration would never settle.
+    if not np.all(marker[mask] <= limit[mask]):
+        raise ValueError("marker must not exceed limit, and neither may be NaN, on the mask")
     cur = np.where(mask, marker, -np.inf)
     bounded = np.where(mask, limit, -np.inf)
     while True:
@@ -188,12 +189,8 @@ def measure_granularity(
     region: ObjectRegion, plane: ImagePlane, params: GranularityParams = GranularityParams()
 ) -> dict[str, float]:
     """Granular spectrum of one region; keys are the step indexes "1".."L"."""
-    return granularity_from_crop(region.local_mask, region.crop(plane.pixels), params)
-
-
-def granularity_from_crop(
-    local_mask: np.ndarray, crop: np.ndarray, params: GranularityParams
-) -> dict[str, float]:
+    local_mask = region.local_mask
+    crop = region.crop(plane.pixels)
     length = params.spectrum_length
     keys = [str(i) for i in range(1, length + 1)]
     opened = gray_open(crop, local_mask, params.background_radius)

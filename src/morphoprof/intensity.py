@@ -32,11 +32,8 @@ FEATURES = (
 
 def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, float]:
     """Intensity statistics of one region, keyed by bare feature name."""
-    return intensity_from_crop(region.local_mask, region.crop(plane.pixels))
-
-
-def intensity_from_crop(local_mask: np.ndarray, crop: np.ndarray) -> dict[str, float]:
-    """Same as :func:`measure_intensity` but on a pre-cropped bbox array."""
+    local_mask = region.local_mask
+    crop = region.crop(plane.pixels)
     values = crop[local_mask]
     median = float(np.median(values))
     edge_values = crop[edge_mask(local_mask)]

@@ -69,17 +69,12 @@ def measure_radial(
     region: ObjectRegion, plane: ImagePlane, params: RadialParams = RadialParams()
 ) -> dict[str, float]:
     """Radial distribution features, keyed ``<Stat>_<b>of<B>``."""
-    return radial_from_crop(region.local_mask, region.crop(plane.pixels), params)
-
-
-def radial_from_crop(
-    local_mask: np.ndarray, crop: np.ndarray, params: RadialParams
-) -> dict[str, float]:
+    local_mask = region.local_mask
     bins = params.bins
     bin_grid, wedge_grid = bin_geometry(local_mask, bins)
     bin_of = bin_grid[local_mask]
     wedge_of = wedge_grid[local_mask]
-    values = crop[local_mask]
+    values = region.crop(plane.pixels)[local_mask]
     count = values.size
     total = float(values.sum())
 

@@ -37,6 +37,10 @@ class FormatError(ValueError):
     """Malformed or unsupported raster/table content."""
 
 
+class _HeaderCut(FormatError):
+    """The data ends inside a PGM header."""
+
+
 @dataclass(frozen=True)
 class RasterHeader:
     format: str  # PGM8 | PGM16 | RAWF32 | RAWU32
@@ -58,9 +62,18 @@ def read_header(path) -> RasterHeader:
     """Identify a raster file's format and dimensions without its payload."""
     with open(path, "rb") as fh:
         head = fh.read(256)
-    if head[:2] == b"P5":
-        width, height, maxval, _ = _read_pgm_header(head, path)
-        return RasterHeader("PGM8" if maxval == 255 else "PGM16", width, height)
+        if head[:2] == b"P5":
+            # '#' comments can run the header past the first chunk; read on then.
+            while True:
+                try:
+                    width, height, maxval, _ = _read_pgm_header(head, path)
+                    break
+                except _HeaderCut:
+                    more = fh.read(len(head))
+                    if not more:
+                        raise
+                    head += more
+            return RasterHeader("PGM8" if maxval == 255 else "PGM16", width, height)
     if head[: len(MAGIC_F32)] == MAGIC_F32:
         width, height, _ = _read_raw_header(head, MAGIC_F32, path)
         return RasterHeader("RAWF32", width, height)
@@ -88,6 +101,8 @@ def _read_pgm_header(data: bytes, path) -> tuple[int, int, int, int]:
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         token = data[start:pos]
+        if pos >= len(data):
+            raise _HeaderCut(f"{path}: truncated PGM header")
         if not token.isdigit():
             raise FormatError(f"{path}: bad PGM header token {token!r}")
         fields.append(int(token))

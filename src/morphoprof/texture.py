@@ -57,11 +57,8 @@ def quantize(region: ObjectRegion, plane: ImagePlane, gray_levels: int) -> np.nd
     Bins are equal-width between the object's min and max intensity; a
     constant object maps entirely to level 0.
     """
-    return quantize_crop(region.local_mask, region.crop(plane.pixels), gray_levels)
-
-
-def quantize_crop(local_mask: np.ndarray, crop: np.ndarray, gray_levels: int) -> np.ndarray:
-    values = crop[local_mask]
+    local_mask = region.local_mask
+    values = region.crop(plane.pixels)[local_mask]
     lo = float(values.min())
     hi = float(values.max())
     levels = np.full(local_mask.shape, -1, dtype=np.int32)
@@ -87,9 +84,8 @@ def glcm(
     with no pairs the matrix is all-zero.  ``gray_levels`` defaults to
     one past the highest level present.
     """
-    d = distance
-    if direction not in ((0, d), (-d, d), (-d, 0), (-d, -d)):
-        raise ValueError(f"direction {direction} invalid for distance {d}")
+    if direction not in directions(distance):
+        raise ValueError(f"direction {direction} invalid for distance {distance}")
     if gray_levels is None:
         gray_levels = int(levels[local_mask].max()) + 1 if local_mask.any() else 1
     counts = _pair_counts(levels, local_mask, direction, gray_levels)
@@ -189,20 +185,14 @@ def measure_texture(
 ) -> dict[str, float]:
     """Direction-averaged Haralick features; all missing when no direction
     has a co-occurring pixel pair."""
-    return texture_from_crop(region.local_mask, region.crop(plane.pixels), params)
-
-
-def texture_from_crop(
-    local_mask: np.ndarray, crop: np.ndarray, params: TextureParams
-) -> dict[str, float]:
-    levels = quantize_crop(local_mask, crop, params.gray_levels)
+    levels = quantize(region, plane, params.gray_levels)
     per_direction = []
     for direction in directions(params.distance):
-        counts = _pair_counts(levels, local_mask, direction, params.gray_levels)
-        total = counts.sum()
-        if total == 0:
-            continue
-        per_direction.append(haralick_features(counts.astype(np.float64) / float(total)))
+        p, had_pairs = glcm(
+            levels, region.local_mask, params.distance, direction, params.gray_levels
+        )
+        if had_pairs:
+            per_direction.append(haralick_features(p))
     if not per_direction:
         return {name: MISSING for name in FEATURES}
     # fsum makes the average independent of direction enumeration order,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from morphoprof import ImagePlane, LabelMask, load_mask, read_table, save_image, save_mask
-from morphoprof.cli import main
+from morphoprof import engine
+from morphoprof.cli import _build_parser, _family_params, main
 from synth import blob_mask, smooth_plane
 
 
@@ -207,3 +208,9 @@ def test_list_features_respects_params(capsys):
     assert main(["list-features", "--granularity-length", "4", "--zernike-order", "2"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
     assert len(rows) == (14 + 4) + 12 + 13 + 4 + 12 + 5
+
+
+def test_family_flag_defaults_are_the_params_defaults():
+    parser = _build_parser()
+    for argv in (["list-features"], ["extract", "--out", "x"]):
+        assert _family_params(parser.parse_args(argv)) == engine._DEFAULT_PARAMS

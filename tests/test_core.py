@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphoprof import ImagePlane, LabelMask, check_aligned, extract_objects, max_project
+from morphoprof import (
+    ImagePlane,
+    LabelMask,
+    ObjectRegion,
+    check_aligned,
+    extract_objects,
+    max_project,
+)
 
 
 def test_empty_mask_yields_no_regions():
@@ -20,6 +27,13 @@ def test_single_block_region():
     assert region.bbox == (1, 1, 2, 2)
     assert region.pixel_count == 4
     assert region.local_mask.all()
+
+
+def test_pixel_count_is_derived_not_passed():
+    local = np.array([[True, False], [True, True]])
+    assert ObjectRegion(5, (2, 3, 3, 4), local).pixel_count == 3
+    with pytest.raises(TypeError):
+        ObjectRegion(5, (2, 3, 3, 4), local, 3)
 
 
 def test_scattered_labels_match_brute_force_tally(rng):

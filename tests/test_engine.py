@@ -25,7 +25,7 @@ from morphoprof import (
     table_columns,
     write_table,
 )
-from morphoprof import engine
+from morphoprof import engine, intensity
 from morphoprof.engine import FAMILIES, REGISTRY, feature_catalog
 from synth import experiment
 
@@ -98,12 +98,34 @@ def test_measure_keys_follow_registry_key_list():
         "coloc": lambda p: measure_coloc(region, plane_a, plane_b, p),
     }
     assert tuple(public) == FAMILIES
-    crops = (region.crop(plane_a.pixels), region.crop(plane_b.pixels))
+    planes = (plane_a, plane_b)
     for family in REGISTRY:
         params = getattr(spec, family.params_field) if family.params_field else None
         keys = [key for key, *_ in family.keys(params)]
-        assert list(family.measure(region, crops[: family.arity], params)) == keys, family.name
+        assert list(family.measure(region, planes[: family.arity], params)) == keys, family.name
         assert list(public[family.name](params)) == keys, family.name
+
+
+def test_run_measures_through_public_functions_on_crop_planes(monkeypatch):
+    """Each object and channel is one call of the public measure_intensity,
+    with the region in its crop's frame and a plane of the crop's size."""
+    calls = []
+
+    def recording(region, plane):
+        calls.append((region, plane))
+        return measure_intensity(region, plane)
+
+    monkeypatch.setattr(intensity, "measure_intensity", recording)
+    spec = tiny_spec(n_channels=2, n_sets=1, families=("intensity",), workers=1)
+    (table,) = run(spec)
+    regions = extract_objects(spec.object_sets[0][1])
+    assert len(calls) == len(regions) * len(spec.channels) == table.n_rows * 2
+    for (region, plane), expected in zip(calls, [r for r in regions for _ in spec.channels]):
+        assert region.label == expected.label
+        assert region.bbox[:2] == (0, 0)
+        assert np.array_equal(region.local_mask, expected.local_mask)
+        assert isinstance(plane, ImagePlane)
+        assert plane.pixels.shape == region.local_mask.shape
 
 
 def test_coloc_requires_two_channels():

@@ -61,6 +61,19 @@ def test_reconstruct_requires_marker_below_limit():
         gray_reconstruct(np.ones((3, 3)), np.zeros((3, 3)), mask)
 
 
+def test_reconstruct_rejects_nan_on_the_mask():
+    mask = np.ones((3, 3), dtype=bool)
+    values = np.ones((3, 3))
+    values[1, 1] = np.nan
+    zeros = np.zeros((3, 3))
+    for marker, limit in ((values, values), (zeros, values), (values, 2 * values)):
+        with pytest.raises(ValueError, match="NaN"):
+            gray_reconstruct(marker, limit, mask)
+    # Off the mask a NaN is never read.
+    mask[1, 1] = False
+    assert np.array_equal(gray_reconstruct(values, values, mask), np.where(mask, 1.0, 0.0))
+
+
 def test_reconstruct_matches_naive_iteration(rng):
     mask = small_blob(rng, size=12)
     limit = np.where(mask, rng.random(mask.shape), 0.0)
@@ -236,7 +249,7 @@ def test_front_matches_dense_iteration(seed, height, levels, fill):
 
 
 def test_large_object_spectrum_matches_footprint_pipeline(rng, front_calls):
-    """granularity_from_crop on a crop large enough for every fast path
+    """measure_granularity on a crop large enough for every fast path
     equals the same pipeline built from footprint filters and the dense
     loop, bit for bit."""
     size = 72
@@ -268,7 +281,7 @@ def test_large_object_spectrum_matches_footprint_pipeline(rng, front_calls):
         mean = float(dense_reconstruct(cur, entering, mask)[mask].mean())
         expected[key] = 100.0 * (prev - mean) / start
         prev = mean
-    assert granularity.granularity_from_crop(mask, crop, params) == expected
+    assert measure_granularity(region_of(mask), ImagePlane(crop), params) == expected
     assert front_calls
 
 

@@ -198,6 +198,20 @@ def test_read_header_identifies_formats(tmp_path, rng):
         RasterHeader("TIFF", 4, 4)
 
 
+def test_read_header_reads_past_a_long_pgm_comment(tmp_path):
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n#" + b"c" * 300 + b"\n2 1\n255\n\x00\xff")
+    assert load_image(path).pixels.shape == (1, 2)
+    assert read_header(path) == RasterHeader("PGM8", 2, 1)
+    # Every cut of the header at the first chunk's end, tokens included.
+    for pad in range(240, 262):
+        path.write_bytes(b"P5\n#" + b"c" * pad + b"\n12 1\n65535\n" + bytes(24))
+        assert read_header(path) == RasterHeader("PGM16", 12, 1), pad
+    path.write_bytes(b"P5\n#" + b"c" * 600)
+    with pytest.raises(FormatError, match="truncated PGM header"):
+        read_header(path)
+
+
 def test_literal_nan_cell_is_rejected(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("object_set,label,f\ncells,1,nan\n")
