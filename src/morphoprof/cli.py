@@ -197,15 +197,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (SpecValidationError, ValueError) as exc:
-        if isinstance(exc, raster_io.FormatError):
-            print(f"morphoprof: error: {exc}", file=sys.stderr)
-            return 1
-        print(f"morphoprof: invalid request: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (raster_io.FormatError, OSError) as exc:
         print(f"morphoprof: error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"morphoprof: invalid request: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -67,10 +67,10 @@ class LabelMask:
     labels: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.labels, copy=True)
+        arr = np.asarray(self.labels)
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
-        arr = arr.astype(np.int64, copy=False)
+        arr = arr.astype(np.int64)  # always a fresh copy
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"mask must be 2-D with positive dims, got shape {arr.shape}")
         if arr.min(initial=0) < 0:

@@ -1,14 +1,19 @@
 """Bit-exact file I/O for images, label masks, and feature tables.
 
-Supported raster formats:
+Raster formats, each with one sample dtype (``_DTYPES``):
 
-* ``PGM8`` / ``PGM16`` -- binary PGM (P5) with maxval 255 or 65535.
-  Image samples are normalized by the format maximum on load; mask
-  samples are used verbatim as labels.
+* ``PGM8`` / ``PGM16`` -- binary PGM (P5) whose maxval is its dtype's
+  maximum: 255 (``u1``) or 65535 (``>u2``).  Image samples are normalized
+  by that maximum on load; mask samples are used verbatim as labels.
 * ``RAWF32`` -- one ASCII header line ``MPROF F32 <width> <height>\\n``
   followed by row-major little-endian float32 samples.
 * ``RAWU32`` -- header ``MPROF U32 <width> <height>\\n`` followed by
   row-major little-endian uint32 labels (for label values above 65535).
+
+``_parse_header`` alone reads magic bytes and headers, for
+:func:`read_header` and both loaders; ``_load_samples`` reads a payload
+without trusting its declared size, and ``_save_samples`` writes every
+format.
 
 Feature tables are RFC-4180 CSV with a ``object_set,label,...`` header,
 ``\\n`` line endings and locale-independent ``.`` decimals.  Floats are
@@ -20,17 +25,19 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import MISSING, FeatureTable, ImagePlane, LabelMask
 
-MAGIC_F32 = b"MPROF F32"
-MAGIC_U32 = b"MPROF U32"
-
-#: Bytes per sample for each raster format.
-SAMPLE_SIZE = {"PGM8": 1, "PGM16": 2, "RAWF32": 4, "RAWU32": 4}
+#: Sample dtype of each raster format.
+_DTYPES = {"PGM8": "u1", "PGM16": ">u2", "RAWF32": "<f4", "RAWU32": "<u4"}
+_PGM_BY_MAXVAL = {np.iinfo(_DTYPES[f]).max: f for f in ("PGM8", "PGM16")}
+_RAW_BY_MAGIC = {b"MPROF F32 ": "RAWF32", b"MPROF U32 ": "RAWU32"}
+# Whitespace and '#' comments (PGM allows them anywhere), then one token.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 class FormatError(ValueError):
@@ -38,7 +45,7 @@ class FormatError(ValueError):
 
 
 class _HeaderCut(FormatError):
-    """The data ends inside a PGM header."""
+    """The data read so far ends inside a raster header."""
 
 
 @dataclass(frozen=True)
@@ -48,114 +55,121 @@ class RasterHeader:
     height: int
 
     def __post_init__(self):
-        if self.format not in SAMPLE_SIZE:
+        if self.format not in _DTYPES:
             raise ValueError(f"unknown raster format {self.format!r}")
         if self.width < 1 or self.height < 1:
             raise ValueError("raster dims must be positive")
 
     @property
     def sample_size(self) -> int:
-        return SAMPLE_SIZE[self.format]
+        return np.dtype(_DTYPES[self.format]).itemsize
 
 
 def read_header(path) -> RasterHeader:
     """Identify a raster file's format and dimensions without its payload."""
     with open(path, "rb") as fh:
-        head = fh.read(256)
-        if head[:2] == b"P5":
-            # '#' comments can run the header past the first chunk; read on then.
-            while True:
-                try:
-                    width, height, maxval, _ = _read_pgm_header(head, path)
-                    break
-                except _HeaderCut:
-                    more = fh.read(len(head))
-                    if not more:
-                        raise
-                    head += more
-            return RasterHeader("PGM8" if maxval == 255 else "PGM16", width, height)
-    if head[: len(MAGIC_F32)] == MAGIC_F32:
-        width, height, _ = _read_raw_header(head, MAGIC_F32, path)
-        return RasterHeader("RAWF32", width, height)
-    if head[: len(MAGIC_U32)] == MAGIC_U32:
-        width, height, _ = _read_raw_header(head, MAGIC_U32, path)
-        return RasterHeader("RAWU32", width, height)
-    raise FormatError(f"{path}: unrecognized raster format")
+        return _parse_header(fh, path)[0]
 
 
-def _read_pgm_header(data: bytes, path) -> tuple[int, int, int, int]:
-    # Returns (width, height, maxval, payload offset).  PGM allows comment
-    # lines starting with '#' anywhere in the header whitespace.
-    if data[:2] != b"P5":
-        raise FormatError(f"{path}: not a binary PGM (magic {data[:2]!r})")
-    pos = 2
-    fields = []
+def _parse_header(fh, path) -> tuple[RasterHeader, bytes]:
+    """The header of the raster open in ``fh`` and the payload bytes read
+    with it.  A header that runs past the first chunk (long '#' comments)
+    is read on, doubling."""
+    data = fh.read(256)
+    while True:
+        try:
+            if data[:2] == b"P5":
+                fmt, width, height, offset = _pgm_fields(data, path)
+            elif data[:10] in _RAW_BY_MAGIC:
+                fmt = _RAW_BY_MAGIC[data[:10]]
+                width, height, offset = _raw_fields(data, path)
+            else:
+                raise FormatError(f"{path}: unrecognized raster format")
+            break
+        except _HeaderCut:
+            more = fh.read(len(data))
+            if not more:
+                raise
+            data += more
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: non-positive raster dimensions {width}x{height}")
+    return RasterHeader(fmt, width, height), data[offset:]
+
+
+def _header_int(token: bytes, path) -> int:
+    try:
+        return int(token)
+    except ValueError:  # not an integer, or beyond Python's digit limit
+        raise FormatError(f"{path}: bad header number {token[:32]!r}") from None
+
+
+def _pgm_fields(data: bytes, path) -> tuple[str, int, int, int]:
+    pos, fields = 2, []
     while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
+        match = _PGM_TOKEN.match(data, pos)
+        token, pos = match[1], match.end()
         if pos >= len(data):
             raise _HeaderCut(f"{path}: truncated PGM header")
         if not token.isdigit():
-            raise FormatError(f"{path}: bad PGM header token {token!r}")
-        fields.append(int(token))
-    pos += 1  # single whitespace byte after maxval
+            raise FormatError(f"{path}: bad PGM header token {token[:32]!r}")
+        fields.append(_header_int(token, path))
     width, height, maxval = fields
-    if width < 1 or height < 1:
-        raise FormatError(f"{path}: non-positive PGM dimensions {width}x{height}")
-    if maxval not in (255, 65535):
+    if maxval not in _PGM_BY_MAXVAL:
         raise FormatError(f"{path}: unsupported PGM maxval {maxval} (use 255 or 65535)")
-    return width, height, maxval, pos
+    return _PGM_BY_MAXVAL[maxval], width, height, pos + 1  # one whitespace byte
 
 
-def _read_raw_header(data: bytes, magic: bytes, path) -> tuple[int, int, int]:
+def _raw_fields(data: bytes, path) -> tuple[int, int, int]:
     end = data.find(b"\n")
     if end < 0:
-        raise FormatError(f"{path}: missing raw header line")
-    parts = data[:end].split(b" ")
-    if len(parts) != 4 or b" ".join(parts[:2]) != magic:
-        raise FormatError(f"{path}: bad raw header {data[:end]!r}")
-    try:
-        width, height = int(parts[2]), int(parts[3])
-    except ValueError:
-        raise FormatError(f"{path}: non-integer raw dimensions {data[:end]!r}") from None
-    if width < 1 or height < 1:
-        raise FormatError(f"{path}: non-positive raw dimensions {width}x{height}")
+        raise _HeaderCut(f"{path}: missing raw header line")
+    dims = data[10:end].split(b" ")
+    if len(dims) != 2:
+        raise FormatError(f"{path}: bad raw header {data[:end][:64]!r}")
+    width, height = (_header_int(token, path) for token in dims)
     return width, height, end + 1
 
 
-def _read_samples(data: bytes, offset: int, dtype: str, count: int, path) -> np.ndarray:
-    expected = count * np.dtype(dtype).itemsize
-    payload = data[offset : offset + expected]
-    if len(payload) < expected:
-        raise FormatError(f"{path}: truncated payload ({len(payload)} of {expected} bytes)")
-    return np.frombuffer(payload, dtype=dtype)
+def _load_samples(path, formats) -> np.ndarray:
+    # The payload is read on, doubling (pipes cannot seek or report a size),
+    # so a header that declares more than the file holds fails as truncated
+    # without allocating the declared size.  The samples come back
+    # unconverted, shaped (h, w).
+    with open(path, "rb") as fh:
+        header, payload = _parse_header(fh, path)
+        if header.format not in formats:
+            raise FormatError(f"{path}: {header.format} is not one of {', '.join(formats)}")
+        dtype = np.dtype(_DTYPES[header.format])
+        count = header.width * header.height
+        payload, expected = bytearray(payload), count * dtype.itemsize
+        while len(payload) < expected:
+            chunk = fh.read(min(expected - len(payload), max(len(payload), 1 << 16)))
+            if not chunk:
+                raise FormatError(f"{path}: truncated payload ({len(payload)} of {expected} bytes)")
+            payload += chunk
+    return np.frombuffer(payload, dtype, count).reshape(header.height, header.width)
+
+
+def _save_samples(samples: np.ndarray, path, fmt: str) -> None:
+    dtype = np.dtype(_DTYPES[fmt])
+    height, width = samples.shape
+    if fmt.startswith("PGM"):
+        header = f"P5 {width} {height} {np.iinfo(dtype).max}\n"
+    else:
+        header = f"MPROF {fmt[3:]} {width} {height}\n"  # RAWF32 -> MPROF F32
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.write(samples.astype(dtype, order="C"))
 
 
 def load_image(path) -> ImagePlane:
     """Load a PGM8/PGM16/RAWF32 image as a normalized ImagePlane."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:2] == b"P5":
-        width, height, maxval, offset = _read_pgm_header(data, path)
-        dtype = ">u2" if maxval == 65535 else "u1"
-        samples = _read_samples(data, offset, dtype, width * height, path)
-        pixels = samples.astype(np.float64).reshape(height, width) / maxval
-        return ImagePlane(pixels)
-    if data[: len(MAGIC_F32)] == MAGIC_F32:
-        width, height, offset = _read_raw_header(data, MAGIC_F32, path)
-        samples = _read_samples(data, offset, "<f4", width * height, path)
-        if not np.all(np.isfinite(samples)):
-            raise FormatError(f"{path}: non-finite float samples")
-        return ImagePlane(samples.astype(np.float64).reshape(height, width))
-    raise FormatError(f"{path}: unrecognized image format")
+    samples = _load_samples(path, ("PGM8", "PGM16", "RAWF32"))
+    if samples.dtype.kind == "u":  # PGM: divide by the format maximum
+        samples = samples / np.iinfo(samples.dtype).max
+    elif not np.all(np.isfinite(samples)):
+        raise FormatError(f"{path}: non-finite float samples")
+    return ImagePlane(samples)
 
 
 def save_image(plane: ImagePlane, path, fmt: str = "RAWF32") -> None:
@@ -165,55 +179,28 @@ def save_image(plane: ImagePlane, path, fmt: str = "RAWF32") -> None:
     only RAWF32 round-trips bit-exactly.
     """
     if fmt == "RAWF32":
-        header = f"MPROF F32 {plane.width} {plane.height}\n".encode()
-        payload = plane.pixels.astype("<f4").tobytes()
+        samples = plane.pixels
     elif fmt in ("PGM8", "PGM16"):
-        maxval = 255 if fmt == "PGM8" else 65535
-        dtype = "u1" if fmt == "PGM8" else ">u2"
-        quantized = np.rint(np.clip(plane.pixels, 0.0, 1.0) * maxval).astype(dtype)
-        header = f"P5 {plane.width} {plane.height} {maxval}\n".encode()
-        payload = quantized.tobytes()
+        maxval = np.iinfo(_DTYPES[fmt]).max
+        samples = np.rint(np.clip(plane.pixels, 0.0, 1.0) * maxval)
     else:
         raise ValueError(f"unknown image format {fmt!r}")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    _save_samples(samples, path, fmt)
 
 
 def load_mask(path) -> LabelMask:
-    """Load a PGM16 or RAWU32 label mask; samples are used verbatim."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:2] == b"P5":
-        width, height, maxval, offset = _read_pgm_header(data, path)
-        dtype = ">u2" if maxval == 65535 else "u1"
-        samples = _read_samples(data, offset, dtype, width * height, path)
-        return LabelMask(samples.astype(np.int64).reshape(height, width))
-    if data[: len(MAGIC_U32)] == MAGIC_U32:
-        width, height, offset = _read_raw_header(data, MAGIC_U32, path)
-        samples = _read_samples(data, offset, "<u4", width * height, path)
-        return LabelMask(samples.astype(np.int64).reshape(height, width))
-    raise FormatError(f"{path}: unrecognized mask format")
+    """Load a PGM8, PGM16 or RAWU32 label mask; samples are used verbatim."""
+    return LabelMask(_load_samples(path, ("PGM8", "PGM16", "RAWU32")))
 
 
 def save_mask(mask: LabelMask, path, fmt: str = "RAWU32") -> None:
     """Write a LabelMask as RAWU32 (labels < 2**32) or PGM16 (labels <= 65535)."""
-    max_label = int(mask.labels.max(initial=0))
-    if fmt == "RAWU32":
-        if max_label > 2**32 - 1:
-            raise ValueError(f"label {max_label} exceeds RAWU32 range")
-        header = f"MPROF U32 {mask.width} {mask.height}\n".encode()
-        payload = mask.labels.astype("<u4").tobytes()
-    elif fmt == "PGM16":
-        if max_label > 65535:
-            raise ValueError(f"label {max_label} exceeds PGM16 range; use RAWU32")
-        header = f"P5 {mask.width} {mask.height} 65535\n".encode()
-        payload = mask.labels.astype(">u2").tobytes()
-    else:
+    if fmt not in ("RAWU32", "PGM16"):
         raise ValueError(f"unknown mask format {fmt!r}")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    max_label = int(mask.labels.max(initial=0))
+    if max_label > np.iinfo(_DTYPES[fmt]).max:
+        raise ValueError(f"label {max_label} exceeds {fmt} range")
+    _save_samples(mask.labels, path, fmt)
 
 
 def format_cell(value: float) -> str:

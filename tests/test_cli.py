@@ -88,6 +88,35 @@ def test_missing_file_exits_1(workspace, capsys):
     capsys.readouterr()
 
 
+def _contract_args(tmp_path, paths):
+    bad_raster = tmp_path / "bad.raw"
+    bad_raster.write_bytes(b"MPROF F32 9 9\n\x00")
+    bad_table = tmp_path / "bad.csv"
+    bad_table.write_text("object_set,label,f\ncells,1\n")
+    one_channel = extract_args(paths, features="coloc")
+    del one_channel[one_channel.index("--image") + 2 : one_channel.index("--channel-names")]
+    one_channel[one_channel.index("--channel-names") + 1] = "DNA"
+    return {
+        "good": ["list-features"],
+        "missing-file": extract_args({**paths, "mask": tmp_path / "nope.raw"}),
+        "malformed-raster": extract_args({**paths, "img1": bad_raster}),
+        "malformed-table": ["normalize", "--in", str(bad_table), "--out", str(tmp_path / "n.csv")],
+        "coloc-one-channel": one_channel,
+    }
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("good", 0), ("missing-file", 1), ("malformed-raster", 1), ("malformed-table", 1),
+     ("coloc-one-channel", 2)],
+)
+def test_exit_code_contract(workspace, capsys, case, code):
+    """README: 0 success, 1 I/O or malformed file, 2 invalid request."""
+    tmp_path, paths = workspace
+    assert main(_contract_args(tmp_path, paths)[case]) == code
+    capsys.readouterr()
+
+
 def test_repeat_invocation_is_byte_identical(workspace):
     tmp_path, paths = workspace
     features = "shape,intensity,texture,granularity,radial,coloc"

@@ -165,6 +165,15 @@ def test_mask_rejects_negative_labels():
         LabelMask(np.full((2, 2), -1, dtype=np.int64))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+def test_mask_does_not_alias_its_source(dtype):
+    source = np.array([[0, 3], [7, 1]], dtype=dtype)
+    mask = LabelMask(source)
+    source[:] = 9
+    assert mask.labels.tolist() == [[0, 3], [7, 1]]
+    assert mask.labels.dtype == np.int64 and not mask.labels.flags.writeable
+
+
 def test_types_are_immutable():
     plane = ImagePlane(np.zeros((3, 3)))
     with pytest.raises(ValueError):

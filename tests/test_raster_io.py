@@ -1,5 +1,12 @@
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from morphoprof import (
     FeatureTable,
@@ -15,6 +22,7 @@ from morphoprof import (
     save_mask,
     write_table,
 )
+from morphoprof.cli import main
 
 
 def write_pgm16(path, samples):
@@ -60,6 +68,12 @@ def test_pgm16_mask_labels_are_verbatim(tmp_path):
     write_pgm16(path, [[0, 17], [65535, 3]])
     mask = load_mask(path)
     assert mask.labels.tolist() == [[0, 17], [65535, 3]]
+
+
+def test_pgm8_mask_labels_are_verbatim(tmp_path):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5 3 1 255\n" + bytes([0, 9, 255]))
+    assert load_mask(path).labels.tolist() == [[0, 9, 255]]
 
 
 def test_rawu32_supports_large_labels(tmp_path):
@@ -212,6 +226,16 @@ def test_read_header_reads_past_a_long_pgm_comment(tmp_path):
         read_header(path)
 
 
+def test_read_header_reads_past_a_long_raw_header_line(tmp_path):
+    path = tmp_path / "long.raw"
+    path.write_bytes(b"MPROF F32 " + b"0" * 300 + b"2 1\n" + bytes(8))
+    assert load_image(path).pixels.shape == (1, 2)
+    assert read_header(path) == RasterHeader("RAWF32", 2, 1)
+    path.write_bytes(b"MPROF U32 2 1" + b" " * 600)
+    with pytest.raises(FormatError, match="missing raw header line"):
+        read_header(path)
+
+
 def test_literal_nan_cell_is_rejected(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("object_set,label,f\ncells,1,nan\n")
@@ -228,3 +252,108 @@ def test_ragged_and_non_numeric_rows_raise(tmp_path):
     textual.write_text("object_set,label,f\ncells,1,abc\n")
     with pytest.raises(FormatError):
         read_table(textual)
+
+
+def test_oversized_pgm_header_token_is_a_format_error(tmp_path, capsys):
+    # A digit run past Python's int() string-conversion limit (4,300 by default).
+    path = tmp_path / "huge.pgm"
+    path.write_bytes(b"P5 " + b"9" * 5000 + b" 1 255\n")
+    for load in (load_image, load_mask, read_header):
+        with pytest.raises(FormatError, match="huge.pgm"):
+            load(path)
+    mask = tmp_path / "m.raw"
+    save_mask(LabelMask(np.ones((1, 1), dtype=np.int64)), mask)
+    args = ["extract", "--image", str(path), "--channel-names", "DNA",
+            "--mask", str(mask), "--mask-names", "cells", "--out", str(tmp_path / "f.csv")]
+    assert main(args) == 1
+    assert str(path) in capsys.readouterr().err
+
+
+def test_loaders_read_from_a_pipe(tmp_path, rng):
+    # Shell process substitution, `--image <(zcat dna.raw.gz)`, passes a pipe.
+    plane = ImagePlane(rng.random((300, 300)).astype(np.float32))  # > pipe buffer
+    save_image(plane, tmp_path / "a.raw")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=fifo.write_bytes, args=((tmp_path / "a.raw").read_bytes(),), daemon=True
+    )
+    writer.start()
+    assert np.array_equal(load_image(fifo).pixels, plane.pixels)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_lying_header_fails_before_allocating(tmp_path):
+    path = tmp_path / "lie.raw"
+    path.write_bytes(b"MPROF F32 100000 100000\n" + bytes(4))  # declares 40 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated payload"):
+            load_image(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@st.composite
+def raster_bytes(draw):
+    """A magic prefix, then random bytes or a valid small raster with one edit."""
+    magic = draw(st.sampled_from([b"P5", b"MPROF F32 ", b"MPROF U32 "]))
+    if draw(st.booleans()):
+        return magic + draw(st.binary(max_size=64))
+    dims = f"{draw(st.integers(1, 3))} {draw(st.integers(1, 3))}"
+    tail = f" {dims} {draw(st.sampled_from([255, 65535]))}\n" if magic == b"P5" else f"{dims}\n"
+    data = bytearray(magic + tail.encode() + draw(st.binary(min_size=36, max_size=40)))
+    at = draw(st.integers(len(magic), len(magic) + len(tail)))
+    edit = draw(st.sampled_from([b"", b" ", b"\n", b"#", b"0", b"x", b"\xff", b"9" * 5000]))
+    data[at : at + draw(st.integers(0, 2))] = edit
+    return bytes(data[: draw(st.sampled_from([len(data), at + 1, len(data) - 1]))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(raster_bytes())
+def test_bytes_after_a_magic_load_or_raise_format_error(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(content)
+    loaded = {}
+    for load in (read_header, load_image, load_mask):
+        try:
+            loaded[load] = load(path)
+        except FormatError:
+            pass
+    shapes = [loaded[load_image].pixels.shape] if load_image in loaded else []
+    shapes += [loaded[load_mask].labels.shape] if load_mask in loaded else []
+    for shape in shapes:
+        header = loaded[read_header]
+        assert shape == (header.height, header.width)
+
+
+_SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_mask_round_trip_over_the_full_label_range(tmp_path_factory, data):
+    for fmt, top in (("RAWU32", 2**32 - 1), ("PGM16", 65535)):
+        labels = data.draw(arrays(np.int64, _SHAPES, elements=st.integers(0, top)))
+        order = data.draw(st.sampled_from("CF"))  # files are row-major either way
+        path = tmp_path_factory.getbasetemp() / f"rt.{fmt}"
+        save_mask(LabelMask(np.asarray(labels, order=order)), path, fmt=fmt)
+        assert np.array_equal(load_mask(path).labels, labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_image_round_trip(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "rt.img"
+    f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    pixels = data.draw(arrays(np.float32, _SHAPES, elements=f32)).astype(np.float64)
+    save_image(ImagePlane(np.asarray(pixels, order=data.draw(st.sampled_from("CF")))), path)
+    assert load_image(path).pixels.tobytes() == pixels.tobytes()  # bit-exact, -0.0 too
+    pixels = data.draw(arrays(np.float64, _SHAPES, elements=st.floats(-2, 2)))
+    for fmt, top in (("PGM8", 255), ("PGM16", 65535)):
+        save_image(ImagePlane(pixels), path, fmt=fmt)
+        expected = np.rint(np.clip(pixels, 0, 1) * top) / top
+        assert np.array_equal(load_image(path).pixels, expected)
