@@ -16,7 +16,6 @@ from .core import (
     ObjectRegion,
     check_aligned,
     extract_objects,
-    is_missing,
     max_project,
 )
 from .engine import (
@@ -84,7 +83,6 @@ __all__ = [
     "gray_open",
     "gray_reconstruct",
     "hex_tessellation",
-    "is_missing",
     "load_image",
     "load_mask",
     "max_project",

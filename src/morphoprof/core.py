@@ -19,11 +19,6 @@ import scipy.ndimage
 MISSING = math.nan
 
 
-def is_missing(value: float) -> bool:
-    """True when ``value`` is the missing-value sentinel."""
-    return math.isnan(value)
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr

@@ -6,7 +6,8 @@ Raster formats, each with one sample dtype (``_DTYPES``):
   maximum: 255 (``u1``) or 65535 (``>u2``).  Image samples are normalized
   by that maximum on load; mask samples are used verbatim as labels.
 * ``RAWF32`` -- one ASCII header line ``MPROF F32 <width> <height>\\n``
-  followed by row-major little-endian float32 samples.
+  (digits only, one space apart) followed by row-major little-endian
+  float32 samples.
 * ``RAWU32`` -- header ``MPROF U32 <width> <height>\\n`` followed by
   row-major little-endian uint32 labels (for label values above 65535).
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 
@@ -104,6 +106,8 @@ def _header_int(token: bytes, path) -> int:
 
 
 def _pgm_fields(data: bytes, path) -> tuple[str, int, int, int]:
+    if data[2:3] and not data[2:3].isspace():
+        raise FormatError(f"{path}: no whitespace after the PGM magic")
     pos, fields = 2, []
     while len(fields) < 3:
         match = _PGM_TOKEN.match(data, pos)
@@ -124,7 +128,7 @@ def _raw_fields(data: bytes, path) -> tuple[int, int, int]:
     if end < 0:
         raise _HeaderCut(f"{path}: missing raw header line")
     dims = data[10:end].split(b" ")
-    if len(dims) != 2:
+    if len(dims) != 2 or not all(token.isdigit() for token in dims):  # ASCII only
         raise FormatError(f"{path}: bad raw header {data[:end][:64]!r}")
     width, height = (_header_int(token, path) for token in dims)
     return width, height, end + 1
@@ -205,9 +209,9 @@ def save_mask(mask: LabelMask, path, fmt: str = "RAWU32") -> None:
 
 def format_cell(value: float) -> str:
     """Shortest round-trip decimal form of a table cell; missing is empty."""
-    if np.isnan(value):
+    if value != value:  # NaN; plain comparisons keep Python floats fast
         return ""
-    if np.isinf(value):
+    if math.isinf(value):
         raise ValueError("non-finite feature value cannot be serialized")
     return repr(float(value))
 
@@ -217,16 +221,18 @@ def write_table(table: FeatureTable, path) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["object_set", "label", *table.columns])
-    for i in range(table.n_rows):
-        row = [table.object_set, str(int(table.labels[i]))]
-        row.extend(format_cell(v) for v in table.values[i])
-        writer.writerow(row)
+    for label, values in zip(table.labels.tolist(), table.values.tolist()):
+        writer.writerow([table.object_set, label, *map(format_cell, values)])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())
 
 
 def read_table(path) -> FeatureTable:
-    """Read a CSV produced by :func:`write_table` (or matching its schema)."""
+    """Read a CSV produced by :func:`write_table` (or matching its schema).
+
+    A value cell is Python ``float()`` syntax and an empty cell is missing;
+    ``nan``, ``inf`` and overflowing cells are rejected with their row.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -249,15 +255,21 @@ def read_table(path) -> FeatureTable:
             labels.append(int(row[1]))
         except ValueError:
             raise FormatError(f"{path}: bad label {row[1]!r} in row {i + 2}") from None
-        for j, cell in enumerate(row[2:]):
-            if cell == "":
-                values[i, j] = MISSING
+        cells = row[2:]
+        # Parse the whole row at once; only a row with a bad cell is rescanned
+        # cell by cell, to report the first one.
+        try:
+            values[i] = [float(cell) if cell else MISSING for cell in cells]
+            if np.count_nonzero(np.isfinite(values[i])) + cells.count("") == len(cells):
                 continue
+        except ValueError:
+            pass
+        for cell in filter(None, cells):
             try:
-                values[i, j] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise FormatError(f"{path}: non-numeric cell {cell!r} in row {i + 2}") from None
-            if not np.isfinite(values[i, j]):
+            if not np.isfinite(value):
                 raise FormatError(f"{path}: non-finite cell {cell!r} in row {i + 2}")
     try:
         return FeatureTable(

@@ -2,10 +2,12 @@
 
 The lattice is pointy-top with circumradius R and origin at pixel
 (0, 0): hexagon (i, j) is centered at column sqrt(3)*R*(i + 0.5*(j % 2))
-and row 1.5*R*j.  Every pixel center belongs to exactly one hexagon
-(boundary ties go to the lexicographically smaller lattice index, hence
-the smaller label), and the hexagons that own at least one pixel are
-labeled densely from 1 in (j, i) lattice order.
+and row 1.5*R*j.  Every pixel center belongs to exactly one hexagon.
+Ties are resolved by scan order: each pixel's candidate hexagons are
+visited in ascending (j, i) and only a strictly closer one replaces the
+current owner, so a boundary pixel goes to the lexicographically smaller
+lattice index, hence the smaller label.  The hexagons that own at least
+one pixel are labeled densely from 1 in (j, i) lattice order.
 """
 
 from __future__ import annotations
@@ -49,41 +51,44 @@ def hex_tessellation(params: HexGridParams) -> LabelMask:
     """Labeled hexagonal partition of the canvas; every pixel gets a label."""
     r = params.circumradius
     height, width = params.height, params.width
-    rows = np.arange(height, dtype=np.float64)[:, None, None]
-    cols = np.arange(width, dtype=np.float64)[None, :, None]
+    rows = np.arange(height, dtype=np.float64)[:, None]
+    cols = np.arange(width, dtype=np.float64)[None, :]
 
     # 3x3 lattice neighborhood around each pixel's nearest (j, i) estimate;
     # the owning hexagon's center is always within one lattice step.
     j_base = np.rint(rows / (1.5 * r)).astype(np.int64)
-    candidates_j = j_base + np.array([-1, 0, 1], dtype=np.int64).reshape(1, 1, 3)
     best_metric = np.full((height, width), np.inf)
     best_j = np.zeros((height, width), dtype=np.int64)
     best_i = np.zeros((height, width), dtype=np.int64)
 
-    # Candidates are scanned in ascending (j, i); strict improvement keeps
-    # the lowest lattice index on boundary ties.
-    for dj in range(3):
-        j_cand = candidates_j[:, :, dj]
+    # Each pixel's nine candidates are scanned in ascending (j, i), so strict
+    # improvement alone keeps the lowest lattice index on boundary ties.
+    for dj in (-1, 0, 1):
+        j_cand = j_base + dj
         center_row = 1.5 * r * j_cand
         parity = 0.5 * (j_cand % 2)
-        i_base = np.rint(cols[:, :, 0] / (math.sqrt(3.0) * r) - parity).astype(np.int64)
+        i_base = np.rint(cols / (math.sqrt(3.0) * r) - parity).astype(np.int64)
         for di in (-1, 0, 1):
             i_cand = i_base + di
             center_col = math.sqrt(3.0) * r * (i_cand + parity)
-            metric = hex_metric(rows[:, :, 0] - center_row, cols[:, :, 0] - center_col, r)
-            better = metric < best_metric
-            tie = metric == best_metric
-            lower = (j_cand < best_j) | ((j_cand == best_j) & (i_cand < best_i))
-            take = better | (tie & lower)
-            best_metric = np.where(take, metric, best_metric)
-            best_j = np.where(take, j_cand, best_j)
-            best_i = np.where(take, i_cand, best_i)
+            metric = hex_metric(rows - center_row, cols - center_col, r)
+            take = metric < best_metric
+            np.copyto(best_metric, metric, where=take)
+            np.copyto(best_j, j_cand, where=take)
+            np.copyto(best_i, i_cand, where=take)
 
-    keys = np.stack([best_j.ravel(), best_i.ravel()], axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    # np.unique sorts lexicographically, which is exactly (j, i) label order.
-    labels = (inverse + 1).reshape(height, width)
-    return LabelMask(labels.astype(np.int64))
+    # Dense (j, i) rank: flat lattice indices sort like (j, i) pairs.  A tiny
+    # radius spreads the hexagons over a lattice box far larger than the
+    # canvas; there the pairs are ranked by a sort instead.
+    j0, i0 = int(best_j.min()), int(best_i.min())
+    nj, ni = int(best_j.max()) - j0 + 1, int(best_i.max()) - i0 + 1
+    if nj * ni <= 4 * height * width:
+        flat = ((best_j - j0) * ni + (best_i - i0)).ravel()
+        labels = np.cumsum(np.bincount(flat) > 0)[flat]
+    else:
+        keys = np.stack([best_j.ravel(), best_i.ravel()], axis=1)
+        labels = np.unique(keys, axis=0, return_inverse=True)[1].ravel() + 1
+    return LabelMask(labels.reshape(height, width))
 
 
 def filter_by_coverage(

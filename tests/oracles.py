@@ -493,3 +493,40 @@ def coloc_oracle(region, plane_a, plane_b, tau):
         "MandersM1": m1,
         "MandersM2": m2,
     }
+
+
+# ------------------------------------------------------------ tessellate
+
+
+def hex_tessellation_oracle(height, width, radius):
+    """Frozen earlier hexagon labeling: keeps the explicit tie-break and
+    ranks the (j, i) owners with ``np.unique(axis=0)``."""
+    r = radius
+    s3 = math.sqrt(3.0)
+    rows = np.arange(height, dtype=np.float64)[:, None, None]
+    cols = np.arange(width, dtype=np.float64)[None, :, None]
+    j_base = np.rint(rows / (1.5 * r)).astype(np.int64)
+    candidates_j = j_base + np.array([-1, 0, 1], dtype=np.int64).reshape(1, 1, 3)
+    best_metric = np.full((height, width), np.inf)
+    best_j = np.zeros((height, width), dtype=np.int64)
+    best_i = np.zeros((height, width), dtype=np.int64)
+    for dj in range(3):
+        j_cand = candidates_j[:, :, dj]
+        center_row = 1.5 * r * j_cand
+        parity = 0.5 * (j_cand % 2)
+        i_base = np.rint(cols[:, :, 0] / (s3 * r) - parity).astype(np.int64)
+        for di in (-1, 0, 1):
+            i_cand = i_base + di
+            ax = np.abs(cols[:, :, 0] - s3 * r * (i_cand + parity))
+            ay = np.abs(rows[:, :, 0] - center_row)
+            metric = np.maximum(ax / (s3 / 2.0 * r), (ax + s3 * ay) / (s3 * r))
+            better = metric < best_metric
+            tie = metric == best_metric
+            lower = (j_cand < best_j) | ((j_cand == best_j) & (i_cand < best_i))
+            take = better | (tie & lower)
+            best_metric = np.where(take, metric, best_metric)
+            best_j = np.where(take, j_cand, best_j)
+            best_i = np.where(take, i_cand, best_i)
+    keys = np.stack([best_j.ravel(), best_i.ravel()], axis=1)
+    inverse = np.unique(keys, axis=0, return_inverse=True)[1]
+    return (inverse.ravel() + 1).reshape(height, width).astype(np.int64)

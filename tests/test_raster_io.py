@@ -1,4 +1,6 @@
+import csv
 import os
+import re
 import threading
 import tracemalloc
 
@@ -254,6 +256,112 @@ def test_ragged_and_non_numeric_rows_raise(tmp_path):
         read_table(textual)
 
 
+def test_writing_an_infinite_cell_raises_and_leaves_the_file(tmp_path):
+    values = np.array([[0.5, 1.0], [2.0, np.inf]])
+    table = FeatureTable("cells", ("f", "g"), np.array([1, 2]), values)
+    path = tmp_path / "t.csv"
+    path.write_text("previous contents\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        write_table(table, path)
+    assert path.read_text() == "previous contents\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("object_set,label,f\ncells,1,1\x00\n", "non-numeric cell '1\\x00' in row 2"),
+        ("object_set,label,f\ncells\x00,1,1\ncells,2,2\n", "multiple object_set values"),
+    ],
+)
+def test_nul_characters_in_table_cells_are_rejected(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        read_table(path)
+
+
+def reference_read(rows):
+    """Per-cell ``float()`` reading of table rows: (labels, values), or the
+    message of the first malformed row or cell."""
+    header, body = rows[0], rows[1:]
+    labels, values = [], []
+    for n, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            return f"row {n} has {len(row)} cells, expected {len(header)}"
+        if row[0] != body[0][0]:
+            return "multiple object_set values in one table"
+        try:
+            labels.append(int(row[1]))
+        except ValueError:
+            return f"bad label {row[1]!r} in row {n}"
+        for cell in row[2:]:
+            if cell == "":
+                values.append(np.nan)
+                continue
+            try:
+                values.append(float(cell))
+            except ValueError:
+                return f"non-numeric cell {cell!r} in row {n}"
+            if not np.isfinite(values[-1]):
+                return f"non-finite cell {cell!r} in row {n}"
+    return labels, np.array(values, dtype=np.float64).reshape(len(body), len(header) - 2)
+
+
+_ODD_CELLS = ["", " 1", "1_0", "+1", "\u0661\u0662", "nan", "inf", "1e400", "abc", "1\x00"]
+_FLOAT_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)  # shortest repr
+_CELLS = st.one_of(_FLOAT_CELLS, _FLOAT_CELLS, _FLOAT_CELLS, st.sampled_from(_ODD_CELLS))
+
+
+@st.composite
+def table_rows(draw):
+    """A header and up to six body rows, some ragged or of another object set."""
+    n_cols = draw(st.integers(0, 5))
+    rows = [["object_set", "label", *(f"f{j}" for j in range(n_cols))]]
+    for n in range(draw(st.integers(0, 6))):
+        width = draw(st.sampled_from([n_cols] * 18 + [max(n_cols - 1, 0), n_cols + 1]))
+        object_set = draw(st.sampled_from(["cells"] * 18 + ["nuclei", "cells\x00"]))
+        label = draw(st.sampled_from([str(n + 1)] * 18 + ["x", f"{n + 1}\x00"]))
+        rows.append([object_set, label, *draw(st.lists(_CELLS, min_size=width, max_size=width))])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_rows())
+def test_read_table_agrees_with_per_cell_parsing(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "prop.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    expected = reference_read(rows)
+    if isinstance(expected, str):
+        with pytest.raises(FormatError) as info:
+            read_table(path)
+        assert str(info.value) == f"{path}: {expected}"
+    else:
+        loaded = read_table(path)
+        assert loaded.labels.tolist() == expected[0]
+        assert loaded.values.tobytes() == expected[1].tobytes()  # bitwise, NaN included
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"MPROF U32 1_0 +1\n" + bytes(40),  # int() accepts both tokens
+        b"MPROF U32 +2 1\n" + bytes(8),
+        b"MPROF F32 2 1\r\n" + bytes(8),
+        b"MPROF F32 2 \t1\n" + bytes(8),
+        b"MPROF F32 \xd9\xa2 1\n" + bytes(8),  # an Arabic-Indic digit
+        b"P51 1 255\n\x07",  # no whitespace after the magic
+        b"P5#c\n1 1 255\n\x07",
+    ],
+)
+def test_header_dims_are_ascii_digits_after_a_separated_magic(tmp_path, content):
+    path = tmp_path / "lax.bin"
+    path.write_bytes(content)
+    for load in (read_header, load_image, load_mask):
+        with pytest.raises(FormatError, match="lax.bin"):
+            load(path)
+
+
 def test_oversized_pgm_header_token_is_a_format_error(tmp_path, capsys):
     # A digit run past Python's int() string-conversion limit (4,300 by default).
     path = tmp_path / "huge.pgm"
@@ -307,7 +415,9 @@ def raster_bytes(draw):
     tail = f" {dims} {draw(st.sampled_from([255, 65535]))}\n" if magic == b"P5" else f"{dims}\n"
     data = bytearray(magic + tail.encode() + draw(st.binary(min_size=36, max_size=40)))
     at = draw(st.integers(len(magic), len(magic) + len(tail)))
-    edit = draw(st.sampled_from([b"", b" ", b"\n", b"#", b"0", b"x", b"\xff", b"9" * 5000]))
+    edit = draw(st.sampled_from(
+        [b"", b" ", b"\n", b"#", b"0", b"x", b"\xff", b"9" * 5000, b"_", b"+", b"\t", b"\r"]
+    ))
     data[at : at + draw(st.integers(0, 2))] = edit
     return bytes(data[: draw(st.sampled_from([len(data), at + 1, len(data) - 1]))])
 
@@ -328,6 +438,11 @@ def test_bytes_after_a_magic_load_or_raise_format_error(tmp_path_factory, conten
     for shape in shapes:
         header = loaded[read_header]
         assert shape == (header.height, header.width)
+    if read_header in loaded:  # the strict header grammar
+        if content.startswith(b"P5"):
+            assert content[2:3].isspace()
+        else:
+            assert re.fullmatch(rb"MPROF [FU]32 [0-9]+ [0-9]+", content.split(b"\n")[0])
 
 
 _SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)

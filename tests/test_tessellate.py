@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import hex_tessellation_oracle
 
 from morphoprof import HexGridParams, LabelMask, filter_by_coverage, hex_tessellation
 from morphoprof.tessellate import hex_metric
@@ -56,6 +59,26 @@ def test_assignment_matches_brute_force_oracle():
     label_of = {key: n + 1 for n, key in enumerate(keys)}
     for (r, c), key in expected.items():
         assert mask.labels[r, c] == label_of[key], (r, c)
+
+
+def test_boundary_ties_go_to_the_lowest_lattice_index():
+    # sqrt(3) * R = 2 puts every odd pixel column on a hexagon edge: about a
+    # third of the pixel centers are equidistant from two hexagons.
+    radius = 2 / math.sqrt(3)
+    mask = hex_tessellation(HexGridParams(width=24, height=20, circumradius=radius))
+    expected = brute_force_assignment(20, 24, radius)
+    label_of = {key: n + 1 for n, key in enumerate(sorted(set(expected.values())))}
+    for (r, c), key in expected.items():
+        assert mask.labels[r, c] == label_of[key], (r, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 120), st.integers(1, 120), st.floats(0.2, 40))
+@example(40, 30, 0.05)  # lattice box far larger than the canvas: ranked by sorting
+@example(40, 30, 0.35)  # just small enough for the dense rank
+def test_labels_match_the_sorted_lattice_ranking(width, height, radius):
+    mask = hex_tessellation(HexGridParams(width=width, height=height, circumradius=radius))
+    assert np.array_equal(mask.labels, hex_tessellation_oracle(height, width, radius))
 
 
 def test_interior_hexagon_pixel_counts_near_analytic_area():
