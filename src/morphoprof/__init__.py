@@ -14,7 +14,6 @@ from .core import (
     ImagePlane,
     LabelMask,
     ObjectRegion,
-    check_aligned,
     extract_objects,
     max_project,
 )
@@ -39,10 +38,8 @@ from .postprocess import (
 from .radial import RadialParams, measure_radial
 from .raster_io import (
     FormatError,
-    RasterHeader,
     load_image,
     load_mask,
-    read_header,
     read_table,
     save_image,
     save_mask,
@@ -68,11 +65,9 @@ __all__ = [
     "NormalizeParams",
     "ObjectRegion",
     "RadialParams",
-    "RasterHeader",
     "ShapeParams",
     "SpecValidationError",
     "TextureParams",
-    "check_aligned",
     "compare_tables",
     "correlation_filter",
     "extract_objects",
@@ -93,7 +88,6 @@ __all__ = [
     "measure_shape",
     "measure_texture",
     "quantize",
-    "read_header",
     "read_table",
     "robust_standardize",
     "run",

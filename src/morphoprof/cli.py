@@ -11,15 +11,25 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import typing
 from pathlib import Path
 
 from . import engine, postprocess, raster_io, tessellate
-from .coloc import ColocParams
-from .granularity import GranularityParams
-from .radial import RadialParams
-from .shape import ShapeParams
-from .texture import TextureParams
+from .core import _check_fraction
 from .engine import ExperimentSpec, SpecValidationError
+
+#: Each family-parameter flag: (flag, ExperimentSpec params field, attribute).
+_FAMILY_FLAGS = (
+    ("--texture-distance", "texture_params", "distance"),
+    ("--texture-gray-levels", "texture_params", "gray_levels"),
+    ("--zernike-order", "shape_params", "zernike_max_order"),
+    ("--radial-bins", "radial_params", "bins"),
+    ("--manders-threshold", "coloc_params", "manders_threshold_frac"),
+    ("--granularity-length", "granularity_params", "spectrum_length"),
+    ("--granularity-background-radius", "granularity_params", "background_radius"),
+)
+#: ExperimentSpec's field types; the family-parameter fields hold the params classes.
+_SPEC_TYPES = typing.get_type_hints(ExperimentSpec)
 
 
 def _add_family_flags(parser) -> None:
@@ -30,16 +40,10 @@ def _add_family_flags(parser) -> None:
         default=",".join(engine.FAMILIES),
         help="comma-separated families (default: all)",
     )
-    for flag, default in (
-        ("--texture-distance", TextureParams.distance),
-        ("--texture-gray-levels", TextureParams.gray_levels),
-        ("--zernike-order", ShapeParams.zernike_max_order),
-        ("--radial-bins", RadialParams.bins),
-        ("--manders-threshold", ColocParams.manders_threshold_frac),
-        ("--granularity-length", GranularityParams.spectrum_length),
-        ("--granularity-background-radius", GranularityParams.background_radius),
-    ):
-        parser.add_argument(flag, type=type(default), default=default)
+    for flag, field, attr in _FAMILY_FLAGS:
+        default = getattr(_SPEC_TYPES[field], attr)  # the params class's own default
+        metavar = flag[2:].upper().replace("-", "_")  # argparse's own, so --help stays put
+        parser.add_argument(flag, dest=attr, metavar=metavar, type=type(default), default=default)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,18 +93,11 @@ def _split_names(raw: str) -> list[str]:
 
 
 def _family_params(args):
-    return dict(
-        shape_params=ShapeParams(zernike_max_order=args.zernike_order),
-        texture_params=TextureParams(
-            distance=args.texture_distance, gray_levels=args.texture_gray_levels
-        ),
-        granularity_params=GranularityParams(
-            spectrum_length=args.granularity_length,
-            background_radius=args.granularity_background_radius,
-        ),
-        radial_params=RadialParams(bins=args.radial_bins),
-        coloc_params=ColocParams(manders_threshold_frac=args.manders_threshold),
-    )
+    """Every ExperimentSpec params field, built from the flags' values."""
+    values = {}
+    for _, field, attr in _FAMILY_FLAGS:
+        values.setdefault(field, {})[attr] = getattr(args, attr)
+    return {field: _SPEC_TYPES[field](**kwargs) for field, kwargs in values.items()}
 
 
 def _cmd_extract(args) -> int:
@@ -138,27 +135,22 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_tessellate(args) -> int:
-    params = tessellate.HexGridParams(
-        width=args.width,
-        height=args.height,
-        circumradius=args.radius,
-        min_coverage=args.min_coverage,
+    _check_fraction("min_coverage", args.min_coverage)  # with or without a tissue mask
+    mask = tessellate.hex_tessellation(
+        tessellate.HexGridParams(args.width, args.height, args.radius)
     )
-    mask = tessellate.hex_tessellation(params)
     if args.tissue_mask is not None:
         foreground = raster_io.load_mask(args.tissue_mask)
-        mask = tessellate.filter_by_coverage(mask, foreground, params.min_coverage)
+        mask = tessellate.filter_by_coverage(mask, foreground, args.min_coverage)
     raster_io.save_mask(mask, args.out, fmt="RAWU32")
     return 0
 
 
 def _cmd_normalize(args) -> int:
     table = raster_io.read_table(args.table_in)
-    params = postprocess.NormalizeParams(
-        corr_threshold=args.corr_threshold, drop_missing_frac=args.drop_missing_frac
-    )
+    params = postprocess.NormalizeParams(args.drop_missing_frac)
     table = postprocess.robust_standardize(table, params)
-    table = postprocess.correlation_filter(table, params.corr_threshold)
+    table = postprocess.correlation_filter(table, args.corr_threshold)
     raster_io.write_table(table, args.out)
     return 0
 

@@ -202,14 +202,10 @@ def max_project(stack: list[ImagePlane]) -> ImagePlane:
     return ImagePlane(np.maximum.reduce([p.pixels for p in stack]))
 
 
-def check_aligned(mask: LabelMask, planes: list[ImagePlane]) -> None:
-    """Raise ValueError naming the first plane whose dims differ from the mask's."""
-    for i, plane in enumerate(planes):
-        if plane.pixels.shape != mask.labels.shape:
-            raise ValueError(
-                f"plane {i} dims {plane.width}x{plane.height} do not match "
-                f"mask dims {mask.width}x{mask.height}"
-            )
+def _check_fraction(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is in [0, 1]; NaN is not."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1]")
 
 
 def centered_deviations(local_mask: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:

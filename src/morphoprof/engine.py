@@ -165,10 +165,14 @@ class ExperimentSpec:
         set_names = [name for name, _ in self.object_sets]
         if len(set(set_names)) != len(set_names):
             raise SpecValidationError("object set names must be unique")
-        shapes = [plane.pixels.shape for _, plane in self.channels]
-        shapes += [mask.labels.shape for _, mask in self.object_sets]
-        if len(set(shapes)) > 1:
-            raise SpecValidationError(f"planes/masks are not dimension-aligned: {shapes}")
+        dims = [(f"channel {name}", plane.pixels.shape) for name, plane in self.channels]
+        dims += [(f"object set {name}", mask.labels.shape) for name, mask in self.object_sets]
+        for what, (h, w) in dims[1:]:
+            if (h, w) != dims[0][1]:
+                first, (h0, w0) = dims[0]
+                raise SpecValidationError(
+                    f"{what} is {w}x{h}, not aligned with {first} ({w0}x{h0})"
+                )
         if self.batch_size < 1:
             raise SpecValidationError("batch_size must be >= 1")
         if self.workers < 1:

@@ -17,20 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MISSING, FeatureTable
+from .core import MISSING, FeatureTable, _check_fraction
 from .raster_io import format_cell
 
 
 @dataclass(frozen=True)
 class NormalizeParams:
-    corr_threshold: float = 0.9
     drop_missing_frac: float = 0.05
 
     def __post_init__(self):
-        if not 0.0 <= self.corr_threshold <= 1.0:
-            raise ValueError("corr_threshold must be in [0, 1]")
-        if not 0.0 <= self.drop_missing_frac <= 1.0:
-            raise ValueError("drop_missing_frac must be in [0, 1]")
+        _check_fraction("drop_missing_frac", self.drop_missing_frac)
 
 
 def robust_standardize(
@@ -84,7 +80,8 @@ def _abs_corr(x: np.ndarray, y: np.ndarray) -> float:
 
 def correlation_filter(table: FeatureTable, threshold: float = 0.9) -> FeatureTable:
     """Greedy scan in column order; drop features correlated above threshold
-    with any already-kept feature."""
+    (in [0, 1]) with any already-kept feature."""
+    _check_fraction("correlation threshold", threshold)
     kept: list[int] = []
     for j in range(len(table.columns)):
         col = table.values[:, j]
@@ -114,6 +111,10 @@ class FeatureFit:
 class ComparisonReport:
     fits: tuple[FeatureFit, ...]
     r2_threshold: float
+
+    def __post_init__(self):
+        if math.isnan(self.r2_threshold):
+            raise ValueError("r2_threshold must not be NaN")
 
     @property
     def fraction_above(self) -> float:

@@ -11,10 +11,9 @@ Raster formats, each with one sample dtype (``_DTYPES``):
 * ``RAWU32`` -- header ``MPROF U32 <width> <height>\\n`` followed by
   row-major little-endian uint32 labels (for label values above 65535).
 
-``_parse_header`` alone reads magic bytes and headers, for
-:func:`read_header` and both loaders; ``_load_samples`` reads a payload
-without trusting its declared size, and ``_save_samples`` writes every
-format.
+``_parse_header`` alone reads magic bytes and headers, for both
+loaders; ``_load_samples`` reads a payload without trusting its declared
+size, and ``_save_samples`` writes every format.
 
 Feature tables are RFC-4180 CSV with a ``object_set,label,...`` header,
 ``\\n`` line endings and locale-independent ``.`` decimals.  Floats are
@@ -28,7 +27,6 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,33 +48,10 @@ class _HeaderCut(FormatError):
     """The data read so far ends inside a raster header."""
 
 
-@dataclass(frozen=True)
-class RasterHeader:
-    format: str  # PGM8 | PGM16 | RAWF32 | RAWU32
-    width: int
-    height: int
-
-    def __post_init__(self):
-        if self.format not in _DTYPES:
-            raise ValueError(f"unknown raster format {self.format!r}")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("raster dims must be positive")
-
-    @property
-    def sample_size(self) -> int:
-        return np.dtype(_DTYPES[self.format]).itemsize
-
-
-def read_header(path) -> RasterHeader:
-    """Identify a raster file's format and dimensions without its payload."""
-    with open(path, "rb") as fh:
-        return _parse_header(fh, path)[0]
-
-
-def _parse_header(fh, path) -> tuple[RasterHeader, bytes]:
-    """The header of the raster open in ``fh`` and the payload bytes read
-    with it.  A header that runs past the first chunk (long '#' comments)
-    is read on, doubling."""
+def _parse_header(fh, path) -> tuple[str, int, int, bytes]:
+    """(format, width, height, payload bytes read with the header) of the
+    raster open in ``fh``.  A header that runs past the first chunk (long
+    '#' comments) is read on, doubling."""
     data = fh.read(256)
     while True:
         try:
@@ -95,7 +70,7 @@ def _parse_header(fh, path) -> tuple[RasterHeader, bytes]:
             data += more
     if width < 1 or height < 1:
         raise FormatError(f"{path}: non-positive raster dimensions {width}x{height}")
-    return RasterHeader(fmt, width, height), data[offset:]
+    return fmt, width, height, data[offset:]
 
 
 def _header_int(token: bytes, path) -> int:
@@ -140,18 +115,18 @@ def _load_samples(path, formats) -> np.ndarray:
     # without allocating the declared size.  The samples come back
     # unconverted, shaped (h, w).
     with open(path, "rb") as fh:
-        header, payload = _parse_header(fh, path)
-        if header.format not in formats:
-            raise FormatError(f"{path}: {header.format} is not one of {', '.join(formats)}")
-        dtype = np.dtype(_DTYPES[header.format])
-        count = header.width * header.height
+        fmt, width, height, payload = _parse_header(fh, path)
+        if fmt not in formats:
+            raise FormatError(f"{path}: {fmt} is not one of {', '.join(formats)}")
+        dtype = np.dtype(_DTYPES[fmt])
+        count = width * height
         payload, expected = bytearray(payload), count * dtype.itemsize
         while len(payload) < expected:
             chunk = fh.read(min(expected - len(payload), max(len(payload), 1 << 16)))
             if not chunk:
                 raise FormatError(f"{path}: truncated payload ({len(payload)} of {expected} bytes)")
             payload += chunk
-    return np.frombuffer(payload, dtype, count).reshape(header.height, header.width)
+    return np.frombuffer(payload, dtype, count).reshape(height, width)
 
 
 def _save_samples(samples: np.ndarray, path, fmt: str) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelMask
+from .core import LabelMask, _check_fraction
 
 
 @dataclass(frozen=True)
@@ -25,15 +25,12 @@ class HexGridParams:
     width: int
     height: int
     circumradius: float
-    min_coverage: float = 0.5
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("canvas dims must be positive")
         if not self.circumradius > 0:
             raise ValueError("circumradius must be > 0")
-        if not 0.0 <= self.min_coverage <= 1.0:
-            raise ValueError("min_coverage must be in [0, 1]")
 
 
 def hex_metric(d_row: np.ndarray, d_col: np.ndarray, circumradius: float) -> np.ndarray:
@@ -95,19 +92,20 @@ def filter_by_coverage(
     hex_mask: LabelMask, foreground: LabelMask, min_coverage: float
 ) -> LabelMask:
     """Zero out hexagons whose fraction of foreground pixels is below the
-    threshold; survivors keep their labels."""
+    threshold in [0, 1]; survivors keep their labels."""
+    _check_fraction("min_coverage", min_coverage)
     if hex_mask.labels.shape != foreground.labels.shape:
         raise ValueError(
             f"foreground dims {foreground.width}x{foreground.height} do not match "
             f"hexagon dims {hex_mask.width}x{hex_mask.height}"
         )
-    labels = hex_mask.labels
-    fg = foreground.labels > 0
-    max_label = int(labels.max(initial=0))
-    totals = np.bincount(labels.ravel(), minlength=max_label + 1)
-    covered = np.bincount(labels.ravel(), weights=fg.ravel(), minlength=max_label + 1)
-    keep = np.zeros(max_label + 1, dtype=bool)
+    labels = hex_mask.labels.ravel()
+    # Ranked labels, so no bin array outgrows the mask whatever the label values.
+    bins = np.unique(labels, return_inverse=True)[1]
+    totals = np.bincount(bins)
+    covered = np.bincount(bins, weights=foreground.labels.ravel() > 0)
+    keep = np.zeros(totals.size, dtype=bool)
     present = totals > 0
     keep[present] = covered[present] / totals[present] >= min_coverage
-    keep[0] = False
-    return LabelMask(np.where(keep[labels], labels, 0))
+    # Background stays 0 whatever its bin decides.
+    return LabelMask(np.where(keep[bins], labels, 0).reshape(hex_mask.labels.shape))

@@ -4,7 +4,16 @@ import io
 import numpy as np
 import pytest
 
-from morphoprof import ImagePlane, LabelMask, load_mask, read_table, save_image, save_mask
+from morphoprof import (
+    FeatureTable,
+    ImagePlane,
+    LabelMask,
+    load_mask,
+    read_table,
+    save_image,
+    save_mask,
+    write_table,
+)
 from morphoprof import engine
 from morphoprof.cli import _build_parser, _family_params, main
 from synth import blob_mask, smooth_plane
@@ -89,6 +98,7 @@ def test_missing_file_exits_1(workspace, capsys):
 
 
 def _contract_args(tmp_path, paths):
+    """Each case's argv and a text its stderr must hold."""
     bad_raster = tmp_path / "bad.raw"
     bad_raster.write_bytes(b"MPROF F32 9 9\n\x00")
     bad_table = tmp_path / "bad.csv"
@@ -96,25 +106,48 @@ def _contract_args(tmp_path, paths):
     one_channel = extract_args(paths, features="coloc")
     del one_channel[one_channel.index("--image") + 2 : one_channel.index("--channel-names")]
     one_channel[one_channel.index("--channel-names") + 1] = "DNA"
+    table = tmp_path / "t.csv"
+    values = np.random.default_rng(3).random((6, 3))
+    write_table(FeatureTable("cells", ("a", "b", "c"), np.arange(1, 7), values), table)
+    narrow, wide = tmp_path / "narrow.raw", tmp_path / "wide.raw"
+    save_image(ImagePlane(np.zeros((9, 5), dtype=np.float32)), narrow)
+    save_mask(LabelMask(np.ones((9, 6), dtype=np.int64)), wide)
+    tessellate = ["tessellate", "--width", "48", "--height", "48", "--radius", "5",
+                  "--min-coverage", "1.5", "--out", str(tmp_path / "h.raw")]
+    normalize = ["normalize", "--in", str(table), "--out", str(tmp_path / "n.csv")]
     return {
-        "good": ["list-features"],
-        "missing-file": extract_args({**paths, "mask": tmp_path / "nope.raw"}),
-        "malformed-raster": extract_args({**paths, "img1": bad_raster}),
-        "malformed-table": ["normalize", "--in", str(bad_table), "--out", str(tmp_path / "n.csv")],
-        "coloc-one-channel": one_channel,
+        "good": (["list-features"], ""),
+        "missing-file": (extract_args({**paths, "mask": tmp_path / "nope.raw"}), "nope.raw"),
+        "malformed-raster": (extract_args({**paths, "img1": bad_raster}), "bad.raw"),
+        "malformed-table": (["normalize", "--in", str(bad_table), "--out", str(tmp_path / "n.csv")],
+                            "bad.csv"),
+        "coloc-one-channel": (one_channel, "two channels"),
+        "tessellate-coverage": (tessellate, "min_coverage"),
+        "tessellate-coverage-tissue": (tessellate + ["--tissue-mask", str(paths["mask"])],
+                                       "min_coverage"),
+        "normalize-corr-nan": (normalize + ["--corr-threshold", "nan"], "threshold"),
+        "normalize-missing-frac": (normalize + ["--drop-missing-frac", "2"], "drop_missing_frac"),
+        "compare-r2-nan": (["compare", "--a", str(table), "--b", str(table), "--out",
+                            str(tmp_path / "r.csv"), "--r2-threshold", "nan"], "r2_threshold"),
+        "misaligned": (["extract", "--image", str(narrow), "--channel-names", "Mito",
+                        "--mask", str(wide), "--mask-names", "cells", "--features", "shape",
+                        "--out", str(tmp_path / "f.csv")], "channel Mito (5x9)"),
     }
 
 
 @pytest.mark.parametrize(
     "case, code",
     [("good", 0), ("missing-file", 1), ("malformed-raster", 1), ("malformed-table", 1),
-     ("coloc-one-channel", 2)],
+     ("coloc-one-channel", 2), ("tessellate-coverage", 2), ("tessellate-coverage-tissue", 2),
+     ("normalize-corr-nan", 2), ("normalize-missing-frac", 2), ("compare-r2-nan", 2),
+     ("misaligned", 2)],
 )
 def test_exit_code_contract(workspace, capsys, case, code):
     """README: 0 success, 1 I/O or malformed file, 2 invalid request."""
     tmp_path, paths = workspace
-    assert main(_contract_args(tmp_path, paths)[case]) == code
-    capsys.readouterr()
+    argv, stderr_text = _contract_args(tmp_path, paths)[case]
+    assert main(argv) == code
+    assert stderr_text in capsys.readouterr().err
 
 
 def test_repeat_invocation_is_byte_identical(workspace):

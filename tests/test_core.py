@@ -9,7 +9,6 @@ from morphoprof import (
     ImagePlane,
     LabelMask,
     ObjectRegion,
-    check_aligned,
     extract_objects,
     max_project,
 )
@@ -141,16 +140,6 @@ def test_max_project_errors():
         max_project([])
     with pytest.raises(ValueError):
         max_project([ImagePlane(np.zeros((4, 4))), ImagePlane(np.zeros((4, 5)))])
-
-
-def test_check_aligned():
-    mask = LabelMask(np.zeros((4, 4), dtype=np.int64))
-    check_aligned(mask, [ImagePlane(np.zeros((4, 4)))])
-    check_aligned(mask, [])
-    with pytest.raises(ValueError, match="plane 1"):
-        check_aligned(
-            mask, [ImagePlane(np.zeros((4, 4))), ImagePlane(np.zeros((4, 5)))]
-        )
 
 
 def test_plane_rejects_non_finite():

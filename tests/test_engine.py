@@ -169,6 +169,16 @@ def test_misaligned_dims_rejected():
             object_sets=(("cells", LabelMask(np.ones((4, 4), dtype=np.int64))),),
             families=("shape",),
         )
+    # The message names the first misaligned input and the one it differs from, as W x H.
+    dna, er = ImagePlane(rng.random((4, 5))), ImagePlane(rng.random((5, 4)))
+    cells = LabelMask(np.ones((4, 4), dtype=np.int64))
+    for channels, message in (
+        ((("DNA", dna), ("ER", dna)), "object set cells is 4x4, not aligned with channel DNA (5x4)"),
+        ((("DNA", dna), ("ER", er)), "channel ER is 4x5, not aligned with channel DNA (5x4)"),
+    ):
+        with pytest.raises(SpecValidationError) as excinfo:
+            ExperimentSpec(channels=channels, object_sets=(("cells", cells),), families=("shape",))
+        assert str(excinfo.value) == message
 
 
 def test_feature_name_grammar():

@@ -5,6 +5,7 @@ import pytest
 from conftest import assert_close
 
 from morphoprof import (
+    ComparisonReport,
     FeatureTable,
     NormalizeParams,
     compare_tables,
@@ -114,6 +115,22 @@ def test_correlation_filter_matches_greedy_oracle():
         for j in range(i + 1, len(out.columns)):
             corr = abs(np.corrcoef(out.values[:, i], out.values[:, j])[0, 1])
             assert corr <= threshold
+
+
+def test_threshold_ranges_are_checked_where_read():
+    rng = np.random.default_rng(10)
+    table = table_from(["a", "b"], rng.standard_normal((8, 2)))
+    for threshold in (math.nan, 1.5, -0.1):
+        with pytest.raises(ValueError, match="threshold"):
+            correlation_filter(table, threshold)
+    for frac in (math.nan, 2.0, -0.1):
+        with pytest.raises(ValueError, match="drop_missing_frac"):
+            NormalizeParams(frac)
+    with pytest.raises(ValueError, match="r2_threshold"):
+        compare_tables(table, table, r2_threshold=math.nan)
+    with pytest.raises(ValueError, match="r2_threshold"):
+        ComparisonReport((), math.nan)
+    assert compare_tables(table, table, r2_threshold=-1.0).fraction_above == 1.0
 
 
 def test_self_comparison_r2_is_one():

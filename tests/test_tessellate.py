@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,16 +119,20 @@ def test_coverage_filter_thresholds(rng):
 
 
 def test_coverage_filter_matches_per_label_tally(rng):
-    params = HexGridParams(width=32, height=32, circumradius=4.0)
-    hexes = hex_tessellation(params)
+    # Dense hexagon labels, then background plus labels near the top of the
+    # RAWU32 range: either way survivors keep their labels.
+    hexes = hex_tessellation(HexGridParams(width=32, height=32, circumradius=4.0)).labels
     fg = (rng.random((32, 32)) < 0.4).astype(np.int64)
     tau = 0.45
-    filtered = filter_by_coverage(hexes, LabelMask(fg), tau)
-    for label in np.unique(hexes.labels):
-        inside = hexes.labels == label
-        frac = fg[inside].sum() / inside.sum()
-        expected = label if frac >= tau else 0
-        assert (filtered.labels[inside] == expected).all()
+    sparse = np.where(hexes % 3 == 0, 0, hexes + 2**32 - 100)
+    for labels in (hexes, sparse):
+        filtered = filter_by_coverage(LabelMask(labels), LabelMask(fg), tau).labels
+        assert (filtered[labels == 0] == 0).all()
+        for label in np.unique(labels[labels > 0]):
+            inside = labels == label
+            frac = fg[inside].sum() / inside.sum()
+            expected = label if frac >= tau else 0
+            assert (filtered[inside] == expected).all()
 
 
 def test_coverage_monotone_in_threshold(rng):
@@ -174,5 +179,25 @@ def test_param_validation():
         HexGridParams(width=0, height=5, circumradius=3.0)
     with pytest.raises(ValueError):
         HexGridParams(width=5, height=5, circumradius=0.0)
-    with pytest.raises(ValueError):
-        HexGridParams(width=5, height=5, circumradius=3.0, min_coverage=1.5)
+    hexes = hex_tessellation(HexGridParams(width=20, height=20, circumradius=3.0))
+    tissue = LabelMask(np.ones((20, 20), dtype=np.int64))
+    for min_coverage in (1.5, math.nan, -1.0):
+        with pytest.raises(ValueError, match="min_coverage"):
+            filter_by_coverage(hexes, tissue, min_coverage)
+
+
+def test_coverage_cost_does_not_scale_with_label_value():
+    labels = np.zeros((64, 64), dtype=np.int64)
+    labels[10, 20] = 4_000_000
+    labels[30:40, 5:15] = 17
+    fg = np.zeros((64, 64), dtype=np.int64)
+    fg[10, 20] = fg[30:34, 5:15] = 1
+    hexes, tissue = LabelMask(labels), LabelMask(fg)
+    tracemalloc.start()
+    try:
+        kept = filter_by_coverage(hexes, tissue, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert np.array_equal(kept.labels, np.where(labels == 4_000_000, labels, 0))
