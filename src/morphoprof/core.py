@@ -171,13 +171,13 @@ def extract_objects(mask: LabelMask) -> list[ObjectRegion]:
     labels = mask.labels
     foreground = labels > 0
     values = labels[foreground]
-    present = np.unique(values)
+    present, rank = np.unique(values, return_inverse=True)
     if present.size == 0:
         return []
     # find_objects sizes its output by the largest label, so rank the labels
     # 1..n first: the cost then follows the object count, not label values.
     ranked = np.zeros(labels.shape, dtype=np.min_scalar_type(present.size))
-    ranked[foreground] = np.searchsorted(present, values) + 1
+    ranked[foreground] = rank + 1
     slices = scipy.ndimage.find_objects(ranked, max_label=present.size)
     regions = []
     for label, sl in zip(present.tolist(), slices):
@@ -235,12 +235,11 @@ def edge_mask(local_mask: np.ndarray) -> np.ndarray:
 
 
 def background_distance(local_mask: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each object pixel to the nearest background pixel.
+    """Euclidean distance from each object pixel to the nearest background
+    pixel, in ``local_mask[local_mask]`` (row-major) order.
 
     Everything outside the bbox counts as background (the mask is padded by
-    one before the transform).  Returns a float array of the local shape,
-    zero outside the object.
+    one before the transform).
     """
-    padded = np.pad(local_mask, 1)
-    dist = scipy.ndimage.distance_transform_edt(padded)
-    return np.where(local_mask, dist[1:-1, 1:-1], 0.0)
+    dist = scipy.ndimage.distance_transform_edt(np.pad(local_mask, 1))
+    return dist[1:-1, 1:-1][local_mask]

@@ -60,16 +60,12 @@ class GranularityParams:
             raise ValueError("background_radius must be >= 1")
 
 
-def disk_footprint(radius: int) -> np.ndarray:
-    """Boolean disk {(dr, dc): dr^2 + dc^2 <= radius^2}."""
-    span = np.arange(-radius, radius + 1)
-    return span[:, None] ** 2 + span[None, :] ** 2 <= radius * radius
-
-
 @lru_cache(maxsize=None)
-def _disk(radius: int) -> np.ndarray:
-    """disk_footprint, built once per radius and read-only."""
-    disk = disk_footprint(radius)
+def disk_footprint(radius: int) -> np.ndarray:
+    """Boolean disk {(dr, dc): dr^2 + dc^2 <= radius^2}, built once per
+    radius and read-only."""
+    span = np.arange(-radius, radius + 1)
+    disk = span[:, None] ** 2 + span[None, :] ** 2 <= radius * radius
     disk.flags.writeable = False
     return disk
 
@@ -78,7 +74,7 @@ def _disk(radius: int) -> np.ndarray:
 def _disk_rectangles(radius: int) -> tuple[tuple[int, int], ...]:
     """The disk as a union of centered (rows, cols) rectangles, one per
     distinct row width, widest first."""
-    widths = _disk(radius).sum(axis=1)
+    widths = disk_footprint(radius).sum(axis=1)
     return tuple(
         (int(np.count_nonzero(widths >= cols)), int(cols))
         for cols in sorted(set(widths.tolist()), reverse=True)
@@ -97,7 +93,7 @@ def _disk_filter(guarded: np.ndarray, radius: int, erode: bool) -> np.ndarray:
             scipy.ndimage.maximum_filter, scipy.ndimage.maximum_filter1d, np.maximum, -np.inf
         )
     if radius < _RECTANGLES_FROM_RADIUS:
-        return rank(guarded, footprint=_disk(radius), mode="constant", cval=cval)
+        return rank(guarded, footprint=disk_footprint(radius), mode="constant", cval=cval)
     out = None
     for rows, cols in _disk_rectangles(radius):
         part = guarded

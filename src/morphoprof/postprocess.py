@@ -159,17 +159,16 @@ def compare_tables(
         shared_labels = np.array([], dtype=np.int64)
     else:
         shared_labels = np.intersect1d(a.labels, b.labels)
-    shared_features = [name for name in a.columns if name in set(b.columns)]
-    if shared_labels.size == 0 or not shared_features:
+    b_index = {name: j for j, name in enumerate(b.columns)}
+    shared = [(name, i, b_index[name]) for i, name in enumerate(a.columns) if name in b_index]
+    if shared_labels.size == 0 or not shared:
         raise ValueError("tables share no rows or no features")
     a_rows = np.searchsorted(a.labels, shared_labels)
     b_rows = np.searchsorted(b.labels, shared_labels)
-    fits = []
-    for name in shared_features:
-        col_a = a.values[a_rows, a.columns.index(name)]
-        col_b = b.values[b_rows, b.columns.index(name)]
-        fits.append(_fit_feature(name, col_a, col_b))
-    return ComparisonReport(fits=tuple(fits), r2_threshold=r2_threshold)
+    fits = tuple(
+        _fit_feature(name, a.values[a_rows, i], b.values[b_rows, j]) for name, i, j in shared
+    )
+    return ComparisonReport(fits=fits, r2_threshold=r2_threshold)
 
 
 def write_report(report: ComparisonReport, path) -> None:

@@ -112,21 +112,22 @@ def _raw_fields(data: bytes, path) -> tuple[int, int, int]:
 def _load_samples(path, formats) -> np.ndarray:
     # The payload is read on, doubling (pipes cannot seek or report a size),
     # so a header that declares more than the file holds fails as truncated
-    # without allocating the declared size.  The samples come back
-    # unconverted, shaped (h, w).
+    # without allocating the declared size; a byte past the declared size
+    # fails too.  The samples come back unconverted, shaped (h, w).
     with open(path, "rb") as fh:
         fmt, width, height, payload = _parse_header(fh, path)
         if fmt not in formats:
             raise FormatError(f"{path}: {fmt} is not one of {', '.join(formats)}")
         dtype = np.dtype(_DTYPES[fmt])
-        count = width * height
-        payload, expected = bytearray(payload), count * dtype.itemsize
+        payload, expected = bytearray(payload), width * height * dtype.itemsize
         while len(payload) < expected:
             chunk = fh.read(min(expected - len(payload), max(len(payload), 1 << 16)))
             if not chunk:
                 raise FormatError(f"{path}: truncated payload ({len(payload)} of {expected} bytes)")
             payload += chunk
-    return np.frombuffer(payload, dtype, count).reshape(height, width)
+        if len(payload) > expected or fh.read(1):
+            raise FormatError(f"{path}: bytes after the {expected}-byte payload")
+    return np.frombuffer(payload, dtype).reshape(height, width)
 
 
 def _save_samples(samples: np.ndarray, path, fmt: str) -> None:

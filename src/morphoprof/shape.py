@@ -188,22 +188,21 @@ def _eigen_features(n, s_r, s_c, s_rr, s_cc, s_rc) -> tuple[float, float, float,
 @lru_cache(maxsize=None)
 def _radial_poly_coeffs(n: int, m: int) -> tuple[float, ...]:
     """Coefficients of R_nm as a polynomial in rho^2 (highest power first),
-    excluding the common rho^m factor."""
+    excluding the common rho^m factor.
+
+    The s-th is (-1)^s (n-s)! / (s! ((n+m)/2-s)! ((n-m)/2-s)!), which is the
+    integer C(n-s, s) C(n-2s, (n-m)/2-s).
+    """
     half = (n - m) // 2
-    coeffs = []
-    for s in range(half + 1):
-        num = math.factorial(n - s)
-        den = (
-            math.factorial(s)
-            * math.factorial((n + m) // 2 - s)
-            * math.factorial((n - m) // 2 - s)
-        )
-        coeffs.append((-1.0) ** s * (num // den if num % den == 0 else num / den))
-    return tuple(float(v) for v in coeffs)
+    return tuple(
+        float((-1) ** s * math.comb(n - s, s) * math.comb(n - 2 * s, half - s))
+        for s in range(half + 1)
+    )
 
 
 def _zernike_magnitudes(local_mask: np.ndarray, max_order: int) -> dict[str, float]:
-    """|z_nm| on the unit disk centered at the centroid.
+    """|z_nm| on the unit disk centered at the centroid, keyed
+    ``Zernike_<n>_<m>`` in :func:`zernike_indexes` order.
 
     The disk radius is the largest centroid-to-pixel-center distance
     (1 if that is 0); radii beyond 1 are clamped.  Deviations are kept as
@@ -247,8 +246,8 @@ def _zernike_magnitudes(local_mask: np.ndarray, max_order: int) -> dict[str, flo
             total_re = math.fsum((radial * pow_re).tolist())
             total_im = math.fsum((radial * pow_im).tolist())
             scale = (order + 1) / (math.pi * area)
-            out[f"Zernike_{order}_{m}"] = math.hypot(total_re, total_im) * scale
-    return {key: out[key] for key in sorted(out, key=lambda k: tuple(map(int, k.split("_")[1:])))}
+            out[order, m] = math.hypot(total_re, total_im) * scale
+    return {f"Zernike_{n}_{m}": out[n, m] for n, m in zernike_indexes(max_order)}
 
 
 def measure_shape(region: ObjectRegion, params: ShapeParams = ShapeParams()) -> dict[str, float]:

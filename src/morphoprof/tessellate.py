@@ -104,8 +104,6 @@ def filter_by_coverage(
     bins = np.unique(labels, return_inverse=True)[1]
     totals = np.bincount(bins)
     covered = np.bincount(bins, weights=foreground.labels.ravel() > 0)
-    keep = np.zeros(totals.size, dtype=bool)
-    present = totals > 0
-    keep[present] = covered[present] / totals[present] >= min_coverage
+    keep = covered / totals >= min_coverage
     # Background stays 0 whatever its bin decides.
     return LabelMask(np.where(keep[bins], labels, 0).reshape(hex_mask.labels.shape))

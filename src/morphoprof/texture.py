@@ -1,10 +1,14 @@
 """Haralick texture features from object-restricted co-occurrence matrices.
 
 Intensities are quantized per object into equal-width bins between the
-object's min and max, one symmetric GLCM is built for each of the four
-standard directions at the configured distance, and the 13 classic
+object's min and max; the level grid holds -1 off the object, so it alone
+says which pixels pair up.  One symmetric GLCM is built for each of the
+four standard directions at the configured distance, and the 13 classic
 Haralick statistics are averaged over the directions that produced at
-least one pixel pair.  Entropies use log base 2 with 0*log(0) = 0.
+least one pixel pair.  A direction whose offset reaches past the bbox
+has none, so at a distance of at least the bbox's height and width (or
+on a single pixel) every value is missing.  Entropies use log base 2
+with 0*log(0) = 0.
 """
 
 from __future__ import annotations
@@ -70,46 +74,27 @@ def quantize(region: ObjectRegion, plane: ImagePlane, gray_levels: int) -> np.nd
     return levels
 
 
-def glcm(
-    levels: np.ndarray,
-    local_mask: np.ndarray,
-    distance: int,
-    direction: tuple[int, int],
-    gray_levels: int | None = None,
-) -> tuple[np.ndarray, bool]:
-    """Symmetric normalized co-occurrence matrix for one direction.
+def glcm(levels: np.ndarray, offset: tuple[int, int], gray_levels: int) -> np.ndarray:
+    """Symmetric normalized co-occurrence matrix of ``levels`` for one offset.
 
-    Counts pairs (p, p + offset) with both pixels in the object, adds the
-    transpose, and normalizes to sum 1.  Returns (matrix, had_pairs);
-    with no pairs the matrix is all-zero.  ``gray_levels`` defaults to
-    one past the highest level present.
+    ``levels`` is a :func:`quantize` result, so the object is where
+    ``levels >= 0``.  Counts pairs (p, p + offset) with both pixels in the
+    object, adds the transpose and normalizes to sum 1; with no pairs the
+    ``gray_levels`` x ``gray_levels`` matrix is all-zero.
     """
-    if direction not in directions(distance):
-        raise ValueError(f"direction {direction} invalid for distance {distance}")
-    if gray_levels is None:
-        gray_levels = int(levels[local_mask].max()) + 1 if local_mask.any() else 1
-    counts = _pair_counts(levels, local_mask, direction, gray_levels)
-    total = counts.sum()
-    if total == 0:
-        return counts.astype(np.float64), False
-    return counts.astype(np.float64) / float(total), True
-
-
-def _pair_counts(levels, local_mask, offset, gray_levels) -> np.ndarray:
     dr, dc = offset
-    h, w = local_mask.shape
+    h, w = levels.shape
     r0, r1 = max(0, -dr), min(h, h - dr)
     c0, c1 = max(0, -dc), min(w, w - dc)
-    counts = np.zeros((gray_levels, gray_levels), dtype=np.int64)
-    if r0 >= r1 or c0 >= c1:
-        return counts
-    a_mask = local_mask[r0:r1, c0:c1]
-    b_mask = local_mask[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-    both = a_mask & b_mask
-    a = levels[r0:r1, c0:c1][both]
-    b = levels[r0 + dr : r1 + dr, c0 + dc : c1 + dc][both]
-    np.add.at(counts, (a, b), 1)
-    return counts + counts.T
+    if r0 >= r1 or c0 >= c1:  # the offset reaches past the crop
+        return np.zeros((gray_levels, gray_levels))
+    a = levels[r0:r1, c0:c1]
+    b = levels[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+    both = (a >= 0) & (b >= 0)
+    counts = np.bincount(a[both] * gray_levels + b[both], minlength=gray_levels * gray_levels)
+    counts = counts.reshape(gray_levels, gray_levels)
+    counts = counts + counts.T
+    return counts / max(int(counts.sum()), 1)
 
 
 def haralick_features(p: np.ndarray) -> dict[str, float]:
@@ -187,11 +172,9 @@ def measure_texture(
     has a co-occurring pixel pair."""
     levels = quantize(region, plane, params.gray_levels)
     per_direction = []
-    for direction in directions(params.distance):
-        p, had_pairs = glcm(
-            levels, region.local_mask, params.distance, direction, params.gray_levels
-        )
-        if had_pairs:
+    for offset in directions(params.distance):
+        p = glcm(levels, offset, params.gray_levels)
+        if p.any():
             per_direction.append(haralick_features(p))
     if not per_direction:
         return {name: MISSING for name in FEATURES}

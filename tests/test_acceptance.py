@@ -6,7 +6,9 @@ across a (workers, batch_size) matrix, so the suite takes a minute or so.
 """
 
 import contextlib
+import hashlib
 import math
+import platform
 import subprocess
 import sys
 import time
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from conftest import assert_close, region_of
 from oracles import (
     coloc_oracle,
@@ -41,32 +44,60 @@ def criterion(number, name):
     print(f"ACCEPTANCE {number} {name}: PASS")
 
 
-def test_criterion_1_determinism_and_runtime(tmp_path):
+#: sha256 of the criterion-1 baseline CSV, keyed like the bench's pins by the
+#: Python, numpy and scipy versions and numpy's widest SIMD target, because
+#: vectorized math can round differently elsewhere.
+W1_SHA256 = {
+    "python=3.11.7 numpy=2.4.6 scipy=1.17.1 simd=AVX512_SPR":
+        "3a8416650fed093cdd0b2372783a341a0eebf1807a328e7f8b106ebe3556d9d8",
+}
+
+
+def _versions_key():
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        simd = ([f for f in __cpu_dispatch__ if __cpu_features__.get(f)] or ["baseline"])[-1]
+    except ImportError:
+        simd = "unknown"
+    return (f"python={platform.python_version()} numpy={np.__version__} "
+            f"scipy={scipy.__version__} simd={simd}")
+
+
+@pytest.fixture(scope="module")
+def w1_baseline(tmp_path_factory):
+    """(seconds, table, CSV bytes) of the single-threaded criterion-1 run."""
+    started = time.perf_counter()
+    (table,) = run(experiment(n_objects=500, size=512, seed=42, workers=1, batch_size=10**9))
+    elapsed = time.perf_counter() - started
+    path = tmp_path_factory.mktemp("w1") / "reference.csv"
+    write_table(table, path)
+    return elapsed, table, path.read_bytes()
+
+
+def test_criterion_1_determinism_and_runtime(tmp_path, w1_baseline):
     with criterion(1, "byte-determinism across workers/batching, <60s single-threaded"):
-        n_objects, size = 500, 512
-        started = time.perf_counter()
-        baseline_spec = experiment(
-            n_objects=n_objects, size=size, seed=42, workers=1, batch_size=10**9
-        )
-        (baseline,) = run(baseline_spec)
-        elapsed = time.perf_counter() - started
+        elapsed, baseline, expected = w1_baseline
         assert elapsed < 60.0, f"single-threaded run took {elapsed:.1f}s"
         assert baseline.n_rows == 500
-        reference = tmp_path / "reference.csv"
-        write_table(baseline, reference)
-        expected = reference.read_bytes()
         for workers in (1, 4, 8):
             for batch_size in (1, 7, 10**9):
                 if workers == 1 and batch_size == 10**9:
                     continue  # the baseline
                 spec = experiment(
-                    n_objects=n_objects, size=size, seed=42,
-                    workers=workers, batch_size=batch_size,
+                    n_objects=500, size=512, seed=42, workers=workers, batch_size=batch_size
                 )
                 (table,) = run(spec)
                 path = tmp_path / f"w{workers}_b{batch_size}.csv"
                 write_table(table, path)
                 assert path.read_bytes() == expected, (workers, batch_size)
+
+
+def test_criterion_1_csv_digest_is_pinned(w1_baseline):
+    pinned = W1_SHA256.get(_versions_key())
+    if pinned is None:
+        pytest.skip(f"no W1 digest pinned for {_versions_key()}")
+    with criterion(1, "the baseline CSV matches its pinned sha256"):
+        assert hashlib.sha256(w1_baseline[2]).hexdigest() == pinned
 
 
 def _oracle_cases(n_cases=50, seed=2024):

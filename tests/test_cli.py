@@ -101,6 +101,9 @@ def _contract_args(tmp_path, paths):
     """Each case's argv and a text its stderr must hold."""
     bad_raster = tmp_path / "bad.raw"
     bad_raster.write_bytes(b"MPROF F32 9 9\n\x00")
+    long_raw, long_pgm = tmp_path / "long.raw", tmp_path / "long.pgm"
+    long_raw.write_bytes(b"MPROF F32 2 2\n" + bytes(6 * 4))  # six samples under 2x2
+    long_pgm.write_bytes(b"P5 2 2 255\n" + bytes(5))
     bad_table = tmp_path / "bad.csv"
     bad_table.write_text("object_set,label,f\ncells,1\n")
     one_channel = extract_args(paths, features="coloc")
@@ -119,6 +122,8 @@ def _contract_args(tmp_path, paths):
         "good": (["list-features"], ""),
         "missing-file": (extract_args({**paths, "mask": tmp_path / "nope.raw"}), "nope.raw"),
         "malformed-raster": (extract_args({**paths, "img1": bad_raster}), "bad.raw"),
+        "trailing-raw-bytes": (extract_args({**paths, "img1": long_raw}), "long.raw"),
+        "trailing-pgm-bytes": (extract_args({**paths, "mask": long_pgm}), "long.pgm"),
         "malformed-table": (["normalize", "--in", str(bad_table), "--out", str(tmp_path / "n.csv")],
                             "bad.csv"),
         "coloc-one-channel": (one_channel, "two channels"),
@@ -138,6 +143,7 @@ def _contract_args(tmp_path, paths):
 @pytest.mark.parametrize(
     "case, code",
     [("good", 0), ("missing-file", 1), ("malformed-raster", 1), ("malformed-table", 1),
+     ("trailing-raw-bytes", 1), ("trailing-pgm-bytes", 1),
      ("coloc-one-channel", 2), ("tessellate-coverage", 2), ("tessellate-coverage-tissue", 2),
      ("normalize-corr-nan", 2), ("normalize-missing-frac", 2), ("compare-r2-nan", 2),
      ("misaligned", 2)],

@@ -412,13 +412,16 @@ def test_lying_header_fails_before_allocating(tmp_path):
 
 @st.composite
 def raster_bytes(draw):
-    """A magic prefix, then random bytes or a valid small raster with one edit."""
+    """A magic prefix, then random bytes or a small raster with one edit,
+    whose payload is the declared size or one byte longer."""
     magic = draw(st.sampled_from([b"P5", b"MPROF F32 ", b"MPROF U32 "]))
     if draw(st.booleans()):
         return magic + draw(st.binary(max_size=64))
-    dims = f"{draw(st.integers(1, 3))} {draw(st.integers(1, 3))}"
-    tail = f" {dims} {draw(st.sampled_from([255, 65535]))}\n" if magic == b"P5" else f"{dims}\n"
-    data = bytearray(magic + tail.encode() + draw(st.binary(min_size=36, max_size=40)))
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    maxval = draw(st.sampled_from([255, 65535]))
+    tail = f" {width} {height} {maxval}\n" if magic == b"P5" else f"{width} {height}\n"
+    size = width * height * ({255: 1, 65535: 2}[maxval] if magic == b"P5" else 4)
+    data = bytearray(magic + tail.encode() + draw(st.binary(min_size=size, max_size=size + 1)))
     at = draw(st.integers(len(magic), len(magic) + len(tail)))
     edit = draw(st.sampled_from(
         [b"", b" ", b"\n", b"#", b"0", b"x", b"\xff", b"9" * 5000, b"_", b"+", b"\t", b"\r"]

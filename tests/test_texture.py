@@ -1,12 +1,11 @@
 import math
 
 import numpy as np
-import pytest
 from conftest import assert_feature_maps_close, plane_of, region_of
 from oracles import glcm_oracle, quantize_oracle, texture_oracle
 
 from morphoprof import ImagePlane, TextureParams, measure_texture, quantize
-from morphoprof.texture import FEATURES, directions, glcm
+from morphoprof.texture import FEATURES, directions, glcm, haralick_features
 from synth import small_blob, smooth_plane
 
 
@@ -37,8 +36,7 @@ def test_glcm_two_pixel_object():
     mask = np.ones((1, 2), dtype=bool)
     region = region_of(mask)
     levels = quantize(region, plane_of([[0.0, 1.0]]), 2)
-    p, had = glcm(levels, region.local_mask, 1, (0, 1))
-    assert had
+    p = glcm(levels, (0, 1), 2)
     assert p.tolist() == [[0.0, 0.5], [0.5, 0.0]]
 
 
@@ -47,18 +45,9 @@ def test_glcm_single_pixel_has_no_pairs():
     mask[1, 1] = True
     region = region_of(mask)
     levels = quantize(region, plane_of(np.zeros((3, 3))), 8)
-    p, had = glcm(levels, region.local_mask, 1, (0, 1), gray_levels=8)
-    assert not had
+    p = glcm(levels, (0, 1), 8)
     assert p.shape == (8, 8)
     assert (p == 0).all()
-
-
-def test_glcm_rejects_bad_direction():
-    mask = np.ones((2, 2), dtype=bool)
-    region = region_of(mask)
-    levels = quantize(region, plane_of(np.zeros((2, 2))), 2)
-    with pytest.raises(ValueError):
-        glcm(levels, region.local_mask, 1, (1, 1))
 
 
 def test_glcm_matches_pair_enumeration(rng):
@@ -67,12 +56,12 @@ def test_glcm_matches_pair_enumeration(rng):
     region = region_of(mask)
     levels = quantize(region, plane, 8)
     oracle_levels = quantize_oracle(region, plane, 8)
-    for direction in directions(1):
-        p, had = glcm(levels, region.local_mask, 1, direction, gray_levels=8)
+    for direction in directions(1) + directions(2) + directions(3):
+        p = glcm(levels, direction, 8)
         expected, had_expected = glcm_oracle(oracle_levels, direction, 8)
-        assert had == had_expected
+        assert p.any() == had_expected
         assert np.allclose(p, expected, atol=1e-15)
-        if had:
+        if had_expected:
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.array_equal(p, p.T)
 
@@ -92,15 +81,12 @@ def test_checkerboard_horizontal_glcm():
     mask = np.ones((6, 6), dtype=bool)
     region = region_of(mask)
     levels = quantize(region, plane_of(board.astype(float)), 2)
-    p, had = glcm(levels, region.local_mask, 1, (0, 1), gray_levels=2)
-    assert had
+    p = glcm(levels, (0, 1), 2)
     assert p[0, 1] == p[1, 0] == 0.5
     oracle = {
         "Contrast": 1.0,
         "AngularSecondMoment": 0.5,
     }
-    from morphoprof.texture import haralick_features
-
     features = haralick_features(p)
     assert features["Contrast"] == oracle["Contrast"]
     assert features["AngularSecondMoment"] == oracle["AngularSecondMoment"]
@@ -112,6 +98,22 @@ def test_single_pixel_object_gives_all_missing():
     features = measure_texture(region_of(mask), plane_of(np.zeros((3, 3))))
     assert set(features) == set(FEATURES)
     assert all(math.isnan(v) for v in features.values())
+
+
+def test_distance_past_the_bbox_counts_no_pairs(rng):
+    mask = np.ones((2, 4), dtype=bool)
+    region = region_of(mask)
+    plane = ImagePlane(rng.random((2, 4)))
+    for distance in (4, 5):
+        features = measure_texture(region, plane, TextureParams(distance=distance))
+        assert all(math.isnan(features[name]) for name in FEATURES), distance
+    # Past the height only: the horizontal direction alone counts.
+    for distance in (2, 3):
+        params = TextureParams(distance=distance)
+        levels = quantize(region, plane, params.gray_levels)
+        horizontal = glcm(levels, (0, distance), params.gray_levels)
+        assert horizontal.any()
+        assert measure_texture(region, plane, params) == haralick_features(horizontal)
 
 
 def test_matches_literal_formula_oracle(rng):
