@@ -113,6 +113,9 @@ class ObjectRegion:
     def crop(self, arr: np.ndarray) -> np.ndarray:
         """View of a full-image array restricted to this region's bbox."""
         r0, c0, r1, c1 = self.bbox
+        h, w = arr.shape
+        if r1 >= h or c1 >= w:
+            raise ValueError(f"object {self.label} (bbox {self.bbox}) is beyond the {w}x{h} image")
         return arr[r0 : r1 + 1, c0 : c1 + 1]
 
 
@@ -131,7 +134,10 @@ class FeatureTable:
 
     def __post_init__(self):
         cols = tuple(self.columns)
-        labels = np.array(self.labels, dtype=np.int64, copy=True)
+        labels = np.asarray(self.labels)
+        if labels.size and not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+        labels = labels.astype(np.int64)  # always a fresh copy
         values = np.array(self.values, dtype=np.float64, copy=True)
         if len(set(cols)) != len(cols):
             raise ValueError("duplicate column names")

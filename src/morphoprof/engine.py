@@ -1,16 +1,18 @@
 """Family registry and deterministic, memory-bounded batch executor.
 
 Each measurement family is one :class:`Family` record in ``REGISTRY``.
-Table columns, per-object values, the feature catalog and experiment
-validation are generic loops over those records, and columns and values
-are read from the same key list, so they cannot drift apart.
+One generator, ``_steps``, expands an experiment into its measurements,
+(family, params, channels) in column order; table columns and per-object
+values both read it and the same key list, so they cannot drift apart.
+The feature catalog and experiment validation loop over the same records.
 
 Objects are measured in ascending-label batches.  Determinism is
 structural: labels ascend, families keep registry order, a family of
 arity k runs over ``itertools.combinations(channels, k)`` in declaration
 order, and every measurement is a pure function of one object's cropped
-data, so the output tables are byte-identical for any worker count or
-batch size.
+data.  A batch comes back as one block of value rows, written at its
+first row's index whatever order batches finish in, so the output tables
+are byte-identical for any worker count or batch size.
 
 Workers receive family names, their params, the channel names and, per
 object, its region and its bbox crops as image planes rather than whole
@@ -124,9 +126,12 @@ def _canonical(families) -> tuple[str, ...]:
     return tuple(f for f in FAMILIES if f in families)
 
 
-def _enabled(families, params) -> list[tuple[Family, Any]]:
-    """(record, params) per family name; ``params`` maps spec field names to values."""
-    return [(_BY_NAME[f], params.get(_BY_NAME[f].params_field)) for f in families]
+def _steps(families, params, channel_names):
+    """(record, its params, channel names) per measurement, in column order;
+    ``params`` maps spec field names to values."""
+    for family in map(_BY_NAME.get, families):
+        for chans in itertools.combinations(channel_names, family.arity):
+            yield family, params.get(family.params_field), chans
 
 
 @dataclass(frozen=True)
@@ -203,34 +208,27 @@ def feature_name(
 
 def table_columns(spec: ExperimentSpec, object_set: str) -> list[str]:
     """Full canonical column list for one object set's table."""
-    cols = []
-    for family, params in _enabled(spec.families, vars(spec)):
-        keys = family.keys(params)
-        for chans in itertools.combinations(spec.channel_names, family.arity):
-            cols.extend(
-                feature_name(object_set, family.token, feature, chans, suffix)
-                for _, feature, suffix, _ in keys
-            )
-    return cols
+    return [
+        feature_name(object_set, family.token, feature, chans, suffix)
+        for family, params, chans in _steps(spec.families, vars(spec), spec.channel_names)
+        for _, feature, suffix, _ in family.keys(params)
+    ]
 
 
-def _measure_batch(payload):
-    """Worker entry point: measure a batch of pre-cropped objects.
+def _measure_batch(payload) -> np.ndarray:
+    """Worker entry point: measure a batch of pre-cropped objects into one
+    float64 block of rows, in batch order.
 
-    ``payload`` is (family names, their params, channel names, objects);
-    each object is (region, {channel name: ImagePlane of its bbox crop}).
-    Channel families see the region in its crop's frame.
+    ``payload`` is (family names, {spec field: params}, channel names,
+    objects); each object is (region, {channel name: ImagePlane of its
+    bbox crop}).  Channel families see the region in its crop's frame.
     """
-    names, params, channel_names, objects = payload
-    steps = []
-    for name, family_params in zip(names, params):
-        family = _BY_NAME[name]
-        keys = [key for key, *_ in family.keys(family_params)]
-        steps.extend(
-            (family.measure, family_params, keys, chans)
-            for chans in itertools.combinations(channel_names, family.arity)
-        )
-    rows = []
+    families, params, channel_names, objects = payload
+    steps = [
+        (family.measure, family_params, [key for key, *_ in family.keys(family_params)], chans)
+        for family, family_params, chans in _steps(families, params, channel_names)
+    ]
+    block = []
     for region, crops in objects:
         h, w = region.local_mask.shape
         local = ObjectRegion(region.label, (0, 0, h - 1, w - 1), region.local_mask)
@@ -240,8 +238,31 @@ def _measure_batch(payload):
             target = local if chans else region
             values = measure(target, tuple(crops[ch] for ch in chans), family_params)
             row.extend(values[key] for key in keys)
-        rows.append((region.label, np.asarray(row, dtype=np.float64)))
-    return rows
+        block.append(row)
+    return np.array(block, dtype=np.float64)
+
+
+def _blocks(workers: int, payloads):
+    """(batch start, value block) per (start, payload), as batches finish.
+
+    One worker measures in-process.  A pool keeps at most workers + 1
+    batches in flight, so memory tracks batch_size, and takes whichever
+    finishes first, so no worker idles behind a slow batch.
+    """
+    if workers <= 1:
+        for start, payload in payloads:
+            yield start, _measure_batch(payload)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = {}
+        while True:
+            for start, payload in itertools.islice(payloads, workers + 1 - len(pending)):
+                pending[pool.submit(_measure_batch, payload)] = start
+            if not pending:
+                return
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                yield pending.pop(future), future.result()
 
 
 def run(spec: ExperimentSpec) -> list[FeatureTable]:
@@ -250,61 +271,30 @@ def run(spec: ExperimentSpec) -> list[FeatureTable]:
     Output is identical (to the byte, after serialization) for any
     (batch_size, workers) combination.
     """
-    enabled = _enabled(spec.families, vars(spec))
-    config = (spec.families, tuple(params for _, params in enabled), spec.channel_names)
-    planes = {}
-    if any(family.arity for family, _ in enabled):
-        planes = {name: plane.pixels for name, plane in spec.channels}
+    params = {name: getattr(spec, name) for name in _DEFAULT_PARAMS}
+    config = (spec.families, params, spec.channel_names)
+    # A shape-only run reads no channel, so it crops none.
+    channel_families = any(_BY_NAME[name].arity for name in spec.families)
+    planes = {name: plane.pixels for name, plane in spec.channels} if channel_families else {}
     tables = []
     for set_name, mask in spec.object_sets:
         regions = extract_objects(mask)
         columns = table_columns(spec, set_name)
-        labels = np.asarray([r.label for r in regions], dtype=np.int64)
-        row_of = {label: i for i, label in enumerate(labels.tolist())}
         values = np.empty((len(regions), len(columns)), dtype=np.float64)
+        starts = range(0, len(regions), spec.batch_size)
         # Crops are copied into image planes batch by batch, only as the batches are consumed.
         payloads = (
-            (*config, [
+            (start, (*config, [
                 (region, {name: ImagePlane(region.crop(arr)) for name, arr in planes.items()})
-                for region in regions[i : i + spec.batch_size]
-            ])
-            for i in range(0, len(regions), spec.batch_size)
+                for region in regions[start : start + spec.batch_size]
+            ]))
+            for start in starts
         )
         # No more workers than batches; a single batch is measured in-process.
-        workers = min(spec.workers, -(-len(regions) // spec.batch_size))
-        if workers <= 1:
-            for payload in payloads:
-                for label, row in _measure_batch(payload):
-                    values[row_of[label]] = row
-        else:
-            _run_parallel(workers, payloads, row_of, values)
-        tables.append(
-            FeatureTable(
-                object_set=set_name,
-                columns=tuple(columns),
-                labels=labels,
-                values=values,
-            )
-        )
+        for start, block in _blocks(min(spec.workers, len(starts)), payloads):
+            values[start : start + len(block)] = block
+        tables.append(FeatureTable(set_name, columns, [r.label for r in regions], values))
     return tables
-
-
-def _run_parallel(workers, payloads, row_of, values) -> None:
-    # Keep a bounded number of batches in flight so memory tracks
-    # batch_size, not the total object count.
-    def drain(done):
-        for future in done:
-            for label, row in future.result():
-                values[row_of[label]] = row
-
-    pending = set()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for payload in payloads:
-            if len(pending) >= workers + 1:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                drain(done)
-            pending.add(pool.submit(_measure_batch, payload))
-        drain(pending)
 
 
 _DEFAULT_PARAMS = {
@@ -324,10 +314,9 @@ def feature_catalog(families=FAMILIES, **params) -> list[tuple[str, str, str, st
     unknown = set(params) - set(_DEFAULT_PARAMS)
     if unknown:
         raise TypeError(f"unknown params fields: {sorted(unknown)}")
-    rows = []
-    for family, family_params in _enabled(_canonical(families), {**_DEFAULT_PARAMS, **params}):
-        rows.extend(
-            (f"{family.token}_{key}", family.token, _INPUT_KINDS[family.arity], text)
-            for key, _, _, text in family.keys(family_params)
-        )
-    return rows
+    params = {**_DEFAULT_PARAMS, **params}
+    return [
+        (f"{family.token}_{key}", family.token, _INPUT_KINDS[family.arity], text)
+        for family in map(_BY_NAME.get, _canonical(families))
+        for key, _, _, text in family.keys(params.get(family.params_field))
+    ]

@@ -13,10 +13,9 @@ object boundary.
 Two kernels carry the cost, and both give exactly the values of the
 plain definitions, because min and max only select values:
 
-* Disk erosion and dilation of radius ``_RECTANGLES_FROM_RADIUS`` and up
-  run as separable 1-D filters over the disk's centered rectangles, one
-  rectangle per distinct row width, combined by elementwise min or max.
-  Smaller disks use one footprint filter, which measured faster there.
+* Disk erosion and dilation run as separable 1-D filters over the disk's
+  centered rectangles, one rectangle per distinct row width, combined by
+  elementwise min or max.
 * Reconstruction iterates dense 3x3 dilations while many pixels change.
   On crops of at least ``_SPARSE_MIN_SIZE`` pixels it then switches to a
   sparse front that revisits only the neighbours of the pixels changed by
@@ -37,10 +36,6 @@ import scipy.ndimage
 from .core import ImagePlane, ObjectRegion
 
 
-#: Disks of this radius and up are filtered as a union of rectangles;
-#: below it one footprint filter measured as fast or faster, on crops of
-#: 100 to 40,000 px.
-_RECTANGLES_FROM_RADIUS = 5
 #: Reconstruction switches to the sparse front on crops of at least this
 #: many pixels (dense iteration was faster below about 1,000 px) ...
 _SPARSE_MIN_SIZE = 1024
@@ -85,15 +80,9 @@ def _disk_filter(guarded: np.ndarray, radius: int, erode: bool) -> np.ndarray:
     """Minimum (erode) or maximum filter over the disk; values beyond the
     image are the filter's identity, +inf or -inf."""
     if erode:
-        rank, rank1d, combine, cval = (
-            scipy.ndimage.minimum_filter, scipy.ndimage.minimum_filter1d, np.minimum, np.inf
-        )
+        rank1d, combine, cval = scipy.ndimage.minimum_filter1d, np.minimum, np.inf
     else:
-        rank, rank1d, combine, cval = (
-            scipy.ndimage.maximum_filter, scipy.ndimage.maximum_filter1d, np.maximum, -np.inf
-        )
-    if radius < _RECTANGLES_FROM_RADIUS:
-        return rank(guarded, footprint=disk_footprint(radius), mode="constant", cval=cval)
+        rank1d, combine, cval = scipy.ndimage.maximum_filter1d, np.maximum, -np.inf
     out = None
     for rows, cols in _disk_rectangles(radius):
         part = guarded

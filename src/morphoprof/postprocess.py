@@ -11,6 +11,7 @@ standard way to quantify agreement between two measurement tools.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from dataclasses import dataclass
@@ -92,7 +93,7 @@ def correlation_filter(table: FeatureTable, threshold: float = 0.9) -> FeatureTa
         object_set=table.object_set,
         columns=tuple(table.columns[j] for j in kept),
         labels=table.labels,
-        values=table.values[:, kept] if kept else np.empty((table.n_rows, 0)),
+        values=table.values[:, kept],
     )
 
 
@@ -172,18 +173,15 @@ def compare_tables(
 
 
 def write_report(report: ComparisonReport, path) -> None:
-    """CSV report: feature,slope,intercept,r2,n rows plus a summary line."""
+    """CSV report: feature,slope,intercept,r2,n rows plus a summary line;
+    cells are quoted as :func:`write_table` quotes them."""
     buf = io.StringIO()
-    buf.write("feature,slope,intercept,r2,n\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["feature", "slope", "intercept", "r2", "n"])
     for fit in report.fits:
-        cells = [
-            fit.feature,
-            format_cell(fit.slope),
-            format_cell(fit.intercept),
-            format_cell(fit.r2),
-            str(fit.n),
-        ]
-        buf.write(",".join(cells) + "\n")
+        writer.writerow(
+            [fit.feature, *map(format_cell, (fit.slope, fit.intercept, fit.r2)), fit.n]
+        )
     buf.write(report.summary_line + "\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())

@@ -6,11 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphoprof import (
+    ColocParams,
+    FeatureTable,
+    GranularityParams,
     ImagePlane,
     LabelMask,
     ObjectRegion,
+    RadialParams,
+    TextureParams,
     extract_objects,
     max_project,
+    measure_coloc,
+    measure_granularity,
+    measure_intensity,
+    measure_radial,
+    measure_texture,
 )
 
 
@@ -161,6 +171,38 @@ def test_mask_does_not_alias_its_source(dtype):
     source[:] = 9
     assert mask.labels.tolist() == [[0, 3], [7, 1]]
     assert mask.labels.dtype == np.int64 and not mask.labels.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda region, plane: measure_intensity(region, plane),
+        lambda region, plane: measure_texture(region, plane, TextureParams()),
+        lambda region, plane: measure_granularity(region, plane, GranularityParams()),
+        lambda region, plane: measure_radial(region, plane, RadialParams()),
+        lambda region, plane: measure_coloc(region, plane, plane, ColocParams()),
+    ],
+    ids=["intensity", "texture", "granularity", "radial", "coloc"],
+)
+@pytest.mark.parametrize("shape", [(6, 9), (9, 6), (4, 4)])
+def test_plane_short_of_the_bbox_names_the_object(measure, shape):
+    mask = np.zeros((9, 9), dtype=np.int64)
+    mask[3:8, 2:8] = 5
+    (region,) = extract_objects(LabelMask(mask))
+    plane = ImagePlane(np.ones(shape))
+    with pytest.raises(ValueError, match=f"object 5 .* {shape[1]}x{shape[0]} image"):
+        measure(region, plane)
+
+
+def test_feature_table_rejects_non_integer_labels():
+    with pytest.raises(ValueError, match="labels must be integers"):
+        FeatureTable("s", ("a",), np.array([1.5, 2.7]), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="labels must be integers"):
+        FeatureTable("s", ("a",), np.array([1.0, 2.0]), np.zeros((2, 1)))
+    empty = FeatureTable("s", ("a",), [], np.zeros((0, 1)))
+    assert empty.labels.dtype == np.int64 and empty.n_rows == 0
+    table = FeatureTable("s", ("a",), np.array([1, 2], dtype=np.uint32), np.zeros((2, 1)))
+    assert table.labels.dtype == np.int64 and table.labels.tolist() == [1, 2]
 
 
 def test_types_are_immutable():

@@ -1,4 +1,5 @@
 import itertools
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -248,6 +249,53 @@ def test_pool_never_has_more_workers_than_batches(tmp_path, monkeypatch):
     assert built == []
     assert csv_bytes(4, 5)[0] == reference
     assert built == [min(4, -(-n_objects // 5))] == [3]
+
+
+def test_blocks_land_by_batch_start_whatever_order_batches_finish(tmp_path, monkeypatch):
+    """A pool that finishes the newest submitted batch first, synchronously,
+    gives the in-process bytes, with at most workers + 1 batches in flight."""
+    submitted, finished, in_flight = [], [], []
+
+    class NewestFirstPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, payload):
+            submitted.append((Future(), fn, payload))
+            return submitted[-1][0]
+
+    def newest_first(pending, return_when):
+        in_flight.append(len(pending))
+        index = max(i for i, (future, _, _) in enumerate(submitted) if future in pending)
+        future, fn, payload = submitted[index]
+        future.set_result(fn(payload))
+        finished.append(index)
+        return {future}, set(pending) - {future}
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", NewestFirstPool)
+    monkeypatch.setattr(engine, "wait", newest_first)
+
+    def csv_bytes(workers):
+        spec = experiment(n_objects=12, size=64, seed=3, workers=workers, batch_size=3)
+        (table,) = run(spec)
+        path = tmp_path / f"{workers}.csv"
+        write_table(table, path)
+        return path.read_bytes()
+
+    reference = csv_bytes(1)
+    assert submitted == []
+    assert csv_bytes(2) == reference
+    n_batches = len(submitted)
+    assert n_batches >= 3
+    assert sorted(finished) == list(range(n_batches))
+    assert finished != sorted(finished)
+    assert max(in_flight) == 2 + 1
 
 
 def test_empty_mask_gives_header_only_table(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -217,3 +218,21 @@ def test_report_file_format(tmp_path):
     assert lines[1].startswith("f1,")
     assert lines[-1] == "fraction_r2_gt_0.9=1.0"
     assert len(lines) == 4
+
+
+def test_report_quotes_cells_the_way_tables_do(tmp_path):
+    """Names that read_table takes back from a quoted header stay one
+    report cell each."""
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal((20, 3))
+    names = ["a,b", 'q"x', "plain"]
+    report = compare_tables(table_from(names, values), table_from(names, 2.0 * values))
+    path = tmp_path / "report.csv"
+    write_report(report, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["feature", "slope", "intercept", "r2", "n"]
+    assert [row[0] for row in rows[1:-1]] == names
+    assert all(len(row) == 5 for row in rows[:-1])
+    assert rows[-1] == ["fraction_r2_gt_0.9=1.0"]
+    assert path.read_text().splitlines()[3].startswith("plain,2.0,")
