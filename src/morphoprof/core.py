@@ -24,6 +24,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _int64_labels(labels: np.ndarray) -> np.ndarray:
+    # Always a fresh copy; only uint64 holds labels that int64 cannot.
+    if labels.dtype == np.uint64 and labels.size and labels.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"label {labels.max()} does not fit in int64")
+    return labels.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class ImagePlane:
     """One imaging channel: a 2-D grid of finite real intensities.
@@ -65,7 +72,7 @@ class LabelMask:
         arr = np.asarray(self.labels)
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
-        arr = arr.astype(np.int64)  # always a fresh copy
+        arr = _int64_labels(arr)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"mask must be 2-D with positive dims, got shape {arr.shape}")
         if arr.min(initial=0) < 0:
@@ -137,7 +144,7 @@ class FeatureTable:
         labels = np.asarray(self.labels)
         if labels.size and not np.issubdtype(labels.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-        labels = labels.astype(np.int64)  # always a fresh copy
+        labels = _int64_labels(labels)
         values = np.array(self.values, dtype=np.float64, copy=True)
         if len(set(cols)) != len(cols):
             raise ValueError("duplicate column names")

@@ -4,8 +4,10 @@
 (x - median) / (1.4826 * MAD), drops constant, all-missing and
 mostly-missing features, and imputes remaining gaps with 0 (the post-standardization
 median).  ``correlation_filter`` greedily removes features that are
-nearly collinear with an earlier kept feature.  ``compare_tables`` fits
-an ordinary least-squares line per shared feature and reports R^2, the
+nearly collinear with an earlier kept feature: a complete column with spread
+meets all such kept columns in one row-wise product, and every other pair
+is correlated over its pairwise-complete rows.  ``compare_tables`` fits an
+ordinary least-squares line per shared feature and reports R^2, the
 standard way to quantify agreement between two measurement tools.
 """
 
@@ -83,10 +85,19 @@ def correlation_filter(table: FeatureTable, threshold: float = 0.9) -> FeatureTa
     """Greedy scan in column order; drop features correlated above threshold
     (in [0, 1]) with any already-kept feature."""
     _check_fraction("correlation threshold", threshold)
+    # One contiguous row per column, so a row-wise mean sums as _abs_corr's does.
+    rows = np.ascontiguousarray(table.values.T)
+    std, centered = np.zeros(len(rows)), np.zeros_like(rows)
+    for k in np.flatnonzero(np.isfinite(rows).all(axis=1) & (table.n_rows >= 2)):
+        std[k], centered[k] = rows[k].std(), rows[k] - rows[k].mean()
     kept: list[int] = []
-    for j in range(len(table.columns)):
-        col = table.values[:, j]
-        if any(_abs_corr(table.values[:, k], col) > threshold for k in kept):
+    for j, col in enumerate(rows):
+        block = [k for k in kept if std[k] > 0.0 and std[j] > 0.0]
+        if block:
+            cov = (centered[block] * centered[j]).mean(axis=1)
+            if (np.abs(cov / (std[block] * std[j])) > threshold).any():
+                continue
+        if any(_abs_corr(rows[k], col) > threshold for k in kept if k not in block):
             continue
         kept.append(j)
     return FeatureTable(

@@ -6,8 +6,10 @@ and row 1.5*R*j.  Every pixel center belongs to exactly one hexagon.
 Ties are resolved by scan order: each pixel's candidate hexagons are
 visited in ascending (j, i) and only a strictly closer one replaces the
 current owner, so a boundary pixel goes to the lexicographically smaller
-lattice index, hence the smaller label.  The hexagons that own at least
-one pixel are labeled densely from 1 in (j, i) lattice order.
+lattice index, hence the smaller label.  Candidates are scanned one block
+of rows at a time, which bounds the temporaries; a pixel meets them in the
+same order in any block, so the tie rule is unchanged.  The hexagons that
+own at least one pixel are labeled densely from 1 in (j, i) lattice order.
 """
 
 from __future__ import annotations
@@ -44,35 +46,40 @@ def hex_metric(d_row: np.ndarray, d_col: np.ndarray, circumradius: float) -> np.
     return np.maximum(ax / (math.sqrt(3.0) / 2.0 * r), (ax + math.sqrt(3.0) * ay) / (math.sqrt(3.0) * r))
 
 
+#: Pixels per row block of the candidate scan, which bounds its temporaries.
+_BLOCK_PIXELS = 2**14
+
+
 def hex_tessellation(params: HexGridParams) -> LabelMask:
     """Labeled hexagonal partition of the canvas; every pixel gets a label."""
     r = params.circumradius
     height, width = params.height, params.width
-    rows = np.arange(height, dtype=np.float64)[:, None]
     cols = np.arange(width, dtype=np.float64)[None, :]
-
-    # 3x3 lattice neighborhood around each pixel's nearest (j, i) estimate;
-    # the owning hexagon's center is always within one lattice step.
-    j_base = np.rint(rows / (1.5 * r)).astype(np.int64)
-    best_metric = np.full((height, width), np.inf)
-    best_j = np.zeros((height, width), dtype=np.int64)
-    best_i = np.zeros((height, width), dtype=np.int64)
-
-    # Each pixel's nine candidates are scanned in ascending (j, i), so strict
-    # improvement alone keeps the lowest lattice index on boundary ties.
-    for dj in (-1, 0, 1):
-        j_cand = j_base + dj
-        center_row = 1.5 * r * j_cand
-        parity = 0.5 * (j_cand % 2)
-        i_base = np.rint(cols / (math.sqrt(3.0) * r) - parity).astype(np.int64)
-        for di in (-1, 0, 1):
-            i_cand = i_base + di
-            center_col = math.sqrt(3.0) * r * (i_cand + parity)
-            metric = hex_metric(rows - center_row, cols - center_col, r)
-            take = metric < best_metric
-            np.copyto(best_metric, metric, where=take)
-            np.copyto(best_j, j_cand, where=take)
-            np.copyto(best_i, i_cand, where=take)
+    best_j = np.empty((height, width), dtype=np.int64)
+    best_i = np.empty((height, width), dtype=np.int64)
+    step = max(1, _BLOCK_PIXELS // width)
+    for top in range(0, height, step):
+        rows = np.arange(top, min(top + step, height), dtype=np.float64)[:, None]
+        band = slice(top, top + step)
+        # 3x3 lattice neighborhood around each pixel's nearest (j, i) estimate;
+        # the owning hexagon's center is always within one lattice step.
+        j_base = np.rint(rows / (1.5 * r)).astype(np.int64)
+        best_metric = np.full((rows.size, width), np.inf)
+        # Each pixel's nine candidates are scanned in ascending (j, i), so
+        # strict improvement alone keeps the lowest lattice index on ties.
+        for dj in (-1, 0, 1):
+            j_cand = j_base + dj
+            center_row = 1.5 * r * j_cand
+            parity = 0.5 * (j_cand % 2)
+            i_base = np.rint(cols / (math.sqrt(3.0) * r) - parity).astype(np.int64)
+            for di in (-1, 0, 1):
+                i_cand = i_base + di
+                center_col = math.sqrt(3.0) * r * (i_cand + parity)
+                metric = hex_metric(rows - center_row, cols - center_col, r)
+                take = metric < best_metric
+                np.copyto(best_metric, metric, where=take)
+                np.copyto(best_j[band], j_cand, where=take)
+                np.copyto(best_i[band], i_cand, where=take)
 
     # Dense (j, i) rank: flat lattice indices sort like (j, i) pairs.  A tiny
     # radius spreads the hexagons over a lattice box far larger than the

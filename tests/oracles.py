@@ -530,3 +530,30 @@ def hex_tessellation_oracle(height, width, radius):
     keys = np.stack([best_j.ravel(), best_i.ravel()], axis=1)
     inverse = np.unique(keys, axis=0, return_inverse=True)[1]
     return (inverse.ravel() + 1).reshape(height, width).astype(np.int64)
+
+
+# ----------------------------------------------------------- postprocess
+
+
+def abs_corr_oracle(x, y):
+    both = np.isfinite(x) & np.isfinite(y)
+    if both.sum() < 2:
+        return 0.0
+    xv, yv = x[both], y[both]
+    sx, sy = float(xv.std()), float(yv.std())
+    if sx == 0.0 or sy == 0.0:
+        return 0.0
+    cov = float(((xv - xv.mean()) * (yv - yv.mean())).mean())
+    return abs(cov / (sx * sy))
+
+
+def correlation_filter_oracle(values, threshold):
+    """Frozen earlier greedy filter: one pairwise-complete |r| per (column,
+    kept column) pair, undefined ones as 0; returns the kept column indices."""
+    kept = []
+    for j in range(values.shape[1]):
+        col = values[:, j]
+        if any(abs_corr_oracle(values[:, k], col) > threshold for k in kept):
+            continue
+        kept.append(j)
+    return kept

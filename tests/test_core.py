@@ -205,6 +205,18 @@ def test_feature_table_rejects_non_integer_labels():
     assert table.labels.dtype == np.int64 and table.labels.tolist() == [1, 2]
 
 
+def test_labels_beyond_int64_are_named():
+    big = 2**63 + 1
+    with pytest.raises(ValueError, match=f"label {big} does not fit in int64"):
+        FeatureTable("s", ("a",), np.array([1, big], dtype=np.uint64), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match=f"label {big} does not fit in int64"):
+        LabelMask(np.array([[0, big]], dtype=np.uint64))
+    top = np.iinfo(np.int64).max
+    table = FeatureTable("s", ("a",), np.array([top], dtype=np.uint64), np.zeros((1, 1)))
+    assert table.labels.tolist() == [top]
+    assert LabelMask(np.array([[top]], dtype=np.uint64)).labels.tolist() == [[top]]
+
+
 def test_types_are_immutable():
     plane = ImagePlane(np.zeros((3, 3)))
     with pytest.raises(ValueError):

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 from conftest import assert_close
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import abs_corr_oracle, correlation_filter_oracle
 
 from morphoprof import (
     ComparisonReport,
@@ -116,6 +119,49 @@ def test_correlation_filter_matches_greedy_oracle():
         for j in range(i + 1, len(out.columns)):
             corr = abs(np.corrcoef(out.values[:, i], out.values[:, j])[0, 1])
             assert corr <= threshold
+
+
+@st.composite
+def filter_cases(draw):
+    """Noise, near-copies, constant and all-missing columns, some with holes,
+    and a threshold that is either free or within 1e-12 of one pair's |r|."""
+    n_rows = draw(st.integers(0, 40))
+    kinds = st.sampled_from(["noise", "copy", "constant", "missing"])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for kind in draw(st.lists(kinds, max_size=8)):
+        if kind == "copy" and cols:
+            scale = draw(st.sampled_from([0.0, 1e-9, 0.05, 0.5]))
+            col = cols[draw(st.integers(0, len(cols) - 1))] + scale * rng.standard_normal(n_rows)
+        elif kind == "constant":
+            col = np.full(n_rows, draw(st.sampled_from([0.0, 0.1, 7.0])))
+        elif kind == "missing":
+            col = np.full(n_rows, np.nan)
+        else:
+            col = rng.standard_normal(n_rows)
+        if draw(st.booleans()):
+            col[rng.random(n_rows) < 0.2] = np.nan
+        cols.append(col)
+    values = np.column_stack(cols) if cols else np.empty((n_rows, 0))
+    if len(cols) < 2 or draw(st.booleans()):
+        return values, draw(st.floats(0.0, 1.0))
+    j = draw(st.integers(1, len(cols) - 1))
+    r = abs_corr_oracle(cols[draw(st.integers(0, j - 1))], cols[j])
+    return values, min(1.0, max(0.0, r + draw(st.floats(-1e-12, 1e-12))))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(filter_cases())
+@example((np.empty((0, 3)), 0.5))
+@example((np.array([[1.0, 0.1]]), 0.0))
+@example((np.array([[1.0, 2.0, 0.1], [2.0, 4.0, 0.1]]), 0.5))
+@example((np.empty((5, 0)), 0.9))
+def test_correlation_filter_keeps_the_oracle_columns(case):
+    values, threshold = case
+    names = [f"c{j}" for j in range(values.shape[1])]
+    out = correlation_filter(table_from(names, values), threshold)
+    assert out.columns == tuple(names[j] for j in correlation_filter_oracle(values, threshold))
 
 
 def test_threshold_ranges_are_checked_where_read():

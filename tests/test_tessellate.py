@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,9 +80,25 @@ def test_boundary_ties_go_to_the_lowest_lattice_index():
 @given(st.integers(1, 120), st.integers(1, 120), st.floats(0.2, 40))
 @example(40, 30, 0.05)  # lattice box far larger than the canvas: ranked by sorting
 @example(40, 30, 0.35)  # just small enough for the dense rank
+@example(300, 1, 5.0)  # one row tall
+@example(1, 300, 5.0)  # one column wide
+@example(100, 400, 3.7)  # row blocks of 163 rows, the last one partial
+@example(64, 48, 0.5)  # lattice rows 0.75 px apart, closer than pixel rows
+@example(7, 3000, 100.0)  # a tall strip over two row blocks
 def test_labels_match_the_sorted_lattice_ranking(width, height, radius):
     mask = hex_tessellation(HexGridParams(width=width, height=height, circumradius=radius))
     assert np.array_equal(mask.labels, hex_tessellation_oracle(height, width, radius))
+
+
+def test_tessellation_memory_is_bounded_by_row_blocks():
+    # A fresh interpreter, so ru_maxrss reflects this one call.
+    probe = Path(__file__).parent / "hexprobe.py"
+    out = subprocess.run(
+        [sys.executable, str(probe), "1024", "1024", "24"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    added_kib = int(out.stdout.strip())
+    assert added_kib < 64 * 1024, f"hex_tessellation added {added_kib} KiB"
 
 
 def test_interior_hexagon_pixel_counts_near_analytic_area():
