@@ -14,12 +14,14 @@ data.  A batch comes back as one block of value rows, written at its
 first row's index whatever order batches finish in, so the output tables
 are byte-identical for any worker count or batch size.
 
-Workers receive family names, their params, the channel names and, per
-object, its region and its bbox crops as image planes rather than whole
-images, which bounds the peak working set by batch size and image size
-instead of the total object count.  Channel families run the public
-``measure_X`` functions on the object's region in its crop's frame, so
-the pipeline and a direct call measure the same way.
+Workers receive the object set name, family names, their params, the
+channel names and, per object, its region and its bbox crops as image
+planes rather than whole images, which bounds the peak working set by
+batch size and image size instead of the total object count.  A family
+that fails names the object set, label, family and channels it failed
+on.  Channel families run the public ``measure_X`` functions on the
+object's region in its crop's frame, so the pipeline and a direct call
+measure the same way.
 """
 
 from __future__ import annotations
@@ -219,13 +221,16 @@ def _measure_batch(payload) -> np.ndarray:
     """Worker entry point: measure a batch of pre-cropped objects into one
     float64 block of rows, in batch order.
 
-    ``payload`` is (family names, {spec field: params}, channel names,
-    objects); each object is (region, {channel name: ImagePlane of its
-    bbox crop}).  Channel families see the region in its crop's frame.
+    ``payload`` is (object set name, family names, {spec field: params},
+    channel names, objects); each object is (region, {channel name:
+    ImagePlane of its bbox crop}).  Channel families see the region in its
+    crop's frame.  An error inside a family is raised again as a
+    RuntimeError naming the object set, label, family and channels,
+    chained to the original.
     """
-    families, params, channel_names, objects = payload
+    set_name, families, params, channel_names, objects = payload
     steps = [
-        (family.measure, family_params, [key for key, *_ in family.keys(family_params)], chans)
+        (family, family_params, [key for key, *_ in family.keys(family_params)], chans)
         for family, family_params, chans in _steps(families, params, channel_names)
     ]
     block = []
@@ -233,11 +238,17 @@ def _measure_batch(payload) -> np.ndarray:
         h, w = region.local_mask.shape
         local = ObjectRegion(region.label, (0, 0, h - 1, w - 1), region.local_mask)
         row: list[float] = []
-        for measure, family_params, keys, chans in steps:
+        for family, family_params, keys, chans in steps:
             # Shape keeps the global region: its Centroid_Row/Col add the bbox offset.
             target = local if chans else region
-            values = measure(target, tuple(crops[ch] for ch in chans), family_params)
-            row.extend(values[key] for key in keys)
+            try:
+                values = family.measure(target, tuple(crops[ch] for ch in chans), family_params)
+                row.extend(values[key] for key in keys)
+            except Exception as exc:
+                where = f"object set {set_name}, label {region.label}, family {family.name}"
+                if chans:
+                    where += f", channel{'s' * (len(chans) > 1)} {','.join(chans)}"
+                raise RuntimeError(f"{where}: {type(exc).__name__}: {exc}") from exc
         block.append(row)
     return np.array(block, dtype=np.float64)
 
@@ -284,7 +295,7 @@ def run(spec: ExperimentSpec) -> list[FeatureTable]:
         starts = range(0, len(regions), spec.batch_size)
         # Crops are copied into image planes batch by batch, only as the batches are consumed.
         payloads = (
-            (start, (*config, [
+            (start, (set_name, *config, [
                 (region, {name: ImagePlane(region.crop(arr)) for name, arr in planes.items()})
                 for region in regions[start : start + spec.batch_size]
             ]))

@@ -12,6 +12,10 @@ Conventions, fixed so outputs are reproducible across tools and runs:
 * Second-moment features are derived from exact integer coordinate sums,
   which makes them bitwise invariant under translation and multiples of
   90-degree rotation.
+* Each Zernike term's sum over the pixels is correctly rounded (equal to
+  math.fsum), computed by exact limb extraction over blocks of pixels, so
+  the order in which pixels are summed cannot change a bit and the
+  magnitudes share that invariance.
 """
 
 from __future__ import annotations
@@ -186,18 +190,80 @@ def _eigen_features(n, s_r, s_c, s_rr, s_cc, s_rc) -> tuple[float, float, float,
 
 
 @lru_cache(maxsize=None)
-def _radial_poly_coeffs(n: int, m: int) -> tuple[float, ...]:
-    """Coefficients of R_nm as a polynomial in rho^2 (highest power first),
-    excluding the common rho^m factor.
+def _radial_poly_table(max_order: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(m per term, coefficients, bound) for the terms of
+    :func:`zernike_indexes`, one row per term.
 
-    The s-th is (-1)^s (n-s)! / (s! ((n+m)/2-s)! ((n-m)/2-s)!), which is the
-    integer C(n-s, s) C(n-2s, (n-m)/2-s).
+    Row t holds the coefficients of R_nm as a polynomial in rho^2 (highest
+    power first), excluding the common rho^m factor, right-aligned after
+    zeros.  The s-th is (-1)^s (n-s)! / (s! ((n+m)/2-s)! ((n-m)/2-s)!),
+    which is the integer C(n-s, s) C(n-2s, (n-m)/2-s).  A leading zero
+    leaves Horner's rule unchanged bit for bit: 0 * rho2 + 0 is 0, and
+    0 * rho2 + c is c.  ``bound`` is twice the largest sum of |coeffs|,
+    which bounds every |R_nm * exp(-i*m*theta)| on rho <= 1 with room for
+    rounding.
     """
-    half = (n - m) // 2
-    return tuple(
-        float((-1) ** s * math.comb(n - s, s) * math.comb(n - 2 * s, half - s))
-        for s in range(half + 1)
-    )
+    terms = zernike_indexes(max_order)
+    coeffs = np.zeros((len(terms), max_order // 2 + 1))
+    for t, (n, m) in enumerate(terms):
+        half = (n - m) // 2
+        for s in range(half + 1):
+            coeffs[t, s - half - 1] = (-1) ** s * math.comb(n - s, s) * math.comb(n - 2 * s, half - s)
+    bound = 2.0 * float(np.abs(coeffs).sum(axis=1).max())
+    term_m = np.array([m for _, m in terms])
+    # Cached and shared by every call, so read-only.
+    term_m.flags.writeable = coeffs.flags.writeable = False
+    return term_m, coeffs, bound
+
+
+#: Pixels per block of the Zernike sums, which bounds their temporaries.
+_BLOCK_PIXELS = 1024
+
+
+def _exact_row_sums(blocks, count: int, bound: float) -> list[float]:
+    """Correctly rounded sum of each row of ``count`` columns that arrive as
+    (rows, k) float64 blocks: bitwise ``math.fsum`` of the row, up to the
+    sign of a zero sum.  Each block is overwritten with its residue.
+
+    Needs 1 <= count < 2**40 and every value of magnitude at most
+    ``bound``, with 0 < bound <= 2**960.  Each value is split exactly into
+    limbs on one ladder of binary exponents b, by error-free extraction
+    (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 2008): with
+    sigma = 1.5 * 2**(b + 52), q = (x + sigma) - sigma is x rounded to a
+    multiple of 2**b and x - q is exact.  Limbs are
+    52 - bit_length(count - 1) bits wide, so every float sum of one limb's
+    q over any blocks in any order is exact.  The ladder runs down to
+    2**-1074, the unit of every float64, so no residual is lost; a block
+    stops once its residual is zero.  The limb sums are joined as one
+    integer and rounded once, by int / int division.
+    """
+    width = 52 - (count - 1).bit_length()
+    top = math.frexp(bound)[1] - width + 1
+    ladder = [*range(top, -1074, -width), -1074]
+    sigmas = [math.ldexp(1.5, b + 52) for b in ladder]
+    limbs = None
+    used = 0
+    for residual in blocks:
+        if limbs is None:
+            limbs = np.zeros((len(ladder), residual.shape[0]))
+        q = np.empty_like(residual)
+        for level, sigma in enumerate(sigmas):
+            np.add(residual, sigma, out=q)
+            q -= sigma
+            residual -= q
+            limbs[level] += q.sum(axis=1)
+            if not residual.any():
+                break
+        used = max(used, level + 1)
+    exps = np.array(ladder[:used])
+    ints = np.ldexp(limbs[:used], -exps[:, None]).astype(np.int64).tolist()
+    totals = ints[0]
+    for level in range(1, used):
+        shift = ladder[level - 1] - ladder[level]
+        totals = [(t << shift) + v for t, v in zip(totals, ints[level])]
+    low = ladder[used - 1]
+    scale = min(low, 0)
+    return [(t << (low - scale)) / (1 << -scale) for t in totals]
 
 
 def _zernike_magnitudes(local_mask: np.ndarray, max_order: int) -> dict[str, float]:
@@ -206,48 +272,60 @@ def _zernike_magnitudes(local_mask: np.ndarray, max_order: int) -> dict[str, flo
 
     The disk radius is the largest centroid-to-pixel-center distance
     (1 if that is 0); radii beyond 1 are clamped.  Deviations are kept as
-    n-scaled integers and per-term sums use math.fsum, so the magnitudes
-    are bitwise invariant under translation and 90-degree rotation.
+    n-scaled integers and each term's sum over the pixels is correctly
+    rounded (equal to math.fsum), so the magnitudes are bitwise invariant
+    under translation and 90-degree rotation.  Pixels are taken in blocks:
+    each block's term products go to one array whose rows are summed
+    exactly by :func:`_exact_row_sums`.
     """
     count, dr, dc = centered_deviations(local_mask)
     d2 = dr * dr + dc * dc
-    d2_max = float(d2.max())
-    if d2_max == 0:
-        rho2 = np.zeros(count)
-        rho = np.zeros(count)
-    else:
-        rho2 = np.minimum(1.0, d2.astype(np.float64) / d2_max)
-        rho = np.sqrt(rho2)
-    norm = np.sqrt(d2.astype(np.float64))
-    # exp(-i*theta) held as separate real/imag arrays: complex-array products
-    # may be FMA-contracted, which would break the bitwise rotation symmetry.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit_re = np.where(norm > 0, dc / norm, 1.0)
-        unit_im = np.where(norm > 0, -(dr / norm), 0.0)
+    # A lone pixel has d2 = 0 everywhere, so any divisor gives rho = 0.
+    d2_max = float(d2.max()) or 1.0
+    term_m, coeffs, bound = _radial_poly_table(max_order)
+    terms = term_m.size
 
-    area = float(count)
-    out = {}
-    pow_re = np.ones(count)
-    pow_im = np.zeros(count)
-    rho_pow = np.ones(count)
-    for m in range(max_order + 1):
-        if m > 0:
-            pow_re, pow_im = (
-                pow_re * unit_re - pow_im * unit_im,
-                pow_re * unit_im + pow_im * unit_re,
-            )
-            rho_pow = rho_pow * rho
-        for order in range(m, max_order + 1, 2):
-            coeffs = _radial_poly_coeffs(order, m)
-            radial = np.full(count, coeffs[0])
-            for coef in coeffs[1:]:
-                radial = radial * rho2 + coef
-            radial = radial * rho_pow
-            total_re = math.fsum((radial * pow_re).tolist())
-            total_im = math.fsum((radial * pow_im).tolist())
-            scale = (order + 1) / (math.pi * area)
-            out[order, m] = math.hypot(total_re, total_im) * scale
-    return {f"Zernike_{n}_{m}": out[n, m] for n, m in zernike_indexes(max_order)}
+    def blocks():
+        products = np.empty((2 * terms, min(count, _BLOCK_PIXELS)))
+        for start in range(0, count, _BLOCK_PIXELS):
+            part = slice(start, start + _BLOCK_PIXELS)
+            d2_part = d2[part]
+            size = d2_part.size
+            rho2 = np.minimum(1.0, d2_part.astype(np.float64) / d2_max)
+            rho = np.sqrt(rho2)
+            norm = np.sqrt(d2_part.astype(np.float64))
+            # exp(-i*theta) held as separate real/imag arrays: complex-array
+            # products may be FMA-contracted, which would break the bitwise
+            # rotation symmetry.
+            with np.errstate(invalid="ignore", divide="ignore"):
+                unit_re = np.where(norm > 0, dc[part] / norm, 1.0)
+                unit_im = np.where(norm > 0, -(dr[part] / norm), 0.0)
+            # Row m: rho^m and exp(-i*m*theta), each by one product per step.
+            rho_pow = np.ones((max_order + 1, size))
+            pow_re = np.ones((max_order + 1, size))
+            pow_im = np.zeros((max_order + 1, size))
+            for m in range(1, max_order + 1):
+                np.multiply(rho_pow[m - 1], rho, out=rho_pow[m])
+                np.subtract(pow_re[m - 1] * unit_re, pow_im[m - 1] * unit_im, out=pow_re[m])
+                np.add(pow_re[m - 1] * unit_im, pow_im[m - 1] * unit_re, out=pow_im[m])
+            # R_nm by Horner's rule in the imaginary half, then both products.
+            out = products[:, :size]
+            radial = out[terms:]
+            radial[:] = coeffs[:, :1]
+            for column in coeffs.T[1:]:
+                radial *= rho2
+                radial += column[:, None]
+            radial *= rho_pow[term_m]
+            np.multiply(radial, pow_re[term_m], out=out[:terms])
+            radial *= pow_im[term_m]
+            yield out
+
+    sums = _exact_row_sums(blocks(), count, bound)
+    pi_area = math.pi * float(count)
+    return {
+        f"Zernike_{n}_{m}": math.hypot(sums[t], sums[terms + t]) * ((n + 1) / pi_area)
+        for t, (n, m) in enumerate(zernike_indexes(max_order))
+    }
 
 
 def measure_shape(region: ObjectRegion, params: ShapeParams = ShapeParams()) -> dict[str, float]:

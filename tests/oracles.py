@@ -117,6 +117,54 @@ def _zernike(local_mask, max_order):
     return out
 
 
+def zernike_fsum_oracle(local_mask, max_order):
+    """Frozen earlier Zernike magnitudes, bit for bit: the library's
+    elementwise formulas over whole-object arrays, one math.fsum per term
+    and part, keyed ``Zernike_<n>_<m>``."""
+    rr, cc = np.nonzero(local_mask)
+    count = rr.size
+    dr = count * rr.astype(np.int64) - int(rr.sum())
+    dc = count * cc.astype(np.int64) - int(cc.sum())
+    d2 = dr * dr + dc * dc
+    d2_max = float(d2.max())
+    if d2_max == 0:
+        rho2 = np.zeros(count)
+        rho = np.zeros(count)
+    else:
+        rho2 = np.minimum(1.0, d2.astype(np.float64) / d2_max)
+        rho = np.sqrt(rho2)
+    norm = np.sqrt(d2.astype(np.float64))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit_re = np.where(norm > 0, dc / norm, 1.0)
+        unit_im = np.where(norm > 0, -(dr / norm), 0.0)
+    out = {}
+    pow_re = np.ones(count)
+    pow_im = np.zeros(count)
+    rho_pow = np.ones(count)
+    for m in range(max_order + 1):
+        if m > 0:
+            pow_re, pow_im = (
+                pow_re * unit_re - pow_im * unit_im,
+                pow_re * unit_im + pow_im * unit_re,
+            )
+            rho_pow = rho_pow * rho
+        for n in range(m, max_order + 1, 2):
+            half = (n - m) // 2
+            coeffs = [
+                float((-1) ** s * math.comb(n - s, s) * math.comb(n - 2 * s, half - s))
+                for s in range(half + 1)
+            ]
+            radial = np.full(count, coeffs[0])
+            for coef in coeffs[1:]:
+                radial = radial * rho2 + coef
+            radial = radial * rho_pow
+            total_re = math.fsum((radial * pow_re).tolist())
+            total_im = math.fsum((radial * pow_im).tolist())
+            scale = (n + 1) / (math.pi * float(count))
+            out[f"Zernike_{n}_{m}"] = math.hypot(total_re, total_im) * scale
+    return out
+
+
 def shape_oracle(region, max_order=9):
     local_mask = region.local_mask
     pixels = _pixel_set(local_mask)

@@ -117,6 +117,8 @@ def _contract_args(tmp_path, paths):
     save_mask(LabelMask(np.ones((9, 6), dtype=np.int64)), wide)
     tessellate = ["tessellate", "--width", "48", "--height", "48", "--radius", "5",
                   "--min-coverage", "1.5", "--out", str(tmp_path / "h.raw")]
+    radius = ["tessellate", "--width", "48", "--height", "48", "--out", str(tmp_path / "h.raw"),
+              "--radius"]
     normalize = ["normalize", "--in", str(table), "--out", str(tmp_path / "n.csv")]
     return {
         "good": (["list-features"], ""),
@@ -130,6 +132,8 @@ def _contract_args(tmp_path, paths):
         "tessellate-coverage": (tessellate, "min_coverage"),
         "tessellate-coverage-tissue": (tessellate + ["--tissue-mask", str(paths["mask"])],
                                        "min_coverage"),
+        "tessellate-radius": (radius + ["0.3"], "circumradius"),
+        "tessellate-radius-inf": (radius + ["inf"], "circumradius"),
         "normalize-corr-nan": (normalize + ["--corr-threshold", "nan"], "threshold"),
         "normalize-missing-frac": (normalize + ["--drop-missing-frac", "2"], "drop_missing_frac"),
         "compare-r2-nan": (["compare", "--a", str(table), "--b", str(table), "--out",
@@ -145,6 +149,7 @@ def _contract_args(tmp_path, paths):
     [("good", 0), ("missing-file", 1), ("malformed-raster", 1), ("malformed-table", 1),
      ("trailing-raw-bytes", 1), ("trailing-pgm-bytes", 1),
      ("coloc-one-channel", 2), ("tessellate-coverage", 2), ("tessellate-coverage-tissue", 2),
+     ("tessellate-radius", 2), ("tessellate-radius-inf", 2),
      ("normalize-corr-nan", 2), ("normalize-missing-frac", 2), ("compare-r2-nan", 2),
      ("misaligned", 2)],
 )

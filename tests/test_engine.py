@@ -26,7 +26,7 @@ from morphoprof import (
     table_columns,
     write_table,
 )
-from morphoprof import engine, intensity
+from morphoprof import coloc, engine, intensity, shape
 from morphoprof.engine import FAMILIES, REGISTRY, feature_catalog
 from synth import experiment
 
@@ -368,3 +368,35 @@ def test_catalog_row_count_default_params():
 def test_catalog_rejects_unknown_params_field():
     with pytest.raises(TypeError, match="texture_param"):
         feature_catalog(texture_param=TextureParams(distance=2))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "module, name, where",
+    [
+        (shape, "measure_shape", "family shape:"),
+        (intensity, "measure_intensity", "family intensity, channel Chan1:"),
+        (coloc, "measure_coloc", "family coloc, channels Chan1,Chan2:"),
+    ],
+)
+def test_family_error_names_object_set_label_family_and_channels(
+    monkeypatch, workers, module, name, where
+):
+    spec = experiment(n_objects=12, size=64, seed=3, workers=workers, batch_size=3)
+    label = extract_objects(spec.object_sets[0][1])[7].label
+    measure = getattr(module, name)
+
+    def failing(region, *args):
+        if region.label == label:
+            return 1.0 / 0.0
+        return measure(region, *args)
+
+    monkeypatch.setattr(module, name, failing)
+    with pytest.raises(RuntimeError) as excinfo:
+        run(spec)
+    message = str(excinfo.value)
+    assert f"object set cells, label {label}, {where}" in message
+    assert message.endswith("ZeroDivisionError: float division by zero")
+    # In-process the cause is the error itself; from a pool worker it is the
+    # worker's traceback, which names it.
+    assert "ZeroDivisionError" in repr(excinfo.value.__cause__)

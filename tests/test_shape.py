@@ -1,12 +1,17 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import assert_close, assert_feature_maps_close, region_of
-from oracles import shape_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import shape_oracle, zernike_fsum_oracle
 
 from morphoprof import LabelMask, ShapeParams, extract_objects, measure_shape
-from morphoprof.shape import feature_keys, zernike_indexes
+from morphoprof.shape import _BLOCK_PIXELS, _exact_row_sums, feature_keys, zernike_indexes
 from synth import small_blob
 
 NON_POSITIONAL = [k for k in feature_keys() if not k.startswith("Centroid")]
@@ -188,3 +193,102 @@ def test_disconnected_label_is_measured_as_one_object():
     features = measure_shape(region)
     assert features["Area"] == 2.0
     assert features["EulerNumber"] == 2.0
+
+
+@st.composite
+def summand_rows(draw):
+    """(values, bound, block width): rows of 1-5,000 floats from subnormal
+    magnitudes up to 2**960, each row spread over many exponents, cancelling
+    (x + tiny against -x), crowding the bound with one sign, or all zeros."""
+    length = draw(st.integers(1, 5000))
+    top = draw(st.integers(-1074, 960))
+    span = draw(st.integers(0, 2100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def spread(size, hi):
+        hi = max(hi, -1074)
+        exps = rng.integers(max(hi - span, -1074), hi + 1, size)
+        return np.ldexp(rng.uniform(-1.0, 1.0, size), exps)
+
+    rows = []
+    kinds = st.sampled_from(["spread", "cancel", "crowd", "zeros"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+        if kind == "spread":
+            row = spread(length, top)
+        elif kind == "cancel":
+            half = length // 2
+            x = spread(half, top - 1)
+            tiny = spread(half, top - 1 - draw(st.integers(1, 120)))
+            row = rng.permutation(np.concatenate([x + tiny, -x, spread(length - 2 * half, top)]))
+        elif kind == "crowd":
+            row = np.ldexp(rng.uniform(0.5, 1.0, length), top) * draw(st.sampled_from([-1, 1]))
+        else:
+            row = np.where(rng.random(length) < 0.5, -0.0, 0.0)
+        rows.append(row)
+    values = np.array(rows)
+    largest = float(np.abs(values).max())
+    bound = largest if draw(st.booleans()) and largest > 0 else math.ldexp(1.0, top)
+    return values, bound, draw(st.integers(1, 2 * _BLOCK_PIXELS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(summand_rows())
+def test_exact_row_sums_equal_fsum(case):
+    values, bound, width = case
+    length = values.shape[1]
+    blocks = (values[:, start : start + width].copy() for start in range(0, length, width))
+    got = _exact_row_sums(blocks, length, bound)
+    # == compares bits, except that it takes 0.0 and -0.0 as equal.
+    assert got == [math.fsum(row) for row in values.tolist()]
+
+
+def _pixels_nearest_a_point(count):
+    """A roundish mask of exactly ``count`` pixels: the pixel centers nearest
+    a point off the grid, ties broken by row, then column."""
+    side = 2 * math.isqrt(count) + 3
+    rr, cc = np.indices((side, side))
+    d2 = (rr - side / 2 - 0.3) ** 2 + (cc - side / 2 - 0.1) ** 2
+    nearest = np.lexsort((cc.ravel(), rr.ravel(), d2.ravel()))[:count]
+    mask = np.zeros(side * side, dtype=bool)
+    mask[nearest] = True
+    return mask.reshape(side, side)
+
+
+@pytest.mark.parametrize("order", [0, 9, 20])
+@pytest.mark.parametrize(
+    "count", [1, _BLOCK_PIXELS - 1, _BLOCK_PIXELS, _BLOCK_PIXELS + 1, 2 * _BLOCK_PIXELS + 1]
+)
+def test_zernike_matches_the_fsum_oracle_bitwise(count, order):
+    mask = _pixels_nearest_a_point(count)
+    assert mask.sum() == count
+    got = measure_shape(region_of(mask), ShapeParams(zernike_max_order=order))
+    want = zernike_fsum_oracle(mask, order)
+    assert [got[key] for key in want] == list(want.values())
+
+
+def test_zernike_rotation_exact_across_blocks(rng):
+    # An irregular object spanning three pixel blocks.
+    rr, cc = np.indices((90, 90))
+    mask = np.zeros((90, 90), dtype=bool)
+    for row, col, radius in rng.uniform((25, 25, 12), (65, 65, 22), (5, 3)):
+        mask |= (rr - row) ** 2 + (cc - col) ** 2 <= radius**2
+    mask &= rng.random((90, 90)) < 0.95
+    assert mask.sum() > 2 * _BLOCK_PIXELS
+    for order in (9, 20):
+        params = ShapeParams(zernike_max_order=order)
+        keys = [f"Zernike_{n}_{m}" for n, m in zernike_indexes(order)]
+        base = measure_shape(region_of(mask), params)
+        for k in (1, 2, 3):
+            rotated = measure_shape(region_of(np.rot90(mask, k)), params)
+            assert [rotated[key] for key in keys] == [base[key] for key in keys], k
+
+
+def test_shape_memory_is_bounded_by_pixel_blocks():
+    # A fresh interpreter, so ru_maxrss reflects this one call.
+    probe = Path(__file__).parent / "shapeprobe.py"
+    out = subprocess.run(
+        [sys.executable, str(probe), "160"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    added_kib = int(out.stdout.strip())
+    assert added_kib < 4 * 1024, f"measure_shape added {added_kib} KiB"

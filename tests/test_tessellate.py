@@ -77,9 +77,9 @@ def test_boundary_ties_go_to_the_lowest_lattice_index():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 120), st.integers(1, 120), st.floats(0.2, 40))
-@example(40, 30, 0.05)  # lattice box far larger than the canvas: ranked by sorting
-@example(40, 30, 0.35)  # just small enough for the dense rank
+@given(st.integers(1, 120), st.integers(1, 120), st.floats(0.5, 40))
+@example(40, 30, 0.5)  # the smallest radius accepted
+@example(1, 28, 0.5)  # lattice box 2.6 times the canvas, the most among small canvases
 @example(300, 1, 5.0)  # one row tall
 @example(1, 300, 5.0)  # one column wide
 @example(100, 400, 3.7)  # row blocks of 163 rows, the last one partial
@@ -193,11 +193,19 @@ def test_dim_mismatch_rejected():
         filter_by_coverage(hexes, LabelMask(np.ones((9, 10), dtype=np.int64)), 0.5)
 
 
+@pytest.mark.parametrize(
+    "radius", [0.0, 1e-30, 0.05, 0.3, 0.35, math.nextafter(0.5, 0), math.inf, math.nan]
+)
+def test_radius_below_half_a_pixel_or_not_finite_is_rejected(radius):
+    # Below 0.5 a hexagon bins at most one pixel, and 1e-30 used to wrap the
+    # int64 lattice cast into a wrong partition; inf gave a scrambled one.
+    with pytest.raises(ValueError, match="circumradius"):
+        HexGridParams(width=40, height=30, circumradius=radius)
+
+
 def test_param_validation():
     with pytest.raises(ValueError):
         HexGridParams(width=0, height=5, circumradius=3.0)
-    with pytest.raises(ValueError):
-        HexGridParams(width=5, height=5, circumradius=0.0)
     hexes = hex_tessellation(HexGridParams(width=20, height=20, circumradius=3.0))
     tissue = LabelMask(np.ones((20, 20), dtype=np.int64))
     for min_coverage in (1.5, math.nan, -1.0):
