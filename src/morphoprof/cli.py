@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-import typing
+from dataclasses import replace
 from pathlib import Path
 
 from . import engine, postprocess, raster_io, tessellate
@@ -28,8 +28,6 @@ _FAMILY_FLAGS = (
     ("--granularity-length", "granularity_params", "spectrum_length"),
     ("--granularity-background-radius", "granularity_params", "background_radius"),
 )
-#: ExperimentSpec's field types; the family-parameter fields hold the params classes.
-_SPEC_TYPES = typing.get_type_hints(ExperimentSpec)
 
 
 def _add_family_flags(parser) -> None:
@@ -41,7 +39,7 @@ def _add_family_flags(parser) -> None:
         help="comma-separated families (default: all)",
     )
     for flag, field, attr in _FAMILY_FLAGS:
-        default = getattr(_SPEC_TYPES[field], attr)  # the params class's own default
+        default = getattr(engine._DEFAULT_PARAMS[field], attr)
         metavar = flag[2:].upper().replace("-", "_")  # argparse's own, so --help stays put
         parser.add_argument(flag, dest=attr, metavar=metavar, type=type(default), default=default)
 
@@ -97,7 +95,7 @@ def _family_params(args):
     values = {}
     for _, field, attr in _FAMILY_FLAGS:
         values.setdefault(field, {})[attr] = getattr(args, attr)
-    return {field: _SPEC_TYPES[field](**kwargs) for field, kwargs in values.items()}
+    return {field: replace(engine._DEFAULT_PARAMS[field], **kw) for field, kw in values.items()}
 
 
 def _cmd_extract(args) -> int:

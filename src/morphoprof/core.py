@@ -165,9 +165,6 @@ class FeatureTable:
     def n_rows(self) -> int:
         return int(self.labels.size)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.columns.index(name)]
-
     def row(self, label: int) -> dict[str, float]:
         idx = int(np.searchsorted(self.labels, label))
         if idx >= self.labels.size or self.labels[idx] != label:
@@ -229,12 +226,12 @@ def centered_deviations(local_mask: np.ndarray) -> tuple[int, np.ndarray, np.nda
     90-degree rotation.  Falls back to float64 when the scaled values
     could overflow int64 (enormous objects), trading only that guarantee.
     """
-    rr, cc = np.nonzero(local_mask)
+    rr, cc = (idx.astype(np.int64, copy=False) for idx in np.nonzero(local_mask))
     n = rr.size
-    s_r = int(rr.astype(np.int64).sum())
-    s_c = int(cc.astype(np.int64).sum())
+    s_r = int(rr.sum())
+    s_c = int(cc.sum())
     if n * max(local_mask.shape) < 2**31:
-        return n, n * rr.astype(np.int64) - s_r, n * cc.astype(np.int64) - s_c
+        return n, n * rr - s_r, n * cc - s_c
     return n, n * rr.astype(np.float64) - s_r, n * cc.astype(np.float64) - s_c
 
 

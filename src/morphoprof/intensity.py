@@ -40,8 +40,8 @@ def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, floa
 
     rr, cc = np.nonzero(local_mask)
     count = rr.size
-    centroid_r = float(int(rr.astype(np.int64).sum())) / count
-    centroid_c = float(int(cc.astype(np.int64).sum())) / count
+    centroid_r = float(int(rr.astype(np.int64, copy=False).sum())) / count
+    centroid_c = float(int(cc.astype(np.int64, copy=False).sum())) / count
     total = float(values.sum())
     if total == 0.0:
         displacement = 0.0

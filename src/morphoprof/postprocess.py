@@ -67,6 +67,13 @@ def robust_standardize(
     )
 
 
+def _exponents(rows: np.ndarray) -> np.ndarray:
+    """Binary exponent e of each row's largest finite magnitude (0 if none):
+    scaled by 2**-e that magnitude is in [0.5, 1), so squares stay in range,
+    and a power of two changes no bit of a result in the normal range."""
+    return np.frexp(np.abs(rows).max(axis=-1, initial=0.0, where=np.isfinite(rows)))[1]
+
+
 def _abs_corr(x: np.ndarray, y: np.ndarray) -> float:
     # Undefined correlations (too few shared rows, zero variance) rank as 0
     # so the filter keeps such columns rather than guessing.
@@ -85,8 +92,10 @@ def correlation_filter(table: FeatureTable, threshold: float = 0.9) -> FeatureTa
     """Greedy scan in column order; drop features correlated above threshold
     (in [0, 1]) with any already-kept feature."""
     _check_fraction("correlation threshold", threshold)
-    # One contiguous row per column, so a row-wise mean sums as _abs_corr's does.
-    rows = np.ascontiguousarray(table.values.T)
+    # One contiguous row per column, so a row-wise mean sums as _abs_corr's
+    # does; each is rescaled once, which |r| does not see.
+    rows = table.values.T
+    rows = np.ldexp(rows, -_exponents(rows)[:, None], order="C")
     std, centered = np.zeros(len(rows)), np.zeros_like(rows)
     for k in np.flatnonzero(np.isfinite(rows).all(axis=1) & (table.n_rows >= 2)):
         std[k], centered[k] = rows[k].std(), rows[k] - rows[k].mean()
@@ -146,6 +155,8 @@ def _fit_feature(name: str, a: np.ndarray, b: np.ndarray) -> FeatureFit:
     n = int(a.size)
     if n == 0:
         return FeatureFit(name, MISSING, MISSING, MISSING, 0)
+    e_a, e_b = _exponents(a), _exponents(b)
+    a, b = np.ldexp(a, -e_a), np.ldexp(b, -e_b)
     var_a = float(((a - a.mean()) ** 2).sum())
     if var_a == 0.0:
         slope = 0.0
@@ -160,6 +171,8 @@ def _fit_feature(name: str, a: np.ndarray, b: np.ndarray) -> FeatureFit:
         r2 = 1.0 if np.all(residuals == 0.0) else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
+    with np.errstate(over="ignore"):
+        slope, intercept = np.ldexp([slope, intercept], [e_b - e_a, e_b]).tolist()
     return FeatureFit(name, slope, intercept, r2, n)
 
 

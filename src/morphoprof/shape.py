@@ -6,9 +6,14 @@ Conventions, fixed so outputs are reproducible across tools and runs:
   moments treat pixels as point masses at their centers (population
   covariance, no continuous-pixel correction).
 * Perimeter is crack length: the number of unit edges between an object
-  pixel and a background/outside pixel.
+  pixel and a background/outside pixel, counted as 4 * Area less 2 per
+  pair of 4-adjacent object pixels.
+* The Euler number is 8-connected objects minus 4-connected holes, from
+  Gray's bit-quad counts over the 2x2 windows of the padded mask:
+  (Q1 - Q3 - 2 QD) / 4.
 * The convex hull is taken over the four corner points of every object
-  pixel, with area by the shoelace formula.
+  pixel (those of each row's end pixels suffice), with area by the
+  shoelace formula.
 * Second-moment features are derived from exact integer coordinate sums,
   which makes them bitwise invariant under translation and multiples of
   90-degree rotation.
@@ -25,11 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.ndimage
 
-from .core import ObjectRegion, background_distance, centered_deviations, edge_mask
-
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+from .core import ObjectRegion, background_distance, centered_deviations
 
 BASE_FEATURES = (
     "Area",
@@ -73,31 +75,26 @@ def feature_keys(params: ShapeParams = ShapeParams()) -> list[str]:
 
 def crack_perimeter(local_mask: np.ndarray) -> int:
     """Count of exposed unit pixel edges (4-neighborhood, outside = background)."""
-    padded = np.pad(local_mask, 1)
-    exposed = 0
-    for shifted in (
-        padded[:-2, 1:-1],
-        padded[2:, 1:-1],
-        padded[1:-1, :-2],
-        padded[1:-1, 2:],
-    ):
-        exposed += int((local_mask & ~shifted).sum())
-    return exposed
+    shared = np.count_nonzero(local_mask[1:] & local_mask[:-1])
+    shared += np.count_nonzero(local_mask[:, 1:] & local_mask[:, :-1])
+    return 4 * np.count_nonzero(local_mask) - 2 * shared
 
 
 def convex_hull_area(local_mask: np.ndarray) -> float:
     """Area of the convex hull of all object pixel corners.
 
-    Corners live on the half-integer grid; doubling them keeps the whole
-    computation in exact integer arithmetic (Andrew monotone chain plus
-    shoelace), so the result is exact.
+    Only the outer corners of each row's end pixels are taken; rows without
+    pixels are skipped.  Corners live on the half-integer grid; doubling
+    them keeps the whole computation in exact integer arithmetic (Andrew
+    monotone chain plus shoelace), so the result is exact.
     """
-    # The hull of all corners equals the hull of boundary-pixel corners.
-    rr, cc = np.nonzero(edge_mask(local_mask))
+    rows = np.flatnonzero(local_mask.any(axis=1))
+    first = local_mask.argmax(axis=1)[rows]
+    last = local_mask.shape[1] - 1 - local_mask[:, ::-1].argmax(axis=1)[rows]
     pts = set()
-    for r, c in zip(rr.tolist(), cc.tolist()):
-        u, v = 2 * r, 2 * c
-        pts.update(((u - 1, v - 1), (u - 1, v + 1), (u + 1, v - 1), (u + 1, v + 1)))
+    for r, lo, hi in zip(rows.tolist(), first.tolist(), last.tolist()):
+        u, v0, v1 = 2 * r, 2 * lo - 1, 2 * hi + 1
+        pts.update(((u - 1, v0), (u - 1, v1), (u + 1, v0), (u + 1, v1)))
     points = sorted(pts)
     if len(points) <= 2:
         raise ValueError("degenerate corner set")
@@ -105,43 +102,33 @@ def convex_hull_area(local_mask: np.ndarray) -> float:
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[tuple[int, int]] = []
-    for p in points:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[int, int]] = []
-    for p in reversed(points):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    twice_area = 0
-    for (u0, v0), (u1, v1) in zip(hull, hull[1:] + hull[:1]):
-        twice_area += u0 * v1 - u1 * v0
+    hull: list[tuple[int, int]] = []
+    for ordered in (points, points[::-1]):  # the lower chain, then the upper
+        chain: list[tuple[int, int]] = []
+        for p in ordered:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        hull += chain[:-1]
+    twice_area = sum(u0 * v1 - u1 * v0 for (u0, v0), (u1, v1) in zip(hull, hull[1:] + hull[:1]))
     # Doubled coordinates scale the area by 4; shoelace gives twice the area.
     return float(abs(twice_area)) / 8.0
 
 
 def euler_number(local_mask: np.ndarray) -> int:
-    """8-connected object components minus enclosed 4-connected holes."""
-    _, n_objects = scipy.ndimage.label(local_mask, structure=_EIGHT_CONNECTED)
-    padded = np.pad(local_mask, 1)
-    bg_labels, n_bg = scipy.ndimage.label(~padded)
-    border = np.unique(
-        np.concatenate(
-            [bg_labels[0], bg_labels[-1], bg_labels[:, 0], bg_labels[:, -1]]
-        )
-    )
-    n_open = int((border > 0).sum())
-    return int(n_objects) - (int(n_bg) - n_open)
+    """8-connected object components minus enclosed 4-connected holes:
+    (Q1 - Q3 - 2 QD) / 4, where Q1 and Q3 count the 2x2 windows of the
+    padded mask holding one and three pixels, and QD those holding a lone
+    diagonal pair (Gray, IEEE Trans. Computers, 1971)."""
+    padded = np.pad(local_mask, 1).view(np.uint8)
+    quads = padded[:-1, :-1] + 2 * padded[:-1, 1:] + 4 * padded[1:, :-1] + 8 * padded[1:, 1:]
+    q = np.bincount(quads.ravel(), minlength=16).tolist()
+    return (q[1] + q[2] + q[4] + q[8] - q[7] - q[11] - q[13] - q[14] - 2 * (q[6] + q[9])) // 4
 
 
 def _second_moments(local_mask: np.ndarray) -> tuple[int, int, int, int, int, int]:
     """Exact integer sums (n, Sr, Sc, Srr, Scc, Src) over object pixel centers."""
-    rr, cc = np.nonzero(local_mask)
-    r = rr.astype(np.int64)
-    c = cc.astype(np.int64)
+    r, c = (idx.astype(np.int64, copy=False) for idx in np.nonzero(local_mask))
     return (
         int(r.size),
         int(r.sum()),

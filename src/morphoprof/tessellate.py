@@ -32,9 +32,10 @@ class HexGridParams:
         if self.width < 1 or self.height < 1:
             raise ValueError("canvas dims must be positive")
         # Pixel centers are 1 apart, so below 0.5 a hexagon bins at most one
-        # pixel; an infinite radius leaves no lattice to scan.
-        if not 0.5 <= self.circumradius < math.inf:
-            raise ValueError(f"circumradius must be finite and >= 0.5, got {self.circumradius}")
+        # pixel; if the lattice step sqrt(3)*R overflows there is no lattice.
+        r = self.circumradius
+        if not (r >= 0.5 and math.sqrt(3.0) * r < math.inf):
+            raise ValueError(f"circumradius must be >= 0.5 with sqrt(3)*R finite, got {r}")
 
 
 def hex_metric(d_row: np.ndarray, d_col: np.ndarray, circumradius: float) -> np.ndarray:
@@ -69,19 +70,21 @@ def hex_tessellation(params: HexGridParams) -> LabelMask:
         best_metric = np.full((rows.size, width), np.inf)
         # Each pixel's nine candidates are scanned in ascending (j, i), so
         # strict improvement alone keeps the lowest lattice index on ties.
-        for dj in (-1, 0, 1):
-            j_cand = j_base + dj
-            center_row = 1.5 * r * j_cand
-            parity = 0.5 * (j_cand % 2)
-            i_base = np.rint(cols / (math.sqrt(3.0) * r) - parity).astype(np.int64)
-            for di in (-1, 0, 1):
-                i_cand = i_base + di
-                center_col = math.sqrt(3.0) * r * (i_cand + parity)
-                metric = hex_metric(rows - center_row, cols - center_col, r)
-                take = metric < best_metric
-                np.copyto(best_metric, metric, where=take)
-                np.copyto(best_j[band], j_cand, where=take)
-                np.copyto(best_i[band], i_cand, where=take)
+        # A huge radius puts far candidates at infinity, where they lose.
+        with np.errstate(over="ignore"):
+            for dj in (-1, 0, 1):
+                j_cand = j_base + dj
+                center_row = 1.5 * r * j_cand
+                parity = 0.5 * (j_cand % 2)
+                i_base = np.rint(cols / (math.sqrt(3.0) * r) - parity).astype(np.int64)
+                for di in (-1, 0, 1):
+                    i_cand = i_base + di
+                    center_col = math.sqrt(3.0) * r * (i_cand + parity)
+                    metric = hex_metric(rows - center_row, cols - center_col, r)
+                    take = metric < best_metric
+                    np.copyto(best_metric, metric, where=take)
+                    np.copyto(best_j[band], j_cand, where=take)
+                    np.copyto(best_i[band], i_cand, where=take)
 
     # Dense (j, i) rank: flat lattice indices sort like (j, i) pairs.  With
     # circumradius >= 0.5 the owners' lattice box is a small multiple of the

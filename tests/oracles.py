@@ -165,6 +165,39 @@ def zernike_fsum_oracle(local_mask, max_order):
     return out
 
 
+def convex_hull_oracle(local_mask):
+    """Frozen earlier convex hull area, bit for bit: the four corners of
+    every crack-boundary pixel, doubled to integers, an Andrew monotone
+    chain and the shoelace sum."""
+    padded = np.pad(local_mask, 1)
+    interior = padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
+    rr, cc = np.nonzero(local_mask & ~interior)
+    pts = set()
+    for r, c in zip(rr.tolist(), cc.tolist()):
+        u, v = 2 * r, 2 * c
+        pts.update(((u - 1, v - 1), (u - 1, v + 1), (u + 1, v - 1), (u + 1, v + 1)))
+    points = sorted(pts)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in points:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(points):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    twice_area = 0
+    for (u0, v0), (u1, v1) in zip(hull, hull[1:] + hull[:1]):
+        twice_area += u0 * v1 - u1 * v0
+    return float(abs(twice_area)) / 8.0
+
+
 def shape_oracle(region, max_order=9):
     local_mask = region.local_mask
     pixels = _pixel_set(local_mask)

@@ -287,3 +287,23 @@ def test_family_flag_defaults_are_the_params_defaults():
     parser = _build_parser()
     for argv in (["list-features"], ["extract", "--out", "x"]):
         assert _family_params(parser.parse_args(argv)) == engine._DEFAULT_PARAMS
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_compare_self_at_extreme_magnitudes(tmp_path, capsys, scale):
+    table = tmp_path / "t.csv"
+    values = np.random.default_rng(15).standard_normal((50, 3)) * scale
+    write_table(FeatureTable("cells", ("a", "b", "c"), np.arange(1, 51), values), table)
+    argv = ["compare", "--a", str(table), "--b", str(table), "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "fraction_r2_gt_0.9=1.0\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", ["1e308", "1.0378986153331002e+308"])
+def test_tessellate_at_the_largest_radii_is_one_quiet_hexagon(tmp_path, capsys, radius):
+    out = tmp_path / "h.raw"
+    argv = ["tessellate", "--width", "5", "--height", "4", "--radius", radius, "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert (load_mask(out).labels == 1).all()

@@ -282,3 +282,50 @@ def test_report_quotes_cells_the_way_tables_do(tmp_path):
     assert all(len(row) == 5 for row in rows[:-1])
     assert rows[-1] == ["fraction_r2_gt_0.9=1.0"]
     assert path.read_text().splitlines()[3].startswith("plain,2.0,")
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_extreme_but_finite_magnitudes_fit_and_filter_as_unit_ones(scale):
+    # Squared deviations used to underflow to 0 (R^2 0.0, a near-copy kept)
+    # or overflow to inf (R^2 nan).
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal(50)
+    values = np.column_stack([x, x + 0.1 * rng.standard_normal(50), rng.standard_normal(50)])
+    table = table_from(["a", "near_a", "b"], values * scale)
+    assert [fit.r2 for fit in compare_tables(table, table).fits] == [1.0, 1.0, 1.0]
+    assert correlation_filter(table, 0.9).columns == ("a", "b")
+
+
+@st.composite
+def scaled_pairs(draw):
+    """(a, b, e_a, e_b): two columns of magnitudes in [2**-8, 2**8] with
+    holes, b a noisy affine image of a, and power-of-two exponents."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.integers(1, 40))
+    a = np.ldexp(rng.uniform(1.0, 2.0, n_rows), rng.integers(-8, 8, n_rows))
+    a *= rng.choice([-1.0, 1.0], n_rows)
+    b = draw(st.floats(-4, 4)) * a + draw(st.floats(-4, 4)) + rng.uniform(-1, 1, n_rows)
+    a[rng.random(n_rows) < 0.1] = np.nan
+    return a, b, draw(st.integers(-1000, 1000)), draw(st.integers(-1000, 1000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_pairs())
+@example((np.array([-0.10231011, -0.0049601]), np.array([0.62654048, 0.82551115]), -23, 1000))
+def test_power_of_two_scaling_changes_no_bit_of_a_fit_or_a_filter(case):
+    a, b, e_a, e_b = case
+    (base,) = compare_tables(table_from(["f"], a[:, None]), table_from(["f"], b[:, None])).fits
+    (fit,) = compare_tables(
+        table_from(["f"], np.ldexp(a, e_a)[:, None]), table_from(["f"], np.ldexp(b, e_b)[:, None])
+    ).fits
+    with np.errstate(over="ignore"):  # a slope or intercept past the range reads inf
+        slope, intercept = np.ldexp([base.slope, base.intercept], [e_b - e_a, e_b]).tolist()
+    # repr tells the bits apart, and nan from nan equal.
+    want = (base.r2, slope, intercept, base.n)
+    assert repr((fit.r2, fit.slope, fit.intercept, fit.n)) == repr(want)
+    values = np.column_stack([a, b])
+    for threshold in (0.5, 0.9):
+        scaled = table_from(["a", "b"], np.ldexp(values, [e_a, e_b]))
+        assert correlation_filter(scaled, threshold).columns == tuple(
+            ["a", "b"][j] for j in correlation_filter_oracle(values, threshold)
+        )

@@ -6,12 +6,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import assert_close, assert_feature_maps_close, region_of
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import shape_oracle, zernike_fsum_oracle
+from oracles import (
+    _euler,
+    _perimeter,
+    _pixel_set,
+    convex_hull_oracle,
+    shape_oracle,
+    zernike_fsum_oracle,
+)
 
 from morphoprof import LabelMask, ShapeParams, extract_objects, measure_shape
-from morphoprof.shape import _BLOCK_PIXELS, _exact_row_sums, feature_keys, zernike_indexes
+from morphoprof.shape import (
+    _BLOCK_PIXELS,
+    _exact_row_sums,
+    convex_hull_area,
+    crack_perimeter,
+    euler_number,
+    feature_keys,
+    zernike_indexes,
+)
 from synth import small_blob
 
 NON_POSITIONAL = [k for k in feature_keys() if not k.startswith("Centroid")]
@@ -193,6 +208,36 @@ def test_disconnected_label_is_measured_as_one_object():
     features = measure_shape(region)
     assert features["Area"] == 2.0
     assert features["EulerNumber"] == 2.0
+
+
+def _mask_from_rows(*rows):
+    return np.array([[ch == "#" for ch in row] for row in rows])
+
+
+@st.composite
+def pixel_masks(draw):
+    """Boolean masks up to 16 x 16 with at least one pixel, from sparse
+    (diagonal contacts, empty rows and columns) to nearly full (holes)."""
+    shape = (draw(st.integers(1, 16)), draw(st.integers(1, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(shape) < draw(st.floats(0.05, 0.95))
+    mask.flat[draw(st.integers(0, mask.size - 1))] = True
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(pixel_masks())
+@example(_mask_from_rows("#"))
+@example(_mask_from_rows("#######"))
+@example(_mask_from_rows(*"#####"))
+@example(_mask_from_rows("#.#.#", ".#.#.", "#.#.#", ".#.#."))
+@example(_mask_from_rows("#####", "#...#", "#...#", "#####"))
+@example(_mask_from_rows("#######", "#.....#", "#.###.#", "#.#.#.#", "#.###.#", "#.....#", "#######"))
+@example(_mask_from_rows("##....", "......", "......", "...#..", "......", "....##"))
+def test_mask_kernels_match_the_definitions_exactly(mask):
+    assert crack_perimeter(mask) == _perimeter(_pixel_set(mask))
+    assert euler_number(mask) == _euler(mask)
+    assert convex_hull_area(mask) == convex_hull_oracle(mask)
 
 
 @st.composite

@@ -193,14 +193,29 @@ def test_dim_mismatch_rejected():
         filter_by_coverage(hexes, LabelMask(np.ones((9, 10), dtype=np.int64)), 0.5)
 
 
+#: The largest circumradius R whose lattice step sqrt(3)*R is finite.
+LARGEST_RADIUS = sys.float_info.max / math.sqrt(3.0)
+
+
 @pytest.mark.parametrize(
-    "radius", [0.0, 1e-30, 0.05, 0.3, 0.35, math.nextafter(0.5, 0), math.inf, math.nan]
+    "radius",
+    [0.0, 1e-30, 0.05, 0.3, 0.35, math.nextafter(0.5, 0),
+     math.nextafter(LARGEST_RADIUS, math.inf), 1.5e308, math.inf, math.nan],
 )
 def test_radius_below_half_a_pixel_or_not_finite_is_rejected(radius):
     # Below 0.5 a hexagon bins at most one pixel, and 1e-30 used to wrap the
-    # int64 lattice cast into a wrong partition; inf gave a scrambled one.
+    # int64 lattice cast into a wrong partition; inf gave a scrambled one,
+    # and 1.5e308 (sqrt(3)*R overflows) left every owner unset.
     with pytest.raises(ValueError, match="circumradius"):
         HexGridParams(width=40, height=30, circumradius=radius)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", [1e308, LARGEST_RADIUS])
+def test_largest_radii_give_one_hexagon_without_overflow_warnings(radius):
+    # Candidates whose centers overflow to infinity lose, silently.
+    mask = hex_tessellation(HexGridParams(width=5, height=4, circumradius=radius))
+    assert mask.labels.tolist() == [[1] * 5] * 4
 
 
 def test_param_validation():
