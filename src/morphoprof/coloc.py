@@ -3,6 +3,14 @@
 Thresholds for the Manders fractions are a fixed fraction of each
 channel's per-object maximum; degenerate inputs (zero variance, zero
 mass) yield the missing sentinel rather than a crash or NaN surprise.
+
+Each channel's crop is first scaled by the power of two 2^-e that brings
+its largest magnitude into [0.5, 1) (``core._exponents``), so squares
+and products stay in the float range at any finite intensity.
+Multiplying by a power of two
+commutes with every rounding in the normal range: Pearson, Overlap and
+the Manders fractions keep their bits, and Slope is restored exactly
+with ``ldexp`` (missing if it lies past the float range).
 """
 
 from __future__ import annotations
@@ -10,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import MISSING, ImagePlane, ObjectRegion
+import numpy as np
+
+from .core import MISSING, ImagePlane, ObjectRegion, _exponents
 
 FEATURES = ("Pearson", "Overlap", "Slope", "MandersM1", "MandersM2")
 
@@ -33,6 +43,8 @@ def measure_coloc(
     """Colocalization features of one region over two aligned channels."""
     a = region.crop(plane_a.pixels)[region.local_mask]
     b = region.crop(plane_b.pixels)[region.local_mask]
+    e_a, e_b = _exponents(a), _exponents(b)
+    a, b = np.ldexp(a, -e_a), np.ldexp(b, -e_b)
     mean_a = float(a.mean())
     mean_b = float(b.mean())
     var_a = float(((a - mean_a) ** 2).mean())
@@ -44,6 +56,10 @@ def measure_coloc(
     else:
         pearson = cov / math.sqrt(var_a * var_b)
     slope = cov / var_a if var_a != 0.0 else MISSING
+    try:
+        slope = math.ldexp(slope, int(e_b - e_a))
+    except OverflowError:
+        slope = MISSING
 
     sq_a = float((a * a).sum())
     sq_b = float((b * b).sum())

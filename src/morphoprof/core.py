@@ -218,6 +218,13 @@ def _check_fraction(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1]")
 
 
+def _exponents(rows: np.ndarray) -> np.ndarray:
+    """Binary exponent e of each row's largest finite magnitude (0 if none):
+    scaled by 2**-e that magnitude is in [0.5, 1), so squares stay in range,
+    and a power of two changes no bit of a result in the normal range."""
+    return np.frexp(np.abs(rows).max(axis=-1, initial=0.0, where=np.isfinite(rows)))[1]
+
+
 def centered_deviations(local_mask: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """(n, n*row - sum(rows), n*col - sum(cols)) over True pixels.
 

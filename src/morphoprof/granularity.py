@@ -8,21 +8,30 @@ lost at each step.
 
 All operators are mask-aware: pixels outside the object behave as +inf
 for erosion and -inf for dilation, so values never leak across the
-object boundary.
+object boundary.  They run on guarded buffers: the crop with a band of
+the operator's identity (+inf or -inf) on every side and off the mask,
+so every neighbour is a plain array slice.
 
 Two kernels carry the cost, and both give exactly the values of the
 plain definitions, because min and max only select values:
 
-* Disk erosion and dilation run as separable 1-D filters over the disk's
-  centered rectangles, one rectangle per distinct row width, combined by
-  elementwise min or max.
-* Reconstruction iterates dense 3x3 dilations while many pixels change.
-  On crops of at least ``_SPARSE_MIN_SIZE`` pixels it then switches to a
-  sparse front that revisits only the neighbours of the pixels changed by
-  the last iteration, in the manner of L. Vincent's hybrid algorithm
-  (IEEE TIP 2(2), 1993).  A pixel with no changed neighbour cannot
-  change, so the front goes through the same sequence of states as the
-  dense iteration.
+* Disk erosion and dilation build centered row runs of half-width
+  h = 0..R one step at a time, run_h[j] = op(run_{h-1}[j-1],
+  run_{h-1}[j+1]) (the centre is folded in at h = 1), and as each
+  half-width is reached fold in the row-shifted run of every disk row
+  that wide.  Only the current run and the output are alive.
+* Reconstruction iterates dense 3x3 dilations, each two three-way max
+  passes over slices of the -inf-guarded state, while many pixels
+  change.  On crops of at least ``_SPARSE_MIN_SIZE`` pixels it then
+  switches to a sparse front that revisits only the neighbours of the
+  pixels changed by the last iteration, in the manner of L. Vincent's
+  hybrid algorithm (IEEE TIP 2(2), 1993).  A pixel with no changed
+  neighbour cannot change, so the front goes through the same sequence
+  of states as the dense iteration.
+
+``measure_granularity`` allocates one set of guarded buffers per object
+and channel (the image entering the step, the limit it sets and the
+reconstruction state) and runs every step in place on it.
 """
 
 from __future__ import annotations
@@ -31,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.ndimage
 
 from .core import ImagePlane, ObjectRegion
 
@@ -66,42 +74,66 @@ def disk_footprint(radius: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _disk_rectangles(radius: int) -> tuple[tuple[int, int], ...]:
-    """The disk as a union of centered (rows, cols) rectangles, one per
-    distinct row width, widest first."""
-    widths = disk_footprint(radius).sum(axis=1)
+def _disk_rows(radius: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """For each half-width h = 0..radius: (reach, rows), where rows are the
+    disk rows dr spanning columns -h..h and every row with |dr| <= reach
+    is at least that wide."""
+    halves = disk_footprint(radius).sum(axis=1) // 2
+    span = np.arange(-radius, radius + 1)
     return tuple(
-        (int(np.count_nonzero(widths >= cols)), int(cols))
-        for cols in sorted(set(widths.tolist()), reverse=True)
+        (
+            int(np.abs(span[halves >= h]).max()),
+            tuple(span[halves == h].tolist()),
+        )
+        for h in range(radius + 1)
     )
 
 
-def _disk_filter(guarded: np.ndarray, radius: int, erode: bool) -> np.ndarray:
-    """Minimum (erode) or maximum filter over the disk; values beyond the
-    image are the filter's identity, +inf or -inf."""
-    if erode:
-        rank1d, combine, cval = scipy.ndimage.minimum_filter1d, np.minimum, np.inf
-    else:
-        rank1d, combine, cval = scipy.ndimage.maximum_filter1d, np.maximum, -np.inf
-    out = None
-    for rows, cols in _disk_rectangles(radius):
-        part = guarded
-        for axis, size in enumerate((rows, cols)):
-            if size > 1:
-                part = rank1d(part, size, axis=axis, mode="constant", cval=cval)
-        out = part if out is None else combine(out, part, out=out)
+def _guarded(values: np.ndarray, mask: np.ndarray, pad: int, fill: float) -> np.ndarray:
+    """``values`` on the mask, ``fill`` off it and in a band ``pad`` pixels
+    wide on every side."""
+    height, width = mask.shape
+    out = np.full((height + 2 * pad, width + 2 * pad), fill)
+    np.copyto(out[pad : pad + height, pad : pad + width], values, where=mask)
     return out
+
+
+def _disk_filter(padded: np.ndarray, radius: int, op, out: np.ndarray) -> None:
+    """Write into ``out`` the ``op`` (np.minimum or np.maximum) of ``padded``
+    over the disk; ``padded`` is ``out``'s shape plus a ``radius`` guard
+    band of op's identity on every side."""
+    height, width = out.shape
+    run, top = padded, 0  # run[i, k] = op(padded[top + i, k : k + 2h + 1])
+    first = True
+    for h, (reach, rows) in enumerate(_disk_rows(radius)):
+        if h:
+            # Rows further than reach from the output rows are never read again.
+            prev = run[radius - reach - top : radius + reach + height - top]
+            top = radius - reach
+            run = op(prev[:, :-2], prev[:, 2:])
+            if h == 1:
+                op(run, prev[:, 1:-1], out=run)
+        for dr in rows:
+            row = radius + dr - top
+            block = run[row : row + height, radius - h : radius - h + width]
+            if first:
+                np.copyto(out, block)
+                first = False
+            else:
+                op(out, block, out=out)
 
 
 def gray_erode(values: np.ndarray, mask: np.ndarray, radius: int) -> np.ndarray:
     """Masked grayscale erosion by a disk; off-mask output is 0."""
-    eroded = _disk_filter(np.where(mask, values, np.inf), radius, erode=True)
+    eroded = np.empty(mask.shape)
+    _disk_filter(_guarded(values, mask, radius, np.inf), radius, np.minimum, eroded)
     return np.where(mask, eroded, 0.0)
 
 
 def gray_dilate(values: np.ndarray, mask: np.ndarray, radius: int) -> np.ndarray:
     """Masked grayscale dilation by a disk; off-mask output is 0."""
-    dilated = _disk_filter(np.where(mask, values, -np.inf), radius, erode=False)
+    dilated = np.empty(mask.shape)
+    _disk_filter(_guarded(values, mask, radius, -np.inf), radius, np.maximum, dilated)
     return np.where(mask, dilated, 0.0)
 
 
@@ -118,26 +150,41 @@ def gray_reconstruct(marker: np.ndarray, limit: np.ndarray, mask: np.ndarray) ->
     change on a large crop, as a sparse front over the changed pixels'
     neighbours (see the module docstring); both produce the same states.
     """
+    state = _guarded(marker, mask, 1, -np.inf)
+    _reconstruct(state, _guarded(limit, mask, 1, -np.inf))
+    return np.where(mask, state[1:-1, 1:-1], 0.0)
+
+
+def _reconstruct(state: np.ndarray, limit: np.ndarray) -> None:
+    """Reconstruct in place: ``state`` and ``limit`` are -inf off the mask
+    and in a one-pixel band around the crop."""
     # NaN fails the comparison too; with it the iteration would never settle.
-    if not np.all(marker[mask] <= limit[mask]):
+    if not np.all(state <= limit):
         raise ValueError("marker must not exceed limit, and neither may be NaN, on the mask")
-    cur = np.where(mask, marker, -np.inf)
-    bounded = np.where(mask, limit, -np.inf)
+    inner, bound = state[1:-1, 1:-1], limit[1:-1, 1:-1]
+    size = inner.size
+    across = np.empty((state.shape[0], inner.shape[1]))
+    grown = np.empty(inner.shape)
+    moved = np.empty(inner.shape, dtype=bool)
     while True:
-        grown = scipy.ndimage.maximum_filter(cur, size=3, mode="constant", cval=-np.inf)
-        nxt = np.minimum(grown, bounded)
-        moved = nxt != cur
+        np.maximum(state[:, :-2], state[:, 2:], out=across)
+        np.maximum(across, state[:, 1:-1], out=across)
+        np.maximum(across[:-2], across[2:], out=grown)
+        np.maximum(grown, across[1:-1], out=grown)
+        np.minimum(grown, bound, out=grown)
+        np.not_equal(grown, inner, out=moved)
         count = np.count_nonzero(moved)
         if count == 0:
-            return np.where(mask, cur, 0.0)
-        if cur.size >= _SPARSE_MIN_SIZE and count * _SPARSE_RATIO < cur.size:
-            return np.where(mask, _reconstruct_front(nxt, bounded, moved), 0.0)
-        cur = nxt
+            return
+        inner[...] = grown
+        if size >= _SPARSE_MIN_SIZE and count * _SPARSE_RATIO < size:
+            _reconstruct_front(state, limit, moved)
+            return
 
 
-def _reconstruct_front(cur: np.ndarray, bounded: np.ndarray, moved: np.ndarray) -> np.ndarray:
-    """Continue the dense iteration from state ``cur``, in which the pixels
-    ``moved`` changed, over a flat -inf-padded copy.
+def _reconstruct_front(state: np.ndarray, limit: np.ndarray, moved: np.ndarray) -> None:
+    """Continue the dense iteration in place from ``state``, in which the
+    pixels ``moved`` changed.
 
     Values only rise, and after one dense step each pixel below its limit
     holds the max of its previous neighbourhood, so the next value of q is
@@ -145,13 +192,8 @@ def _reconstruct_front(cur: np.ndarray, bounded: np.ndarray, moved: np.ndarray) 
     changed pixel offers its value to its 8 neighbours; only offers that
     raise a neighbour are applied, and those neighbours form the next front.
     """
-    height, width = cur.shape
-    stride = width + 2
-    flat = np.full((height + 2, stride), -np.inf)
-    bound = np.full((height + 2, stride), -np.inf)
-    flat[1:-1, 1:-1] = cur
-    bound[1:-1, 1:-1] = bounded
-    flat, bound = flat.ravel(), bound.ravel()
+    stride = state.shape[1]
+    flat, bound = state.reshape(-1), limit.reshape(-1)
     slot = np.empty(flat.size, dtype=np.intp)
     around = (np.arange(-1, 2)[:, None] * stride + np.arange(-1, 2)).ravel()
     around = around[around != 0]
@@ -167,7 +209,6 @@ def _reconstruct_front(cur: np.ndarray, bounded: np.ndarray, moved: np.ndarray) 
         order = np.arange(targets.size)
         slot[targets] = order
         changed = targets[slot[targets] == order]
-    return flat.reshape(height + 2, stride)[1:-1, 1:-1]
 
 
 def measure_granularity(
@@ -178,20 +219,34 @@ def measure_granularity(
     crop = region.crop(plane.pixels)
     length = params.spectrum_length
     keys = [str(i) for i in range(1, length + 1)]
-    opened = gray_open(crop, local_mask, params.background_radius)
-    residue = np.where(local_mask, np.maximum(0.0, crop - opened), 0.0)
-    start = float(residue[local_mask].mean())
+    # Each step erodes the entering image (+inf off the mask) into the
+    # state, which becomes the next entering image and is reconstructed
+    # under the limit (the image that entered, -inf off the mask).  The
+    # first limit is the residue of the opening, which lives only there.
+    limit = _guarded(
+        np.maximum(0.0, crop - gray_open(crop, local_mask, params.background_radius)),
+        local_mask, 1, -np.inf,
+    )
+    inner_limit = limit[1:-1, 1:-1]
+    start = float(inner_limit[local_mask].mean())
     if start == 0.0:
         return {k: 0.0 for k in keys}
 
+    entering = np.full_like(limit, np.inf)
+    inner_entering = entering[1:-1, 1:-1]
+    np.copyto(inner_entering, inner_limit, where=local_mask)
+    state = np.full_like(limit, -np.inf)
+    inner = state[1:-1, 1:-1]
+    outside = ~local_mask
     out = {}
     prev_mean = start
-    cur = residue
     for key in keys:
-        entering = cur
-        cur = gray_erode(cur, local_mask, 1)
-        rec = gray_reconstruct(cur, entering, local_mask)
-        mean = float(rec[local_mask].mean())
+        _disk_filter(entering, 1, np.minimum, inner)
+        np.copyto(inner, -np.inf, where=outside)
+        np.copyto(inner_entering, inner, where=local_mask)
+        _reconstruct(state, limit)
+        mean = float(inner[local_mask].mean())
         out[key] = 100.0 * (prev_mean - mean) / start
         prev_mean = mean
+        np.copyto(inner_limit, inner_entering, where=local_mask)
     return out

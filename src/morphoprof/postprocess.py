@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MISSING, FeatureTable, _check_fraction
+from .core import MISSING, FeatureTable, _check_fraction, _exponents
 from .raster_io import format_cell
 
 
@@ -65,13 +65,6 @@ def robust_standardize(
         labels=table.labels,
         values=values,
     )
-
-
-def _exponents(rows: np.ndarray) -> np.ndarray:
-    """Binary exponent e of each row's largest finite magnitude (0 if none):
-    scaled by 2**-e that magnitude is in [0.5, 1), so squares stay in range,
-    and a power of two changes no bit of a result in the normal range."""
-    return np.frexp(np.abs(rows).max(axis=-1, initial=0.0, where=np.isfinite(rows)))[1]
 
 
 def _abs_corr(x: np.ndarray, y: np.ndarray) -> float:
@@ -198,14 +191,20 @@ def compare_tables(
 
 def write_report(report: ComparisonReport, path) -> None:
     """CSV report: feature,slope,intercept,r2,n rows plus a summary line;
-    cells are quoted as :func:`write_table` quotes them."""
+    cells are quoted as :func:`write_table` quotes them.  A fit value past
+    the float range is refused, naming its feature and field, before the
+    file is opened."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["feature", "slope", "intercept", "r2", "n"])
     for fit in report.fits:
-        writer.writerow(
-            [fit.feature, *map(format_cell, (fit.slope, fit.intercept, fit.r2)), fit.n]
-        )
+        cells = []
+        for field in ("slope", "intercept", "r2"):
+            try:
+                cells.append(format_cell(getattr(fit, field)))
+            except ValueError as exc:
+                raise ValueError(f"feature {fit.feature!r}, {field}: {exc}") from None
+        writer.writerow([fit.feature, *cells, fit.n])
     buf.write(report.summary_line + "\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())

@@ -299,6 +299,17 @@ def test_compare_self_at_extreme_magnitudes(tmp_path, capsys, scale):
     assert capsys.readouterr().out == "fraction_r2_gt_0.9=1.0\n"
 
 
+def test_compare_names_the_feature_whose_fit_is_past_the_float_range(tmp_path, capsys):
+    x = np.random.default_rng(16).standard_normal((30, 2))
+    a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "r.csv"
+    write_table(FeatureTable("cells", ("ok", "huge"), np.arange(1, 31), x * [1.0, 1e-300]), a)
+    write_table(FeatureTable("cells", ("ok", "huge"), np.arange(1, 31), x * [2.0, 1e300]), b)
+    assert main(["compare", "--a", str(a), "--b", str(b), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid request: feature 'huge', slope: non-finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("radius", ["1e308", "1.0378986153331002e+308"])
 def test_tessellate_at_the_largest_radii_is_one_quiet_hexagon(tmp_path, capsys, radius):

@@ -116,3 +116,51 @@ def test_ranges(seed, tau):
     assert 0.0 <= features["Overlap"] <= 1.0
     assert 0.0 <= features["MandersM1"] <= 1.0
     assert 0.0 <= features["MandersM2"] <= 1.0
+
+
+def test_extreme_but_finite_magnitudes_measure_like_unit_ones(rng):
+    # Planes x 2^-300 used to raise ZeroDivisionError (var_a * var_b
+    # underflowed), and x 2^300 read Pearson and Overlap 0.0 (overflow).
+    a, b = rng.random((4, 4)), rng.random((4, 4))
+    region = square_region()
+    base = measure_coloc(region, plane_of(a), plane_of(b))
+    for e in (-300, 300):
+        scaled = measure_coloc(region, plane_of(np.ldexp(a, e)), plane_of(np.ldexp(b, e)))
+        assert scaled == base, e
+
+
+def test_slope_past_the_float_range_is_missing(rng):
+    a = rng.integers(1, 1024, size=(4, 4)) / 1024
+    b = rng.integers(1, 1024, size=(4, 4)) / 1024
+    region = square_region()
+    base = measure_coloc(region, plane_of(a), plane_of(b))
+    far = measure_coloc(region, plane_of(np.ldexp(a, -1000)), plane_of(np.ldexp(b, 1000)))
+    assert math.isnan(far["Slope"]) and not math.isnan(base["Slope"])
+    assert {k: v for k, v in far.items() if k != "Slope"} == {
+        k: v for k, v in base.items() if k != "Slope"
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    e_a=st.integers(-1000, 1000),
+    e_b=st.integers(-1000, 1000),
+)
+def test_power_of_two_scaling_changes_no_bit_of_coloc(seed, e_a, e_b):
+    """Pearson, Overlap and Manders are bitwise scale-invariant; Slope is
+    exactly x 2^(e_b - e_a) while that stays in the normal range."""
+    rng = np.random.default_rng(seed)
+    mask = small_blob(rng, size=12)
+    # Multiples of 2^-10, so no scaled value falls below the normal range.
+    a = rng.integers(0, 1024, size=mask.shape) / 1024
+    b = rng.integers(0, 1024, size=mask.shape) / 1024
+    region = region_of(mask)
+    base = measure_coloc(region, plane_of(a), plane_of(b))
+    got = measure_coloc(region, plane_of(np.ldexp(a, e_a)), plane_of(np.ldexp(b, e_b)))
+    for key in ("Pearson", "Overlap", "MandersM1", "MandersM2"):
+        assert got[key] == base[key] or (math.isnan(got[key]) and math.isnan(base[key])), key
+    if math.isnan(base["Slope"]):
+        assert math.isnan(got["Slope"])
+    elif abs(e_b - e_a) < 900:
+        assert got["Slope"] == math.ldexp(base["Slope"], e_b - e_a)

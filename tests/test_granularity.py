@@ -1,10 +1,13 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.ndimage
 from conftest import assert_close, plane_of, region_of
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     granularity_oracle,
@@ -248,54 +251,83 @@ def test_front_matches_dense_iteration(seed, height, levels, fill):
     )
 
 
-def test_large_object_spectrum_matches_footprint_pipeline(rng, front_calls):
-    """measure_granularity on a crop large enough for every fast path
-    equals the same pipeline built from footprint filters and the dense
-    loop, bit for bit."""
-    size = 72
-    yy, xx = np.mgrid[:size, :size]
-    mask = np.hypot(yy - 36, xx - 35) <= 33
-    crop = scipy.ndimage.gaussian_filter(rng.random((size, size)), 1.5)
-    params = GranularityParams()
+def footprint_filters(values, mask, radius):
+    """Masked erosion and dilation from scipy's footprint filters."""
+    footprint = disk_footprint(radius)
+    low = scipy.ndimage.minimum_filter(
+        np.where(mask, values, np.inf), footprint=footprint, mode="constant", cval=np.inf
+    )
+    high = scipy.ndimage.maximum_filter(
+        np.where(mask, values, -np.inf), footprint=footprint, mode="constant", cval=-np.inf
+    )
+    return np.where(mask, low, 0.0), np.where(mask, high, 0.0)
 
-    def erode(values, radius):
-        guarded = np.where(mask, values, np.inf)
-        out = scipy.ndimage.minimum_filter(
-            guarded, footprint=disk_footprint(radius), mode="constant", cval=np.inf
-        )
-        return np.where(mask, out, 0.0)
 
-    def dilate(values, radius):
-        guarded = np.where(mask, values, -np.inf)
-        out = scipy.ndimage.maximum_filter(
-            guarded, footprint=disk_footprint(radius), mode="constant", cval=-np.inf
-        )
-        return np.where(mask, out, 0.0)
-
-    opened = dilate(erode(crop, params.background_radius), params.background_radius)
+def footprint_pipeline(mask, crop, params):
+    """The spectrum from scipy footprint filters and the dense loop."""
+    radius = params.background_radius
+    opened = footprint_filters(footprint_filters(crop, mask, radius)[0], mask, radius)[1]
     residue = np.where(mask, np.maximum(0.0, crop - opened), 0.0)
     start = float(residue[mask].mean())
     expected, prev, cur = {}, start, residue
     for key in map(str, range(1, params.spectrum_length + 1)):
-        entering, cur = cur, erode(cur, 1)
+        entering, cur = cur, footprint_filters(cur, mask, 1)[0]
         mean = float(dense_reconstruct(cur, entering, mask)[mask].mean())
         expected[key] = 100.0 * (prev - mean) / start
         prev = mean
-    assert measure_granularity(region_of(mask), ImagePlane(crop), params) == expected
+    return expected
+
+
+def test_large_object_spectrum_matches_footprint_pipeline(rng, front_calls):
+    """measure_granularity equals the same pipeline built from footprint
+    filters and the dense loop, bit for bit: on a crop large enough for
+    every fast path, and on a blob whose crop stays below the sparse front's
+    minimum size."""
+    params = GranularityParams()
+    size = 72
+    yy, xx = np.mgrid[:size, :size]
+    mask = np.hypot(yy - 36, xx - 35) <= 33
+    crop = scipy.ndimage.gaussian_filter(rng.random((size, size)), 1.5)
+    got = measure_granularity(region_of(mask), ImagePlane(crop), params)
+    assert got == footprint_pipeline(mask, crop, params)
     assert front_calls
+
+    front_calls.clear()
+    mask = small_blob(rng, size=30)
+    assert mask.size < granularity._SPARSE_MIN_SIZE
+    crop = scipy.ndimage.gaussian_filter(rng.random(mask.shape), 1.0)
+    got = measure_granularity(region_of(mask), ImagePlane(crop), params)
+    assert got == footprint_pipeline(mask, crop, params)
+    assert any(got.values()) and not front_calls
+
+
+def test_granularity_memory_is_bounded_by_a_few_crops():
+    # A fresh interpreter, so ru_maxrss reflects this one call.  The crop of
+    # a radius-160 disk is 805 KiB; 8 MiB is about ten crop-sized arrays.
+    probe = Path(__file__).parent / "granprobe.py"
+    out = subprocess.run(
+        [sys.executable, str(probe), "160"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    added_kib = int(out.stdout.strip())
+    assert added_kib < 8 * 1024, f"measure_granularity added {added_kib} KiB"
 
 
 # ------------------------------------------------------------ disk filters
 
 
-def test_disk_rectangles_cover_exactly_the_disk():
+def test_disk_rows_rebuild_the_disk():
     for radius in range(1, 65):
-        union = np.zeros((2 * radius + 1,) * 2, dtype=bool)
-        for rows, cols in granularity._disk_rectangles(radius):
-            assert rows % 2 == 1 and cols % 2 == 1
-            r0, c0 = radius - rows // 2, radius - cols // 2
-            union[r0 : r0 + rows, c0 : c0 + cols] = True
-        assert np.array_equal(union, disk_footprint(radius)), radius
+        disk = np.zeros((2 * radius + 1,) * 2, dtype=bool)
+        seen = []
+        for half, (reach, rows) in enumerate(granularity._disk_rows(radius)):
+            for dr in rows:
+                disk[radius + dr, radius - half : radius + half + 1] = True
+            seen.extend(rows)
+            wide = np.flatnonzero(disk_footprint(radius).sum(axis=1) >= 2 * half + 1)
+            assert reach == radius - wide[0] == wide[-1] - radius, (radius, half)
+        assert sorted(seen) == list(range(-radius, radius + 1)), radius
+        assert np.array_equal(disk, disk_footprint(radius)), radius
 
 
 def test_disk_filters_equal_footprint_filters(rng):
@@ -306,15 +338,38 @@ def test_disk_filters_equal_footprint_filters(rng):
         (small_blob(rng, size=30), rng.integers(0, 5, size=(30, 30)).astype(float)),
     ]
     for radius in range(1, 26):
-        footprint = disk_footprint(radius)
         for mask, values in crops:
-            low = scipy.ndimage.minimum_filter(
-                np.where(mask, values, np.inf), footprint=footprint,
-                mode="constant", cval=np.inf,
-            )
-            high = scipy.ndimage.maximum_filter(
-                np.where(mask, values, -np.inf), footprint=footprint,
-                mode="constant", cval=-np.inf,
-            )
-            assert np.array_equal(gray_erode(values, mask, radius), np.where(mask, low, 0.0))
-            assert np.array_equal(gray_dilate(values, mask, radius), np.where(mask, high, 0.0))
+            low, high = footprint_filters(values, mask, radius)
+            assert np.array_equal(gray_erode(values, mask, radius), low)
+            assert np.array_equal(gray_dilate(values, mask, radius), high)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    height=st.integers(1, 40),
+    width=st.integers(1, 40),
+    radius=st.integers(1, 25),
+    fill=st.floats(0.2, 1.0),
+    border=st.booleans(),
+    levels=st.integers(1, 1000),
+)
+@example(seed=1, height=1, width=40, radius=25, fill=1.0, border=True, levels=1000)
+@example(seed=2, height=40, width=1, radius=25, fill=1.0, border=True, levels=1000)
+@example(seed=3, height=1, width=1, radius=1, fill=1.0, border=True, levels=5)
+@example(seed=4, height=3, width=5, radius=25, fill=0.5, border=True, levels=3)
+@example(seed=5, height=2, width=40, radius=3, fill=0.4, border=False, levels=2)
+def test_disk_filters_equal_footprint_filters_everywhere(
+    seed, height, width, radius, fill, border, levels
+):
+    """Any crop shape (1 x n and n x 1 too), any radius (larger than the
+    crop too), masks with holes and masks touching every edge."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((height, width)) < fill
+    if border:
+        mask[[0, -1], :] = True
+        mask[:, [0, -1]] = True
+    values = rng.integers(0, levels, size=mask.shape) / levels
+    low, high = footprint_filters(values, mask, radius)
+    assert np.array_equal(gray_erode(values, mask, radius), low)
+    assert np.array_equal(gray_dilate(values, mask, radius), high)

@@ -284,6 +284,17 @@ def test_report_quotes_cells_the_way_tables_do(tmp_path):
     assert path.read_text().splitlines()[3].startswith("plain,2.0,")
 
 
+def test_report_names_the_feature_whose_fit_is_past_the_float_range(tmp_path):
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((30, 1))
+    report = compare_tables(table_from(["tiny"], 1e-300 * x), table_from(["tiny"], 1e300 * x))
+    assert report.fits[0].slope == math.inf
+    path = tmp_path / "report.csv"
+    with pytest.raises(ValueError, match="feature 'tiny', slope: non-finite"):
+        write_report(report, path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("scale", [1e-170, 1e200])
 def test_extreme_but_finite_magnitudes_fit_and_filter_as_unit_ones(scale):
     # Squared deviations used to underflow to 0 (R^2 0.0, a near-copy kept)
