@@ -29,7 +29,6 @@ from .granularity import GranularityParams, gray_open, gray_reconstruct, measure
 from .intensity import measure_intensity
 from .postprocess import (
     ComparisonReport,
-    NormalizeParams,
     compare_tables,
     correlation_filter,
     robust_standardize,
@@ -62,7 +61,6 @@ __all__ = [
     "HexGridParams",
     "ImagePlane",
     "LabelMask",
-    "NormalizeParams",
     "ObjectRegion",
     "RadialParams",
     "ShapeParams",

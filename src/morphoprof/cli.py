@@ -32,14 +32,15 @@ _FAMILY_FLAGS = (
 
 def _add_family_flags(parser) -> None:
     """The --features flag and the family-parameter flags, shared by
-    extract and list-features."""
+    extract and list-features; their defaults are ExperimentSpec()'s."""
+    defaults = ExperimentSpec()
     parser.add_argument(
         "--features",
-        default=",".join(engine.FAMILIES),
+        default=",".join(defaults.families),
         help="comma-separated families (default: all)",
     )
     for flag, field, attr in _FAMILY_FLAGS:
-        default = getattr(engine._DEFAULT_PARAMS[field], attr)
+        default = getattr(getattr(defaults, field), attr)
         metavar = flag[2:].upper().replace("-", "_")  # argparse's own, so --help stays put
         parser.add_argument(flag, dest=attr, metavar=metavar, type=type(default), default=default)
 
@@ -90,15 +91,18 @@ def _split_names(raw: str) -> list[str]:
     return [token for token in raw.split(",") if token]
 
 
-def _family_params(args):
-    """Every ExperimentSpec params field, built from the flags' values."""
-    values = {}
+def _config(args) -> ExperimentSpec:
+    """The configuration that --features and the family-parameter flags give."""
+    config = ExperimentSpec(families=tuple(_split_names(args.features)))
     for _, field, attr in _FAMILY_FLAGS:
-        values.setdefault(field, {})[attr] = getattr(args, attr)
-    return {field: replace(engine._DEFAULT_PARAMS[field], **kw) for field, kw in values.items()}
+        params = replace(getattr(config, field), **{attr: getattr(args, attr)})
+        config = replace(config, **{field: params})
+    return config
 
 
 def _cmd_extract(args) -> int:
+    # Every flag is checked before any file is read.
+    config = replace(_config(args), batch_size=args.batch_size, workers=args.workers)
     channel_names = _split_names(args.channel_names)
     mask_names = _split_names(args.mask_names)
     if len(channel_names) != len(args.image):
@@ -117,15 +121,7 @@ def _cmd_extract(args) -> int:
     object_sets = tuple(
         (name, raster_io.load_mask(path)) for name, path in zip(mask_names, args.mask)
     )
-    spec = ExperimentSpec(
-        channels=channels,
-        object_sets=object_sets,
-        families=tuple(_split_names(args.features)),
-        batch_size=args.batch_size,
-        workers=args.workers,
-        **_family_params(args),
-    )
-    tables = engine.run(spec)
+    tables = engine.run(replace(config, channels=channels, object_sets=object_sets))
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
     for table in tables:
         raster_io.write_table(table, Path(f"{stem}_{table.object_set}.csv"))
@@ -146,8 +142,7 @@ def _cmd_tessellate(args) -> int:
 
 def _cmd_normalize(args) -> int:
     table = raster_io.read_table(args.table_in)
-    params = postprocess.NormalizeParams(args.drop_missing_frac)
-    table = postprocess.robust_standardize(table, params)
+    table = postprocess.robust_standardize(table, args.drop_missing_frac)
     table = postprocess.correlation_filter(table, args.corr_threshold)
     raster_io.write_table(table, args.out)
     return 0
@@ -163,7 +158,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_list_features(args) -> int:
-    rows = engine.feature_catalog(_split_names(args.features), **_family_params(args))
+    rows = engine.feature_catalog(_config(args))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["name", "family", "input_kind", "params"])
     writer.writerows(rows)

@@ -7,6 +7,7 @@ read-only) and safe to share across worker processes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,11 @@ class ImagePlane:
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.pixels, dtype=np.float64, copy=True)
+        arr = np.asarray(self.pixels)
+        # Complex would lose its imaginary part and strings would be parsed.
+        if arr.dtype.kind not in "biuf":
+            raise ValueError(f"image values must be real numbers, got dtype {arr.dtype}")
+        arr = np.array(arr, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"image must be 2-D with positive dims, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -216,6 +221,19 @@ def _check_fraction(name: str, value: float) -> None:
     """Raise ValueError unless ``value`` is in [0, 1]; NaN is not."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1]")
+
+
+def _check_int(name: str, value, low: int, high: float = math.inf) -> int:
+    """``value`` as a Python int; ValueError unless it is an integer
+    (anything ``operator.index`` takes, NumPy integers too) in [low, high]."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= value <= high:
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}")
+    return value
 
 
 def _exponents(rows: np.ndarray) -> np.ndarray:

@@ -14,9 +14,9 @@ data.  A batch comes back as one block of value rows, written at its
 first row's index whatever order batches finish in, so the output tables
 are byte-identical for any worker count or batch size.
 
-Workers receive the object set name, family names, their params, the
-channel names and, per object, its region and its bbox crops as image
-planes rather than whole images, which bounds the peak working set by
+Workers receive the object set name, the expanded steps as (family name,
+params, channel names) and, per object, its region and its bbox crops as
+image planes rather than whole images, which bounds the peak working set by
 batch size and image size instead of the total object count.  A family
 that fails names the object set, label, family and channels it failed
 on.  Channel families run the public ``measure_X`` functions on the
@@ -36,7 +36,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import coloc, granularity, intensity, radial, shape, texture
-from .core import FeatureTable, ImagePlane, LabelMask, ObjectRegion, extract_objects
+from .core import FeatureTable, ImagePlane, LabelMask, ObjectRegion, _check_int, extract_objects
 
 #: One value of a family: (dict key, column feature, column suffix, catalog param text).
 Key = tuple[str, str, str, str]
@@ -57,6 +57,10 @@ class Family:
     #: (region, planes of the measured channels, params) -> {dict key: value}.
     #: Channel families get crop planes and the region in the crop's frame.
     measure: Callable[[ObjectRegion, tuple[ImagePlane, ...], Any], dict[str, float]]
+
+    def params(self, spec: ExperimentSpec):
+        """This family's params in ``spec``; None if it has none."""
+        return getattr(spec, self.params_field) if self.params_field else None
 
 
 def _param_text(params) -> str:
@@ -128,20 +132,17 @@ def _canonical(families) -> tuple[str, ...]:
     return tuple(f for f in FAMILIES if f in families)
 
 
-def _steps(families, params, channel_names):
-    """(record, its params, channel names) per measurement, in column order;
-    ``params`` maps spec field names to values."""
-    for family in map(_BY_NAME.get, families):
-        for chans in itertools.combinations(channel_names, family.arity):
-            yield family, params.get(family.params_field), chans
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything the engine needs to featurize one experiment."""
+    """Everything the engine needs to featurize one experiment.
 
-    channels: tuple[tuple[str, ImagePlane], ...]
-    object_sets: tuple[tuple[str, LabelMask], ...]
+    With no channels and no object sets it is a configuration, the one
+    source of defaults: ``feature_catalog`` reads it, and
+    ``dataclasses.replace`` adds the data to it.
+    """
+
+    channels: tuple[tuple[str, ImagePlane], ...] = ()
+    object_sets: tuple[tuple[str, LabelMask], ...] = ()
     families: tuple[str, ...] = FAMILIES
     shape_params: shape.ShapeParams = field(default_factory=shape.ShapeParams)
     texture_params: texture.TextureParams = field(default_factory=texture.TextureParams)
@@ -157,6 +158,11 @@ class ExperimentSpec:
         object.__setattr__(self, "channels", tuple(self.channels))
         object.__setattr__(self, "object_sets", tuple(self.object_sets))
         object.__setattr__(self, "families", _canonical(self.families))
+        for name in ("batch_size", "workers"):
+            try:
+                object.__setattr__(self, name, _check_int(name, getattr(self, name), 1))
+            except ValueError as exc:
+                raise SpecValidationError(str(exc)) from None
         self._validate()
 
     def _validate(self):
@@ -180,11 +186,8 @@ class ExperimentSpec:
                 raise SpecValidationError(
                     f"{what} is {w}x{h}, not aligned with {first} ({w0}x{h0})"
                 )
-        if self.batch_size < 1:
-            raise SpecValidationError("batch_size must be >= 1")
-        if self.workers < 1:
-            raise SpecValidationError("workers must be >= 1")
-        for name in self.families:
+        # Only a spec with object sets measures, so only it needs the channels.
+        for name in self.families if self.object_sets else ():
             arity = _BY_NAME[name].arity
             if arity > len(self.channels):
                 raise SpecValidationError(f"{name} needs at least {_NEEDS[arity]}")
@@ -192,6 +195,13 @@ class ExperimentSpec:
     @property
     def channel_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.channels)
+
+
+def _steps(spec: ExperimentSpec):
+    """(record, its params, channel names) per measurement, in column order."""
+    for family in map(_BY_NAME.get, spec.families):
+        for chans in itertools.combinations(spec.channel_names, family.arity):
+            yield family, family.params(spec), chans
 
 
 def feature_name(
@@ -212,7 +222,7 @@ def table_columns(spec: ExperimentSpec, object_set: str) -> list[str]:
     """Full canonical column list for one object set's table."""
     return [
         feature_name(object_set, family.token, feature, chans, suffix)
-        for family, params, chans in _steps(spec.families, vars(spec), spec.channel_names)
+        for family, params, chans in _steps(spec)
         for _, feature, suffix, _ in family.keys(params)
     ]
 
@@ -221,18 +231,19 @@ def _measure_batch(payload) -> np.ndarray:
     """Worker entry point: measure a batch of pre-cropped objects into one
     float64 block of rows, in batch order.
 
-    ``payload`` is (object set name, family names, {spec field: params},
-    channel names, objects); each object is (region, {channel name:
+    ``payload`` is (object set name, steps, objects); each step is (family
+    name, params, channel names), each object is (region, {channel name:
     ImagePlane of its bbox crop}).  Channel families see the region in its
     crop's frame.  An error inside a family is raised again as a
     RuntimeError naming the object set, label, family and channels,
     chained to the original.
     """
-    set_name, families, params, channel_names, objects = payload
-    steps = [
-        (family, family_params, [key for key, *_ in family.keys(family_params)], chans)
-        for family, family_params, chans in _steps(families, params, channel_names)
-    ]
+    set_name, named_steps, objects = payload
+    steps = []
+    for name, family_params, chans in named_steps:
+        family = _BY_NAME[name]
+        keys = [key for key, *_ in family.keys(family_params)]
+        steps.append((family, family_params, keys, chans))
     block = []
     for region, crops in objects:
         h, w = region.local_mask.shape
@@ -282,11 +293,10 @@ def run(spec: ExperimentSpec) -> list[FeatureTable]:
     Output is identical (to the byte, after serialization) for any
     (batch_size, workers) combination.
     """
-    params = {name: getattr(spec, name) for name in _DEFAULT_PARAMS}
-    config = (spec.families, params, spec.channel_names)
+    steps = [(family.name, params, chans) for family, params, chans in _steps(spec)]
     # A shape-only run reads no channel, so it crops none.
-    channel_families = any(_BY_NAME[name].arity for name in spec.families)
-    planes = {name: plane.pixels for name, plane in spec.channels} if channel_families else {}
+    cropped = any(chans for *_, chans in steps)
+    planes = {name: plane.pixels for name, plane in spec.channels} if cropped else {}
     tables = []
     for set_name, mask in spec.object_sets:
         regions = extract_objects(mask)
@@ -295,7 +305,7 @@ def run(spec: ExperimentSpec) -> list[FeatureTable]:
         starts = range(0, len(regions), spec.batch_size)
         # Crops are copied into image planes batch by batch, only as the batches are consumed.
         payloads = (
-            (start, (set_name, *config, [
+            (start, (set_name, steps, [
                 (region, {name: ImagePlane(region.crop(arr)) for name, arr in planes.items()})
                 for region in regions[start : start + spec.batch_size]
             ]))
@@ -308,26 +318,11 @@ def run(spec: ExperimentSpec) -> list[FeatureTable]:
     return tables
 
 
-_DEFAULT_PARAMS = {
-    f.name: f.default_factory()
-    for f in dataclasses.fields(ExperimentSpec)
-    if f.name in {family.params_field for family in REGISTRY}
-}
-
-
-def feature_catalog(families=FAMILIES, **params) -> list[tuple[str, str, str, str]]:
+def feature_catalog(spec: ExperimentSpec = ExperimentSpec()) -> list[tuple[str, str, str, str]]:
     """(name, family, input kind, params) rows describing every feature
-    the named families produce, channel placeholders elided.
-
-    ``params`` takes the ExperimentSpec params fields (``texture_params=``
-    and so on); omitted ones keep their defaults.
-    """
-    unknown = set(params) - set(_DEFAULT_PARAMS)
-    if unknown:
-        raise TypeError(f"unknown params fields: {sorted(unknown)}")
-    params = {**_DEFAULT_PARAMS, **params}
+    the spec's families produce with its params, channel placeholders elided."""
     return [
         (f"{family.token}_{key}", family.token, _INPUT_KINDS[family.arity], text)
-        for family in map(_BY_NAME.get, _canonical(families))
-        for key, _, _, text in family.keys(params.get(family.params_field))
+        for family in map(_BY_NAME.get, spec.families)
+        for key, _, _, text in family.keys(family.params(spec))
     ]

@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ImagePlane, ObjectRegion
+from .core import ImagePlane, ObjectRegion, _check_int
 
 
 #: Reconstruction switches to the sparse front on crops of at least this
@@ -57,10 +57,10 @@ class GranularityParams:
     background_radius: int = 10
 
     def __post_init__(self):
-        if not 1 <= self.spectrum_length <= 64:
-            raise ValueError("spectrum_length must be in [1, 64]")
-        if self.background_radius < 1:
-            raise ValueError("background_radius must be >= 1")
+        length = _check_int("spectrum_length", self.spectrum_length, 1, 64)
+        radius = _check_int("background_radius", self.background_radius, 1)
+        object.__setattr__(self, "spectrum_length", length)
+        object.__setattr__(self, "background_radius", radius)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import ImagePlane, ObjectRegion, edge_mask
+from .core import ImagePlane, ObjectRegion, _exponents, edge_mask
 
 FEATURES = (
     "IntegratedIntensity",
@@ -35,6 +35,10 @@ def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, floa
     local_mask = region.local_mask
     crop = region.crop(plane.pixels)
     values = crop[local_mask]
+    # The std squares deviations: take it at a power-of-two scale where the
+    # squares stay in range, then restore that scale exactly.
+    exponent = int(_exponents(values))
+    std = math.ldexp(float(np.ldexp(values, -exponent).std()), exponent)
     median = float(np.median(values))
     edge_values = crop[edge_mask(local_mask)]
 
@@ -54,7 +58,7 @@ def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, floa
         "IntegratedIntensity": total,
         "MeanIntensity": float(values.mean()),
         "MedianIntensity": median,
-        "StdIntensity": float(values.std()),
+        "StdIntensity": std,
         "MinIntensity": float(values.min()),
         "MaxIntensity": float(values.max()),
         "MADIntensity": float(np.median(np.abs(values - median))),

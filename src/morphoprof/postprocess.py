@@ -24,18 +24,10 @@ from .core import MISSING, FeatureTable, _check_fraction, _exponents
 from .raster_io import format_cell
 
 
-@dataclass(frozen=True)
-class NormalizeParams:
-    drop_missing_frac: float = 0.05
-
-    def __post_init__(self):
-        _check_fraction("drop_missing_frac", self.drop_missing_frac)
-
-
-def robust_standardize(
-    table: FeatureTable, params: NormalizeParams = NormalizeParams()
-) -> FeatureTable:
-    """Robust z-score per feature; drops MAD-zero and gap-ridden columns."""
+def robust_standardize(table: FeatureTable, drop_missing_frac: float = 0.05) -> FeatureTable:
+    """Robust z-score per feature; drops MAD-zero columns and those with
+    more than ``drop_missing_frac`` of their cells missing."""
+    _check_fraction("drop_missing_frac", drop_missing_frac)
     if table.n_rows == 0:
         raise ValueError("cannot standardize an empty table")
     kept_cols = []
@@ -44,7 +36,7 @@ def robust_standardize(
         col = table.values[:, j]
         present = np.isfinite(col)
         missing_frac = 1.0 - present.sum() / col.size
-        if not present.any() or missing_frac > params.drop_missing_frac:
+        if not present.any() or missing_frac > drop_missing_frac:
             continue
         med = float(np.median(col[present]))
         mad = float(np.median(np.abs(col[present] - med)))

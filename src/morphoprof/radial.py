@@ -17,6 +17,8 @@ from .core import (
     MISSING,
     ImagePlane,
     ObjectRegion,
+    _check_int,
+    _exponents,
     background_distance,
     centered_deviations,
 )
@@ -31,8 +33,7 @@ class RadialParams:
     bins: int = 4
 
     def __post_init__(self):
-        if self.bins < 1:
-            raise ValueError("bins must be >= 1")
+        object.__setattr__(self, "bins", _check_int("bins", self.bins, 1))
 
 
 def feature_keys(params: RadialParams = RadialParams()) -> list[str]:
@@ -63,6 +64,9 @@ def measure_radial(
     """Radial distribution features, keyed ``<Stat>_<b>of<B>``."""
     bin_of, wedge_of = bin_geometry(region.local_mask, params.bins)
     values = region.crop(plane.pixels)[region.local_mask]
+    # Every feature is scale-invariant: rescaling by a power of two keeps the
+    # wedge sums' squares in range and changes no bit of a ratio.
+    values = np.ldexp(values, -_exponents(values))
     count = values.size
     total = float(values.sum())
 

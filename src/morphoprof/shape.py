@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ObjectRegion, background_distance, centered_deviations
+from .core import ObjectRegion, _check_int, background_distance, centered_deviations
 
 BASE_FEATURES = (
     "Area",
@@ -58,8 +58,8 @@ class ShapeParams:
     zernike_max_order: int = 9
 
     def __post_init__(self):
-        if not 0 <= self.zernike_max_order <= 20:
-            raise ValueError("zernike_max_order must be in [0, 20]")
+        order = _check_int("zernike_max_order", self.zernike_max_order, 0, 20)
+        object.__setattr__(self, "zernike_max_order", order)
 
 
 def zernike_indexes(max_order: int) -> list[tuple[int, int]]:

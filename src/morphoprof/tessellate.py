@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelMask, _check_fraction
+from .core import LabelMask, _check_fraction, _check_int
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class HexGridParams:
     circumradius: float
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("canvas dims must be positive")
+        for name in ("width", "height"):
+            object.__setattr__(self, name, _check_int(f"canvas {name}", getattr(self, name), 1))
         # Pixel centers are 1 apart, so below 0.5 a hexagon bins at most one
         # pixel; if the lattice step sqrt(3)*R overflows there is no lattice.
         r = self.circumradius

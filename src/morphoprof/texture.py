@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MISSING, ImagePlane, ObjectRegion
+from .core import MISSING, ImagePlane, ObjectRegion, _check_int
 
 FEATURES = (
     "AngularSecondMoment",
@@ -43,10 +43,10 @@ class TextureParams:
     gray_levels: int = 8
 
     def __post_init__(self):
-        if self.distance < 1:
-            raise ValueError("texture distance must be >= 1")
-        if not 2 <= self.gray_levels <= 256:
-            raise ValueError("gray_levels must be in [2, 256]")
+        distance = _check_int("texture distance", self.distance, 1)
+        levels = _check_int("gray_levels", self.gray_levels, 2, 256)
+        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "gray_levels", levels)
 
 
 def directions(distance: int) -> tuple[tuple[int, int], ...]:

@@ -405,7 +405,7 @@ def test_criterion_8_postprocessing():
     with criterion(8, "robust standardize to 1e-12; correlation filter exhaustive"):
         spec = experiment(n_objects=60, size=128, seed=8)
         (table,) = run(spec)
-        standardized = mp.robust_standardize(table, mp.NormalizeParams(drop_missing_frac=0.2))
+        standardized = mp.robust_standardize(table, drop_missing_frac=0.2)
         assert len(standardized.columns) > 50
         for j in range(len(standardized.columns)):
             col = standardized.values[:, j]

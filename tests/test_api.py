@@ -12,7 +12,6 @@ PUBLIC_NAMES = [
     "ImagePlane",
     "LabelMask",
     "MISSING",
-    "NormalizeParams",
     "ObjectRegion",
     "RadialParams",
     "ShapeParams",
@@ -52,6 +51,6 @@ PUBLIC_NAMES = [
 def test_public_surface_is_pinned():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert sorted(mp.__all__) == PUBLIC_NAMES
-    assert len(set(mp.__all__)) == len(mp.__all__) == 44
+    assert len(set(mp.__all__)) == len(mp.__all__) == 43
     for name in PUBLIC_NAMES:
         assert hasattr(mp, name), name

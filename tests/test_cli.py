@@ -1,10 +1,13 @@
 import csv
+import hashlib
 import io
+import platform
 
 import numpy as np
 import pytest
 
 from morphoprof import (
+    ExperimentSpec,
     FeatureTable,
     ImagePlane,
     LabelMask,
@@ -14,8 +17,7 @@ from morphoprof import (
     save_mask,
     write_table,
 )
-from morphoprof import engine
-from morphoprof.cli import _build_parser, _family_params, main
+from morphoprof.cli import _build_parser, _config, main
 from synth import blob_mask, smooth_plane
 
 
@@ -286,7 +288,7 @@ def test_list_features_respects_params(capsys):
 def test_family_flag_defaults_are_the_params_defaults():
     parser = _build_parser()
     for argv in (["list-features"], ["extract", "--out", "x"]):
-        assert _family_params(parser.parse_args(argv)) == engine._DEFAULT_PARAMS
+        assert _config(parser.parse_args(argv)) == ExperimentSpec()
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e200])
@@ -318,3 +320,60 @@ def test_tessellate_at_the_largest_radii_is_one_quiet_hexagon(tmp_path, capsys, 
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
     assert (load_mask(out).labels == 1).all()
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [([], 1), (["--features", "wavelets"], 2), (["--texture-gray-levels", "1"], 2),
+     (["--granularity-length", "0"], 2), (["--batch-size", "0"], 2), (["--workers", "0"], 2)],
+)
+def test_extract_checks_flags_before_reading_any_file(tmp_path, capsys, flags, code):
+    # The files do not exist, so only a flag checked first can give exit code 2.
+    argv = ["extract", "--image", str(tmp_path / "none.raw"), "--channel-names", "DNA",
+            "--mask", str(tmp_path / "none.u32"), "--mask-names", "cells",
+            "--out", str(tmp_path / "out"), *flags]
+    assert main(argv) == code
+    assert ("invalid request" if code == 2 else "none.raw") in capsys.readouterr().err
+
+#: sha256 of each list-features output.  The rows are plain strings with no
+#: float math, so they do not depend on the library versions.
+LIST_FEATURES_SHA256 = {
+    (): "3c0ac81a379c4808c9a2e53143f90deaf9dd8888e84ac60a100789e82354bfff",
+    ("--features", "shape,coloc"):
+        "036db58edcb8fd16fb0a323ec826095aba16b55655e7d3c4cda18f3e39d1088d",
+    ("--features", "radial", "--radial-bins", "6"):
+        "b66cccbecdb1cadafa88cf3a2e38d70ea9c3ae15d4efea3fde94b316d1d06a1a",
+}
+
+#: sha256 of each --help output at COLUMNS=80, keyed by Python version,
+#: because argparse formats help differently between releases.
+HELP_SHA256 = {
+    "3.11.7": {
+        (): "bde0538e6c03a7081acd6216bb3d5c7cc5b4f7eb00a64744a8472945d4e13a30",
+        ("extract",): "95c07ffd3bb1d8fe70d597a35748c615813bfc8ba849f6413418d8e2151def4b",
+        ("tessellate",): "241a6e671095120858d0faf1112c0ed8669fbb2f4d999fbad1aea115fa08cacd",
+        ("normalize",): "997841fa4d8019a5078589093897776407ae9f8a099c56eef5d22f6ae36b4a8e",
+        ("compare",): "30b60c7a4ea955579798684c8c2604ca202d1e53e4a495c378e0440b48aa0b9f",
+        ("list-features",): "89b8bb096f898dab76425de31c33fb3679c2ce071bd74c4c292a6d20dc7f04ef",
+    },
+}
+
+
+def _stdout_sha256(capsys, argv) -> str:
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("flags", list(LIST_FEATURES_SHA256))
+def test_list_features_output_is_pinned(capsys, flags):
+    assert _stdout_sha256(capsys, ["list-features", *flags]) == LIST_FEATURES_SHA256[flags]
+
+
+@pytest.mark.parametrize("command", [(), ("extract",), ("tessellate",), ("normalize",),
+                                     ("compare",), ("list-features",)])
+def test_help_output_is_pinned(capsys, monkeypatch, command):
+    pinned = HELP_SHA256.get(platform.python_version())
+    if pinned is None:
+        pytest.skip(f"no --help digests pinned for Python {platform.python_version()}")
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _stdout_sha256(capsys, [*command, "--help"]) == pinned[command]

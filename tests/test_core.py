@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,12 +9,16 @@ from hypothesis import strategies as st
 
 from morphoprof import (
     ColocParams,
+    ExperimentSpec,
     FeatureTable,
     GranularityParams,
+    HexGridParams,
     ImagePlane,
     LabelMask,
     ObjectRegion,
     RadialParams,
+    ShapeParams,
+    SpecValidationError,
     TextureParams,
     extract_objects,
     max_project,
@@ -237,3 +243,50 @@ def test_centered_deviations_integer_and_float_paths():
     assert n == 1500 * 1500
     assert dr.dtype == np.float64
     assert abs(dr.sum()) < 1e-3 * n
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.array([[1 + 2j, 0.5]]), np.array([["1.5", "2"]]), np.array([[b"1", b"2"]]),
+     np.array([[1.5, 2.0]], dtype=object)],
+)
+def test_plane_rejects_values_that_are_not_real_numbers(values):
+    # Complex planes used to drop the imaginary part, string planes were parsed.
+    with pytest.raises(ValueError, match=re.escape(f"got dtype {values.dtype}")):
+        ImagePlane(values)
+
+
+@pytest.mark.parametrize("values", [[[True, False]], np.array([[3, 4]], dtype=np.uint16)])
+def test_plane_accepts_bool_and_integer_values(values):
+    assert ImagePlane(values).pixels.tolist() == np.asarray(values, dtype=np.float64).tolist()
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: ShapeParams(zernike_max_order=v), "zernike_max_order"),
+        (lambda v: TextureParams(distance=v), "texture distance"),
+        (lambda v: TextureParams(gray_levels=v), "gray_levels"),
+        (lambda v: GranularityParams(spectrum_length=v), "spectrum_length"),
+        (lambda v: GranularityParams(background_radius=v), "background_radius"),
+        (lambda v: RadialParams(bins=v), "bins"),
+        (lambda v: HexGridParams(v, 4, 1.0), "canvas width"),
+        (lambda v: HexGridParams(4, v, 1.0), "canvas height"),
+        (lambda v: ExperimentSpec(batch_size=v), "batch_size"),
+        (lambda v: ExperimentSpec(workers=v), "workers"),
+    ],
+)
+def test_integer_settings_are_checked_at_construction(build, name):
+    # A float used to pass here and fail later inside a run, or not at all.
+    for value in (2.5, 2.0, "2", None, math.nan):
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(value)
+    with pytest.raises(ValueError, match=f"{name} must be "):
+        build(-1)
+    for value in (2, np.int64(2), np.uint8(2)):
+        stored = getattr(build(value), name.split()[-1])
+        assert type(stored) is int and stored == value
+    if name in ("batch_size", "workers"):
+        with pytest.raises(SpecValidationError):
+            build(2.5)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from concurrent.futures import Future
 
@@ -357,7 +358,7 @@ def test_row_and_column_shape():
 
 def test_catalog_row_count_default_params():
     spec = tiny_spec(n_channels=2, n_sets=1)
-    rows = feature_catalog(spec.families)
+    rows = feature_catalog(spec)
     assert len(rows) == 44 + 12 + 13 + 16 + 12 + 5
     families = {family for _, family, _, _ in rows}
     assert families == {
@@ -367,7 +368,7 @@ def test_catalog_row_count_default_params():
 
 def test_catalog_rejects_unknown_params_field():
     with pytest.raises(TypeError, match="texture_param"):
-        feature_catalog(texture_param=TextureParams(distance=2))
+        ExperimentSpec(texture_param=TextureParams(distance=2))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -400,3 +401,22 @@ def test_family_error_names_object_set_label_family_and_channels(
     # In-process the cause is the error itself; from a pool worker it is the
     # worker's traceback, which names it.
     assert "ZeroDivisionError" in repr(excinfo.value.__cause__)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("e", [-700, 1000])
+def test_intensity_and_radial_at_extreme_but_finite_magnitudes(e):
+    # Planes x 2^-700 made StdIntensity and RadialCV drift; x 2^1000 leaked
+    # non-finite cells into both, with a NumPy overflow warning.
+    spec = experiment(n_objects=60, size=128, seed=3, families=("intensity", "radial"))
+    scaled = dataclasses.replace(spec, channels=tuple(
+        (name, ImagePlane(np.ldexp(plane.pixels, e))) for name, plane in spec.channels
+    ))
+    (base,), (got,) = run(spec), run(scaled)
+    assert got.columns == base.columns
+    for j, column in enumerate(base.columns):
+        if "_StdIntensity_" in column:
+            np.testing.assert_array_equal(got.values[:, j], np.ldexp(base.values[:, j], e))
+        elif "_RadialDistribution_" in column:
+            np.testing.assert_array_equal(got.values[:, j], base.values[:, j])
+    assert not (np.isfinite(base.values) & ~np.isfinite(got.values)).any()

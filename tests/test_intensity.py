@@ -141,3 +141,33 @@ def test_matches_naive_oracle(seed):
     assert_feature_maps_close(
         measure_intensity(region, plane), intensity_oracle(region, plane), rel=1e-9
     )
+
+
+def test_extreme_but_finite_magnitudes_keep_std_exact(rng):
+    # Planes x 2^-700 made StdIntensity drift (the squares underflowed), and
+    # x 2^1000 made it inf with an overflow warning.
+    mask = small_blob(rng)
+    values = smooth_plane(*mask.shape, rng)
+    region = region_of(mask)
+    base = measure_intensity(region, plane_of(values))
+    for e in (-700, -300, 300, 1000):
+        got = measure_intensity(region, plane_of(np.ldexp(values, e)))
+        assert got["StdIntensity"] == math.ldexp(base["StdIntensity"], e), e
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 500))
+def test_power_of_two_scaling_changes_no_bit_of_intensity(seed, e):
+    """MassDisplacement is bitwise scale-invariant, every other feature,
+    StdIntensity included, is exactly x 2^e, and no value turns non-finite."""
+    rng = np.random.default_rng(seed)
+    mask = small_blob(rng, size=12)
+    # Multiples of 2^-10, so no scaled value falls below the normal range.
+    values = rng.integers(0, 1024, size=mask.shape) / 1024
+    region = region_of(mask)
+    base = measure_intensity(region, plane_of(values))
+    got = measure_intensity(region, plane_of(np.ldexp(values, e)))
+    assert got["MassDisplacement"] == base["MassDisplacement"]
+    for key in SCALING:
+        assert got[key] == math.ldexp(base[key], e), key
+    assert all(map(math.isfinite, got.values()))

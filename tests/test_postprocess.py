@@ -11,7 +11,6 @@ from oracles import abs_corr_oracle, correlation_filter_oracle
 from morphoprof import (
     ComparisonReport,
     FeatureTable,
-    NormalizeParams,
     compare_tables,
     correlation_filter,
     robust_standardize,
@@ -59,9 +58,9 @@ def test_missing_fraction_drop_and_imputation():
         [[1.0, 1.0], [2.0, np.nan], [3.0, 3.0], [4.0, 4.0], [5.0, 5.0]]
     )
     table = table_from(["keep", "gappy"], values)
-    strict = robust_standardize(table, NormalizeParams(drop_missing_frac=0.05))
+    strict = robust_standardize(table, drop_missing_frac=0.05)
     assert strict.columns == ("keep",)
-    lax = robust_standardize(table, NormalizeParams(drop_missing_frac=0.5))
+    lax = robust_standardize(table, drop_missing_frac=0.5)
     assert lax.columns == ("keep", "gappy")
     assert lax.values[1, 1] == 0.0  # imputed with the post-standardization median
 
@@ -70,7 +69,7 @@ def test_missing_fraction_drop_and_imputation():
 def test_all_missing_column_is_dropped_at_any_missing_frac():
     values = np.array([[1.0, np.nan], [2.0, np.nan], [4.0, np.nan]])
     table = table_from(["keep", "empty"], values)
-    out = robust_standardize(table, NormalizeParams(drop_missing_frac=1.0))
+    out = robust_standardize(table, drop_missing_frac=1.0)
     assert out.columns == ("keep",)
 
 
@@ -172,7 +171,7 @@ def test_threshold_ranges_are_checked_where_read():
             correlation_filter(table, threshold)
     for frac in (math.nan, 2.0, -0.1):
         with pytest.raises(ValueError, match="drop_missing_frac"):
-            NormalizeParams(frac)
+            robust_standardize(table, frac)
     with pytest.raises(ValueError, match="r2_threshold"):
         compare_tables(table, table, r2_threshold=math.nan)
     with pytest.raises(ValueError, match="r2_threshold"):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 from conftest import assert_close, assert_feature_maps_close, plane_of, region_of
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import radial_oracle
 
 from morphoprof import ImagePlane, RadialParams, measure_radial
@@ -123,3 +125,37 @@ def test_respects_bin_count():
     assert sorted(k for k in features if k.startswith("FracAtD")) == [
         f"FracAtD_{b}of6" for b in range(1, 7)
     ]
+
+
+def _same(got: dict, base: dict) -> bool:
+    """Equal keys and bitwise-equal values, NaN matching NaN."""
+    return got.keys() == base.keys() and all(
+        got[k] == base[k] or (math.isnan(got[k]) and math.isnan(base[k])) for k in base
+    )
+
+
+def test_extreme_but_finite_magnitudes_measure_like_unit_ones(rng):
+    # Planes x 2^-700 made RadialCV drift (the squares underflowed), and
+    # x 2^1000 made it non-finite with an overflow warning.
+    mask = small_blob(rng)
+    values = smooth_plane(*mask.shape, rng)
+    region = region_of(mask)
+    base = measure_radial(region, plane_of(values))
+    for e in (-700, -300, 300, 1000):
+        assert _same(measure_radial(region, plane_of(np.ldexp(values, e))), base), e
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 500))
+def test_power_of_two_scaling_changes_no_bit_of_radial(seed, e):
+    """Every radial feature is scale-invariant: bitwise equal to the
+    unscaled value, with NaN exactly where the unscaled run has it."""
+    rng = np.random.default_rng(seed)
+    mask = small_blob(rng, size=12)
+    # Multiples of 2^-10, so no scaled value falls below the normal range.
+    values = rng.integers(0, 1024, size=mask.shape) / 1024
+    region = region_of(mask)
+    base = measure_radial(region, plane_of(values))
+    got = measure_radial(region, plane_of(np.ldexp(values, e)))
+    assert _same(got, base)
+    assert not any(map(math.isinf, got.values()))
