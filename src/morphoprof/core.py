@@ -1,14 +1,15 @@
 """Core data model: image planes, label masks, per-object regions, feature tables.
 
-All types are immutable after construction (backing arrays are marked
-read-only) and safe to share across worker processes.
+Each type checks its values in its constructor, is immutable after it
+(backing arrays are marked read-only), compares and hashes by identity,
+and is safe to share across worker processes.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage
@@ -20,19 +21,26 @@ import scipy.ndimage
 MISSING = math.nan
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _grid(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr``, made read-only; ValueError unless it is 2-D with positive dims."""
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"{what} must be 2-D with positive dims, got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
 
 
-def _int64_labels(labels: np.ndarray) -> np.ndarray:
-    # Always a fresh copy; only uint64 holds labels that int64 cannot.
+def _int64_labels(labels) -> np.ndarray:
+    """A fresh int64 copy of integer ``labels``; an empty array may have any dtype."""
+    labels = np.asarray(labels)
+    if labels.size and not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    # Only uint64 holds labels that int64 cannot.
     if labels.dtype == np.uint64 and labels.size and labels.max() > np.iinfo(np.int64).max:
         raise ValueError(f"label {labels.max()} does not fit in int64")
     return labels.astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImagePlane:
     """One imaging channel: a 2-D grid of finite real intensities.
 
@@ -47,12 +55,10 @@ class ImagePlane:
         # Complex would lose its imaginary part and strings would be parsed.
         if arr.dtype.kind not in "biuf":
             raise ValueError(f"image values must be real numbers, got dtype {arr.dtype}")
-        arr = np.array(arr, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"image must be 2-D with positive dims, got shape {arr.shape}")
+        arr = _grid(arr.astype(np.float64), "image")
         if not np.all(np.isfinite(arr)):
             raise ValueError("image contains non-finite values")
-        object.__setattr__(self, "pixels", _freeze(arr))
+        object.__setattr__(self, "pixels", arr)
 
     @property
     def height(self) -> int:
@@ -63,7 +69,7 @@ class ImagePlane:
         return self.pixels.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelMask:
     """Object labels on a 2-D grid; 0 is background.
 
@@ -74,15 +80,10 @@ class LabelMask:
     labels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.labels)
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
-        arr = _int64_labels(arr)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"mask must be 2-D with positive dims, got shape {arr.shape}")
+        arr = _grid(_int64_labels(self.labels), "mask")
         if arr.min(initial=0) < 0:
             raise ValueError("labels must be non-negative")
-        object.__setattr__(self, "labels", _freeze(arr))
+        object.__setattr__(self, "labels", arr)
 
     @property
     def height(self) -> int:
@@ -93,7 +94,7 @@ class LabelMask:
         return self.labels.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectRegion:
     """One object: its label, tight bounding box, and local boolean mask.
 
@@ -105,22 +106,21 @@ class ObjectRegion:
     label: int
     bbox: tuple[int, int, int, int]
     local_mask: np.ndarray
-    pixel_count: int = field(init=False)
 
     def __post_init__(self):
         mask = np.ascontiguousarray(self.local_mask, dtype=bool)
-        r0, c0, r1, c1 = self.bbox
-        if self.label <= 0:
-            raise ValueError("object label must be positive")
+        label = _check_int("object label", self.label, 1)
+        r0, c0, r1, c1 = bbox = tuple(_check_int("bbox", v, 0) for v in self.bbox)
         if mask.shape != (r1 - r0 + 1, c1 - c0 + 1):
             raise ValueError("local_mask shape does not match bbox")
-        count = int(mask.sum())
-        if count < 1:
+        if not mask.any():
             raise ValueError("object region must contain at least one pixel")
         if not (mask[0].any() and mask[-1].any() and mask[:, 0].any() and mask[:, -1].any()):
             raise ValueError("bbox is not tight around local_mask")
-        object.__setattr__(self, "local_mask", _freeze(mask))
-        object.__setattr__(self, "pixel_count", count)
+        mask.flags.writeable = False
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "bbox", bbox)
+        object.__setattr__(self, "local_mask", mask)
 
     def crop(self, arr: np.ndarray) -> np.ndarray:
         """View of a full-image array restricted to this region's bbox."""
@@ -131,7 +131,7 @@ class ObjectRegion:
         return arr[r0 : r1 + 1, c0 : c1 + 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureTable:
     """Per-object feature values for one object set.
 
@@ -146,10 +146,7 @@ class FeatureTable:
 
     def __post_init__(self):
         cols = tuple(self.columns)
-        labels = np.asarray(self.labels)
-        if labels.size and not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-        labels = _int64_labels(labels)
+        labels = _int64_labels(self.labels)
         values = np.array(self.values, dtype=np.float64, copy=True)
         if len(set(cols)) != len(cols):
             raise ValueError("duplicate column names")
@@ -162,19 +159,14 @@ class FeatureTable:
             )
         if labels.size > 1 and not np.all(np.diff(labels) > 0):
             raise ValueError("labels must be strictly ascending")
+        labels.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "labels", _freeze(labels))
-        object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", values)
 
     @property
     def n_rows(self) -> int:
         return int(self.labels.size)
-
-    def row(self, label: int) -> dict[str, float]:
-        idx = int(np.searchsorted(self.labels, label))
-        if idx >= self.labels.size or self.labels[idx] != label:
-            raise KeyError(f"no row for label {label}")
-        return dict(zip(self.columns, self.values[idx]))
 
 
 def extract_objects(mask: LabelMask) -> list[ObjectRegion]:

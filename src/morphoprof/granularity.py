@@ -125,6 +125,7 @@ def _disk_filter(padded: np.ndarray, radius: int, op, out: np.ndarray) -> None:
 
 def gray_erode(values: np.ndarray, mask: np.ndarray, radius: int) -> np.ndarray:
     """Masked grayscale erosion by a disk; off-mask output is 0."""
+    radius = min(radius, sum(mask.shape))  # holds every offset within the crop
     eroded = np.empty(mask.shape)
     _disk_filter(_guarded(values, mask, radius, np.inf), radius, np.minimum, eroded)
     return np.where(mask, eroded, 0.0)
@@ -132,6 +133,7 @@ def gray_erode(values: np.ndarray, mask: np.ndarray, radius: int) -> np.ndarray:
 
 def gray_dilate(values: np.ndarray, mask: np.ndarray, radius: int) -> np.ndarray:
     """Masked grayscale dilation by a disk; off-mask output is 0."""
+    radius = min(radius, sum(mask.shape))  # holds every offset within the crop
     dilated = np.empty(mask.shape)
     _disk_filter(_guarded(values, mask, radius, -np.inf), radius, np.maximum, dilated)
     return np.where(mask, dilated, 0.0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,10 +30,9 @@ def robust_standardize(table: FeatureTable, drop_missing_frac: float = 0.05) -> 
     _check_fraction("drop_missing_frac", drop_missing_frac)
     if table.n_rows == 0:
         raise ValueError("cannot standardize an empty table")
-    kept_cols = []
-    kept_values = []
-    for j, name in enumerate(table.columns):
-        col = table.values[:, j]
+    values = np.zeros(table.values.shape)
+    kept = []
+    for j, col in enumerate(table.values.T):
         present = np.isfinite(col)
         missing_frac = 1.0 - present.sum() / col.size
         if not present.any() or missing_frac > drop_missing_frac:
@@ -42,21 +41,9 @@ def robust_standardize(table: FeatureTable, drop_missing_frac: float = 0.05) -> 
         mad = float(np.median(np.abs(col[present] - med)))
         if mad == 0.0:
             continue
-        standardized = (col - med) / (1.4826 * mad)
-        standardized[~present] = 0.0
-        kept_cols.append(name)
-        kept_values.append(standardized)
-    values = (
-        np.column_stack(kept_values)
-        if kept_cols
-        else np.empty((table.n_rows, 0), dtype=np.float64)
-    )
-    return FeatureTable(
-        object_set=table.object_set,
-        columns=tuple(kept_cols),
-        labels=table.labels,
-        values=values,
-    )
+        values[present, j] = (col[present] - med) / (1.4826 * mad)
+        kept.append(j)
+    return replace(table, columns=tuple(table.columns[j] for j in kept), values=values[:, kept])
 
 
 def _abs_corr(x: np.ndarray, y: np.ndarray) -> float:
@@ -94,12 +81,8 @@ def correlation_filter(table: FeatureTable, threshold: float = 0.9) -> FeatureTa
         if any(_abs_corr(rows[k], col) > threshold for k in kept if k not in block):
             continue
         kept.append(j)
-    return FeatureTable(
-        object_set=table.object_set,
-        columns=tuple(table.columns[j] for j in kept),
-        labels=table.labels,
-        values=table.values[:, kept],
-    )
+    columns = tuple(table.columns[j] for j in kept)
+    return replace(table, columns=columns, values=table.values[:, kept])
 
 
 @dataclass(frozen=True)

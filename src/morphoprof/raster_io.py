@@ -147,9 +147,10 @@ def load_image(path) -> ImagePlane:
     samples = _load_samples(path, ("PGM8", "PGM16", "RAWF32"))
     if samples.dtype.kind == "u":  # PGM: divide by the format maximum
         samples = samples / np.iinfo(samples.dtype).max
-    elif not np.all(np.isfinite(samples)):
-        raise FormatError(f"{path}: non-finite float samples")
-    return ImagePlane(samples)
+    try:
+        return ImagePlane(samples)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def save_image(plane: ImagePlane, path, fmt: str = "RAWF32") -> None:

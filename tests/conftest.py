@@ -20,6 +20,12 @@ def plane_of(values):
     return ImagePlane(np.asarray(values, dtype=np.float64))
 
 
+def row_of(table, label):
+    """The cells of ``table``'s row for ``label``, by column name."""
+    (index,) = np.flatnonzero(table.labels == label)
+    return dict(zip(table.columns, table.values[index]))
+
+
 def assert_close(actual, expected, rel=1e-9, abs_tol=1e-12, label=""):
     """Relative comparison with an absolute floor, NaN == NaN."""
     if np.isnan(expected) and np.isnan(actual):

@@ -638,3 +638,25 @@ def correlation_filter_oracle(values, threshold):
             continue
         kept.append(j)
     return kept
+
+
+def robust_standardize_oracle(values, drop_missing_frac):
+    """Frozen column-by-column robust z-score: the kept column indices and
+    their standardized columns stacked, missing cells 0."""
+    kept, stacked = [], []
+    for j in range(values.shape[1]):
+        col = values[:, j]
+        present = np.isfinite(col)
+        missing_frac = 1.0 - present.sum() / col.size
+        if not present.any() or missing_frac > drop_missing_frac:
+            continue
+        med = float(np.median(col[present]))
+        mad = float(np.median(np.abs(col[present] - med)))
+        if mad == 0.0:
+            continue
+        standardized = (col - med) / (1.4826 * mad)
+        standardized[~present] = 0.0
+        kept.append(j)
+        stacked.append(standardized)
+    out = np.column_stack(stacked) if stacked else np.empty((values.shape[0], 0))
+    return kept, out

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from conftest import assert_close, region_of
+from conftest import assert_close, region_of, row_of
 from oracles import (
     coloc_oracle,
     granularity_oracle,
@@ -269,7 +269,7 @@ def test_criterion_4_degenerate_inputs(tmp_path):
         assert "nan" not in text.lower()
         assert np.all(np.isfinite(table.values) | np.isnan(table.values))
 
-        constant = table.row(1)
+        constant = row_of(table, 1)
         assert constant["cells_Texture_AngularSecondMoment_DNA_d1_g8"] == 1.0
         assert constant["cells_Texture_Contrast_DNA_d1_g8"] == 0.0
         assert constant["cells_Intensity_StdIntensity_DNA"] == 0.0
@@ -280,7 +280,7 @@ def test_criterion_4_degenerate_inputs(tmp_path):
             )
         assert all(constant[f"cells_Granularity_{i}_DNA"] == 0.0 for i in range(1, 17))
 
-        single = table.row(2)
+        single = row_of(table, 2)
         assert single["cells_Shape_Area"] == 1.0
         assert single["cells_Shape_MajorAxisLength"] == 0.0
         assert all(
@@ -288,7 +288,7 @@ def test_criterion_4_degenerate_inputs(tmp_path):
             for name in TEXTURE_FEATURES
         )
 
-        dark = table.row(3)
+        dark = row_of(table, 3)
         assert dark["cells_Intensity_IntegratedIntensity_DNA"] == 0.0
         assert dark["cells_Intensity_MassDisplacement_DNA"] == 0.0
         assert all(

@@ -106,6 +106,8 @@ def _contract_args(tmp_path, paths):
     long_raw, long_pgm = tmp_path / "long.raw", tmp_path / "long.pgm"
     long_raw.write_bytes(b"MPROF F32 2 2\n" + bytes(6 * 4))  # six samples under 2x2
     long_pgm.write_bytes(b"P5 2 2 255\n" + bytes(5))
+    nan_raw = tmp_path / "nan.raw"
+    nan_raw.write_bytes(b"MPROF F32 1 1\n" + np.array([np.nan], dtype="<f4").tobytes())
     bad_table = tmp_path / "bad.csv"
     bad_table.write_text("object_set,label,f\ncells,1\n")
     one_channel = extract_args(paths, features="coloc")
@@ -128,6 +130,7 @@ def _contract_args(tmp_path, paths):
         "malformed-raster": (extract_args({**paths, "img1": bad_raster}), "bad.raw"),
         "trailing-raw-bytes": (extract_args({**paths, "img1": long_raw}), "long.raw"),
         "trailing-pgm-bytes": (extract_args({**paths, "mask": long_pgm}), "long.pgm"),
+        "non-finite-raster": (extract_args({**paths, "img1": nan_raw}), "nan.raw"),
         "malformed-table": (["normalize", "--in", str(bad_table), "--out", str(tmp_path / "n.csv")],
                             "bad.csv"),
         "coloc-one-channel": (one_channel, "two channels"),
@@ -149,7 +152,7 @@ def _contract_args(tmp_path, paths):
 @pytest.mark.parametrize(
     "case, code",
     [("good", 0), ("missing-file", 1), ("malformed-raster", 1), ("malformed-table", 1),
-     ("trailing-raw-bytes", 1), ("trailing-pgm-bytes", 1),
+     ("trailing-raw-bytes", 1), ("trailing-pgm-bytes", 1), ("non-finite-raster", 1),
      ("coloc-one-channel", 2), ("tessellate-coverage", 2), ("tessellate-coverage-tissue", 2),
      ("tessellate-radius", 2), ("tessellate-radius-inf", 2),
      ("normalize-corr-nan", 2), ("normalize-missing-frac", 2), ("compare-r2-nan", 2),

@@ -40,15 +40,8 @@ def test_single_block_region():
     (region,) = extract_objects(LabelMask(mask))
     assert region.label == 7
     assert region.bbox == (1, 1, 2, 2)
-    assert region.pixel_count == 4
+    assert region.local_mask.sum() == 4
     assert region.local_mask.all()
-
-
-def test_pixel_count_is_derived_not_passed():
-    local = np.array([[True, False], [True, True]])
-    assert ObjectRegion(5, (2, 3, 3, 4), local).pixel_count == 3
-    with pytest.raises(TypeError):
-        ObjectRegion(5, (2, 3, 3, 4), local, 3)
 
 
 def test_scattered_labels_match_brute_force_tally(rng):
@@ -64,7 +57,7 @@ def test_scattered_labels_match_brute_force_tally(rng):
             for c in range(20)
             if mask[r, c] == region.label
         )
-        assert region.pixel_count == tally
+        assert region.local_mask.sum() == tally
 
 
 def test_region_reproduces_exact_label_pixels(rng):
@@ -82,7 +75,7 @@ def test_multicomponent_label_is_one_region():
     mask[8, 8] = 4
     (region,) = extract_objects(LabelMask(mask))
     assert region.bbox == (1, 1, 8, 8)
-    assert region.pixel_count == 2
+    assert region.local_mask.sum() == 2
 
 
 def test_extraction_cost_does_not_scale_with_label_value():
@@ -96,7 +89,7 @@ def test_extraction_cost_does_not_scale_with_label_value():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert [(r.label, r.bbox, r.pixel_count) for r in regions] == [
+    assert [(r.label, r.bbox, r.local_mask.sum()) for r in regions] == [
         (17, (30, 5, 32, 8), 12),
         (4_000_000, (10, 20, 10, 20), 1),
     ]
@@ -116,7 +109,7 @@ def small_masks(draw):
 @given(small_masks())
 def test_pixel_counts_sum_to_nonzero_pixels(mask):
     regions = extract_objects(LabelMask(mask))
-    assert sum(r.pixel_count for r in regions) == int((mask > 0).sum())
+    assert sum(r.local_mask.sum() for r in regions) == int((mask > 0).sum())
     labels = [r.label for r in regions]
     assert labels == sorted(labels)
 
@@ -227,6 +220,68 @@ def test_types_are_immutable():
     plane = ImagePlane(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         plane.pixels[0, 0] = 1.0
+
+
+def _twins():
+    """Two separately built, equal-content values of each data type."""
+    local = np.ones((2, 2), dtype=bool)
+    build = [
+        lambda: ImagePlane(np.zeros((2, 2))),
+        lambda: LabelMask(np.ones((2, 2), dtype=np.int64)),
+        lambda: ObjectRegion(1, (0, 0, 1, 1), local),
+        lambda: FeatureTable("s", ("a",), [1, 2], np.zeros((2, 1))),
+    ]
+    return [(make(), make()) for make in build]
+
+
+@pytest.mark.parametrize("a, b", _twins(), ids=["plane", "mask", "region", "table"])
+def test_types_compare_and_hash_by_identity(a, b):
+    # Equality over ndarray fields used to raise (ambiguous truth value) and
+    # hashing used to fail (unhashable ndarray).
+    assert a == a and a != b and not (a == b)
+    assert hash(a) == hash(a)
+    assert a in [a] and b not in [a]
+    assert len({a, b, a}) == 2
+    assert {a: 1, b: 2}[a] == 1
+
+
+def test_spec_holding_data_compares_and_hashes_through_its_planes():
+    plane, mask = ImagePlane(np.zeros((2, 2))), LabelMask(np.ones((2, 2), dtype=np.int64))
+
+    def spec_of(plane):
+        return ExperimentSpec(
+            channels=(("A", plane),), object_sets=(("cells", mask),), families=("intensity",)
+        )
+
+    spec, same, copied = spec_of(plane), spec_of(plane), spec_of(ImagePlane(plane.pixels))
+    assert spec == same and hash(spec) == hash(same)
+    assert spec != copied
+    assert len({spec, same, copied}) == 2
+
+
+@pytest.mark.parametrize(
+    "label, bbox, message",
+    [
+        (7, (-1, -1, 0, 0), "bbox must be >= 0"),
+        (7, (0, -1, 1, 0), "bbox must be >= 0"),
+        (7, (0.0, 0, 1, 1), "bbox must be an integer, got 0.0"),
+        (0, (0, 0, 1, 1), "object label must be >= 1"),
+        (-3, (0, 0, 1, 1), "object label must be >= 1"),
+        (2.5, (0, 0, 1, 1), "object label must be an integer, got 2.5"),
+    ],
+)
+def test_region_checks_its_label_and_bbox_origin(label, bbox, message):
+    # A negative origin used to be accepted, and crop then sliced from the
+    # image's far end: measuring failed with a bare IndexError.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ObjectRegion(label, bbox, np.ones((2, 2), dtype=bool))
+
+
+def test_region_stores_python_ints():
+    bbox = tuple(np.int64(v) for v in (4, 5, 5, 6))
+    region = ObjectRegion(np.int64(7), bbox, np.ones((2, 2), dtype=bool))
+    assert type(region.label) is int and region.label == 7
+    assert region.bbox == (4, 5, 5, 6) and all(type(v) is int for v in region.bbox)
 
 
 def test_centered_deviations_integer_and_float_paths():

@@ -29,6 +29,7 @@ from morphoprof import (
 )
 from morphoprof import coloc, engine, intensity, shape
 from morphoprof.engine import FAMILIES, REGISTRY, feature_catalog
+from conftest import row_of
 from synth import experiment
 
 
@@ -322,7 +323,7 @@ def test_each_cell_equals_direct_single_object_call():
     regions = {r.label: r for r in extract_objects(mask)}
     assert set(regions) == set(table.labels.tolist())
     for label, region in regions.items():
-        row = table.row(label)
+        row = row_of(table, label)
         direct = {}
         shape_vals = measure_shape(region, spec.shape_params)
         direct.update({f"{set_name}_Shape_{k}": v for k, v in shape_vals.items()})

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -373,3 +374,23 @@ def test_disk_filters_equal_footprint_filters_everywhere(
     low, high = footprint_filters(values, mask, radius)
     assert np.array_equal(gray_erode(values, mask, radius), low)
     assert np.array_equal(gray_dilate(values, mask, radius), high)
+
+
+def test_a_radius_past_the_crop_costs_no_more_than_one_that_covers_it(rng):
+    # Every offset within a crop lies in the disk of radius height + width.
+    # The cost used to grow as about R**3, and a radius of 10**6 asked for a
+    # (2 * 10**6)**2 buffer.
+    mask = np.zeros((6, 6), dtype=bool)
+    mask[2:4, 2:4] = True
+    region, plane = region_of(mask), ImagePlane(rng.random(mask.shape))
+    values, local = rng.random((3, 5)), rng.random((3, 5)) < 0.7
+    local[[0, -1], :] = local[:, [0, -1]] = True
+    start = time.perf_counter()
+    spectra = [
+        np.array(list(measure_granularity(region, plane, GranularityParams(3, r)).values()))
+        for r in (4, 10**6)
+    ]
+    assert spectra[0].tobytes() == spectra[1].tobytes()
+    for op in (gray_erode, gray_dilate, gray_open):
+        assert op(values, local, 10**6).tobytes() == op(values, local, 8).tobytes()
+    assert time.perf_counter() - start < 2.0

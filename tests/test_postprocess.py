@@ -6,7 +6,7 @@ import pytest
 from conftest import assert_close
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import abs_corr_oracle, correlation_filter_oracle
+from oracles import abs_corr_oracle, correlation_filter_oracle, robust_standardize_oracle
 
 from morphoprof import (
     ComparisonReport,
@@ -161,6 +161,28 @@ def test_correlation_filter_keeps_the_oracle_columns(case):
     names = [f"c{j}" for j in range(values.shape[1])]
     out = correlation_filter(table_from(names, values), threshold)
     assert out.columns == tuple(names[j] for j in correlation_filter_oracle(values, threshold))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(filter_cases(), st.floats(0.0, 1.0))
+@example((np.full((4, 3), 0.5), 0.9), 1.0)  # every column is constant: all dropped
+@example((np.array([[1.0, np.nan], [np.nan, np.nan], [3.0, 2.0]]), 0.5), 0.5)
+def test_standardize_and_filter_build_the_frozen_tables(case, frac):
+    """Both results equal, bit for bit, the frozen column-by-column forms,
+    and keep the input's object set and labels."""
+    values, threshold = case
+    names = [f"c{j}" for j in range(values.shape[1])]
+    table = table_from(names, values, object_set="nuclei")
+    kept = correlation_filter_oracle(values, threshold)
+    outputs = [(correlation_filter(table, threshold), kept, values[:, kept])]
+    if table.n_rows:
+        outputs.append((robust_standardize(table, frac), *robust_standardize_oracle(values, frac)))
+    for out, kept, expected in outputs:
+        assert out.object_set == "nuclei" and out.labels.tobytes() == table.labels.tobytes()
+        assert out.columns == tuple(names[j] for j in kept)
+        assert out.values.shape == expected.shape
+        assert out.values.tobytes() == expected.tobytes()
 
 
 def test_threshold_ranges_are_checked_where_read():

@@ -196,7 +196,7 @@ def test_non_finite_float_payload_raises(tmp_path):
     payload = np.array([np.inf], dtype="<f4").tobytes()
     path = tmp_path / "bad.raw"
     path.write_bytes(b"MPROF F32 1 1\n" + payload)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=re.escape(f"{path}: image contains non-finite")):
         load_image(path)
 
 
