@@ -25,7 +25,7 @@ from .engine import (
     run,
     table_columns,
 )
-from .granularity import GranularityParams, gray_open, gray_reconstruct, measure_granularity
+from .granularity import GranularityParams, gray_open, measure_granularity
 from .intensity import measure_intensity
 from .postprocess import (
     ComparisonReport,
@@ -74,7 +74,6 @@ __all__ = [
     "filter_by_coverage",
     "glcm",
     "gray_open",
-    "gray_reconstruct",
     "hex_tessellation",
     "load_image",
     "load_mask",

@@ -1,4 +1,4 @@
-"""Core data model: image planes, label masks, per-object regions, feature tables.
+"""Core data model: image planes, label masks, object regions and their geometry, feature tables.
 
 Each type checks its values in its constructor, is immutable after it
 (backing arrays are marked read-only), compares and hashes by identity,
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.ndimage
@@ -21,12 +22,16 @@ import scipy.ndimage
 MISSING = math.nan
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _grid(arr: np.ndarray, what: str) -> np.ndarray:
     """``arr``, made read-only; ValueError unless it is 2-D with positive dims."""
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{what} must be 2-D with positive dims, got shape {arr.shape}")
-    arr.flags.writeable = False
-    return arr
+    return _frozen(arr)
 
 
 def _int64_labels(labels) -> np.ndarray:
@@ -108,7 +113,7 @@ class ObjectRegion:
     local_mask: np.ndarray
 
     def __post_init__(self):
-        mask = np.ascontiguousarray(self.local_mask, dtype=bool)
+        mask = np.array(self.local_mask, dtype=bool, order="C")
         label = _check_int("object label", self.label, 1)
         r0, c0, r1, c1 = bbox = tuple(_check_int("bbox", v, 0) for v in self.bbox)
         if mask.shape != (r1 - r0 + 1, c1 - c0 + 1):
@@ -117,10 +122,9 @@ class ObjectRegion:
             raise ValueError("object region must contain at least one pixel")
         if not (mask[0].any() and mask[-1].any() and mask[:, 0].any() and mask[:, -1].any()):
             raise ValueError("bbox is not tight around local_mask")
-        mask.flags.writeable = False
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "bbox", bbox)
-        object.__setattr__(self, "local_mask", mask)
+        object.__setattr__(self, "local_mask", _frozen(mask))
 
     def crop(self, arr: np.ndarray) -> np.ndarray:
         """View of a full-image array restricted to this region's bbox."""
@@ -235,38 +239,77 @@ def _exponents(rows: np.ndarray) -> np.ndarray:
     return np.frexp(np.abs(rows).max(axis=-1, initial=0.0, where=np.isfinite(rows)))[1]
 
 
-def centered_deviations(local_mask: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n, n*row - sum(rows), n*col - sum(cols)) over True pixels.
+#: Angular wedges of pi/4 around the centroid, starting at angle -pi.
+WEDGES = 8
 
-    The n-scaled deviations are exact integers, which keeps geometry
-    derived from them bitwise reproducible under translation and
-    90-degree rotation.  Falls back to float64 when the scaled values
-    could overflow int64 (enormous objects), trading only that guarantee.
+
+class MaskGeometry:
+    """Every mask-only value of one object, from its boolean ``mask``.
+
+    Arrays are read-only; per-pixel ones are in ``mask[mask]`` (row-major)
+    order.  ``rows`` and ``cols`` are the int64 pixel coordinates, and
+    ``count``, ``row_sum`` and ``col_sum`` their exact count and sums.
+    The rest are computed on first use:
+
+    * ``deviations``: (n*row - row_sum, n*col - col_sum) with n = count,
+      exact integers that keep geometry derived from them bitwise
+      reproducible under translation and 90-degree rotation; float64,
+      without that guarantee, where they could overflow int64.
+    * ``edge``: the crack boundary as a bbox-shaped mask, object pixels
+      with a 4-neighbor outside the mask.
+    * ``distance``: Euclidean distance to the nearest background pixel,
+      counting everything outside the bbox as background.
+    * ``rho``: the normalized radius Dc / (Dc + De), Dc the distance to
+      the centroid and De ``distance``; 0 when both are 0.
+    * ``wedge``: the index in 0..7 of the :data:`WEDGES` around the centroid.
     """
-    rr, cc = (idx.astype(np.int64, copy=False) for idx in np.nonzero(local_mask))
-    n = rr.size
-    s_r = int(rr.sum())
-    s_c = int(cc.sum())
-    if n * max(local_mask.shape) < 2**31:
-        return n, n * rr - s_r, n * cc - s_c
-    return n, n * rr.astype(np.float64) - s_r, n * cc.astype(np.float64) - s_c
+
+    def __init__(self, mask: np.ndarray):
+        self.mask = mask
+        self.rows, self.cols = (_frozen(i.astype(np.int64, copy=False)) for i in np.nonzero(mask))
+        self.count = self.rows.size
+        self.row_sum, self.col_sum = int(self.rows.sum()), int(self.cols.sum())
+
+    @cached_property
+    def deviations(self) -> tuple[np.ndarray, np.ndarray]:
+        n = self.count
+        dtype = np.int64 if n * max(self.mask.shape) < 2**31 else np.float64
+        return (_frozen(n * self.rows.astype(dtype, copy=False) - self.row_sum),
+                _frozen(n * self.cols.astype(dtype, copy=False) - self.col_sum))
+
+    @cached_property
+    def edge(self) -> np.ndarray:
+        padded = np.pad(self.mask, 1)
+        interior = padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
+        return _frozen(self.mask & ~interior)
+
+    @cached_property
+    def distance(self) -> np.ndarray:
+        dist = scipy.ndimage.distance_transform_edt(np.pad(self.mask, 1))
+        return _frozen(dist[1:-1, 1:-1][self.mask])
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        dr, dc = self.deviations
+        d_center = np.sqrt((dr * dr + dc * dc).astype(np.float64)) / self.count
+        denom = d_center + self.distance
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return _frozen(np.where(denom > 0, d_center / denom, 0.0))
+
+    @cached_property
+    def wedge(self) -> np.ndarray:
+        dr, dc = self.deviations
+        theta = np.arctan2(dr.astype(np.float64), dc.astype(np.float64))
+        return _frozen(np.floor(4.0 * (theta + np.pi) / np.pi).astype(np.int64) % WEDGES)
 
 
-def edge_mask(local_mask: np.ndarray) -> np.ndarray:
-    """Object pixels on the crack boundary: any 4-neighbor outside the mask."""
-    padded = np.pad(local_mask, 1)
-    interior = (
-        padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-    )
-    return local_mask & ~interior
+def mask_geometry(local_mask: np.ndarray) -> MaskGeometry:
+    """The :class:`MaskGeometry` of a boolean mask.  The last one is kept, so
+    the families measuring one object share it, whichever array holds the mask."""
+    mask = np.ascontiguousarray(local_mask, dtype=bool)
+    return _geometry(mask.shape, mask.tobytes())
 
 
-def background_distance(local_mask: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each object pixel to the nearest background
-    pixel, in ``local_mask[local_mask]`` (row-major) order.
-
-    Everything outside the bbox counts as background (the mask is padded by
-    one before the transform).
-    """
-    dist = scipy.ndimage.distance_transform_edt(np.pad(local_mask, 1))
-    return dist[1:-1, 1:-1][local_mask]
+@lru_cache(maxsize=1)
+def _geometry(shape: tuple[int, int], data: bytes) -> MaskGeometry:
+    return MaskGeometry(np.frombuffer(data, dtype=bool).reshape(shape))

@@ -2,8 +2,8 @@
 
 Statistics use the population convention (objects are complete pixel
 populations, not samples) and quartiles interpolate linearly between
-order statistics at h = (n - 1) * p.  Edge pixels are the crack
-boundary: object pixels with at least one 4-neighbor outside the mask.
+order statistics at h = (n - 1) * p.  Edge pixels and the centroid come
+from :func:`~morphoprof.core.mask_geometry`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import ImagePlane, ObjectRegion, _exponents, edge_mask
+from .core import ImagePlane, ObjectRegion, _exponents, mask_geometry
 
 FEATURES = (
     "IntegratedIntensity",
@@ -32,26 +32,24 @@ FEATURES = (
 
 def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, float]:
     """Intensity statistics of one region, keyed by bare feature name."""
-    local_mask = region.local_mask
+    geometry = mask_geometry(region.local_mask)
     crop = region.crop(plane.pixels)
-    values = crop[local_mask]
+    values = crop[geometry.mask]
     # The std squares deviations: take it at a power-of-two scale where the
     # squares stay in range, then restore that scale exactly.
     exponent = int(_exponents(values))
     std = math.ldexp(float(np.ldexp(values, -exponent).std()), exponent)
     median = float(np.median(values))
-    edge_values = crop[edge_mask(local_mask)]
+    edge_values = crop[geometry.edge]
 
-    rr, cc = np.nonzero(local_mask)
-    count = rr.size
-    centroid_r = float(int(rr.astype(np.int64, copy=False).sum())) / count
-    centroid_c = float(int(cc.astype(np.int64, copy=False).sum())) / count
+    centroid_r = float(geometry.row_sum) / geometry.count
+    centroid_c = float(geometry.col_sum) / geometry.count
     total = float(values.sum())
     if total == 0.0:
         displacement = 0.0
     else:
-        weighted_r = float((rr * values).sum()) / total
-        weighted_c = float((cc * values).sum()) / total
+        weighted_r = float((geometry.rows * values).sum()) / total
+        weighted_c = float((geometry.cols * values).sum()) / total
         displacement = math.hypot(weighted_r - centroid_r, weighted_c - centroid_c)
 
     return {

@@ -14,9 +14,9 @@ Conventions, fixed so outputs are reproducible across tools and runs:
 * The convex hull is taken over the four corner points of every object
   pixel (those of each row's end pixels suffice), with area by the
   shoelace formula.
-* Second-moment features are derived from exact integer coordinate sums,
-  which makes them bitwise invariant under translation and multiples of
-  90-degree rotation.
+* Second-moment features are derived from exact integer coordinate sums
+  (:func:`~morphoprof.core.mask_geometry`), which makes them bitwise
+  invariant under translation and multiples of 90-degree rotation.
 * Each Zernike term's sum over the pixels is correctly rounded (equal to
   math.fsum), computed by exact limb extraction over blocks of pixels, so
   the order in which pixels are summed cannot change a bit and the
@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ObjectRegion, _check_int, background_distance, centered_deviations
+from .core import MaskGeometry, ObjectRegion, _check_int, mask_geometry
 
 BASE_FEATURES = (
     "Area",
@@ -126,29 +126,19 @@ def euler_number(local_mask: np.ndarray) -> int:
     return (q[1] + q[2] + q[4] + q[8] - q[7] - q[11] - q[13] - q[14] - 2 * (q[6] + q[9])) // 4
 
 
-def _second_moments(local_mask: np.ndarray) -> tuple[int, int, int, int, int, int]:
-    """Exact integer sums (n, Sr, Sc, Srr, Scc, Src) over object pixel centers."""
-    r, c = (idx.astype(np.int64, copy=False) for idx in np.nonzero(local_mask))
-    return (
-        int(r.size),
-        int(r.sum()),
-        int(c.sum()),
-        int((r * r).sum()),
-        int((c * c).sum()),
-        int((r * c).sum()),
-    )
-
-
-def _eigen_features(n, s_r, s_c, s_rr, s_cc, s_rc) -> tuple[float, float, float, float]:
-    """(major, minor, eccentricity, orientation) from integer moment sums.
+def _eigen_features(geometry: MaskGeometry) -> tuple[float, float, float, float]:
+    """(major, minor, eccentricity, orientation) from exact integer sums
+    over the object's pixel centers.
 
     Covariance entries share the exact integer numerator scale n^2, so the
     closed-form 2x2 eigenvalues are computed from integers and stay bitwise
     stable under coordinate reflections and transposes.
     """
-    a_num = n * s_rr - s_r * s_r  # var(row) * n^2
-    c_num = n * s_cc - s_c * s_c  # var(col) * n^2
-    b_num = n * s_rc - s_r * s_c  # cov(row, col) * n^2
+    n, s_r, s_c = geometry.count, geometry.row_sum, geometry.col_sum
+    r, c = geometry.rows, geometry.cols
+    a_num = n * int((r * r).sum()) - s_r * s_r  # var(row) * n^2
+    c_num = n * int((c * c).sum()) - s_c * s_c  # var(col) * n^2
+    b_num = n * int((r * c).sum()) - s_r * s_c  # cov(row, col) * n^2
     trace = a_num + c_num
     disc = (a_num - c_num) ** 2 + 4 * b_num * b_num
     root = math.sqrt(float(disc))
@@ -253,19 +243,19 @@ def _exact_row_sums(blocks, count: int, bound: float) -> list[float]:
     return [(t << (low - scale)) / (1 << -scale) for t in totals]
 
 
-def _zernike_magnitudes(local_mask: np.ndarray, max_order: int) -> dict[str, float]:
+def _zernike_magnitudes(geometry: MaskGeometry, max_order: int) -> dict[str, float]:
     """|z_nm| on the unit disk centered at the centroid, keyed
     ``Zernike_<n>_<m>`` in :func:`zernike_indexes` order.
 
     The disk radius is the largest centroid-to-pixel-center distance
-    (1 if that is 0); radii beyond 1 are clamped.  Deviations are kept as
-    n-scaled integers and each term's sum over the pixels is correctly
-    rounded (equal to math.fsum), so the magnitudes are bitwise invariant
-    under translation and 90-degree rotation.  Pixels are taken in blocks:
+    (1 if that is 0); radii beyond 1 are clamped.  The geometry's exact
+    deviations and each term's correctly rounded sum over the pixels (equal
+    to math.fsum) make the magnitudes bitwise invariant under translation
+    and 90-degree rotation.  Pixels are taken in blocks:
     each block's term products go to one array whose rows are summed
     exactly by :func:`_exact_row_sums`.
     """
-    count, dr, dc = centered_deviations(local_mask)
+    count, (dr, dc) = geometry.count, geometry.deviations
     d2 = dr * dr + dc * dc
     # A lone pixel has d2 = 0 everywhere, so any divisor gives rho = 0.
     d2_max = float(d2.max()) or 1.0
@@ -318,19 +308,20 @@ def _zernike_magnitudes(local_mask: np.ndarray, max_order: int) -> dict[str, flo
 def measure_shape(region: ObjectRegion, params: ShapeParams = ShapeParams()) -> dict[str, float]:
     """All shape features for one region, keyed by bare feature name."""
     mask = region.local_mask
-    n, s_r, s_c, s_rr, s_cc, s_rc = _second_moments(mask)
+    geometry = mask_geometry(mask)
+    n = geometry.count
     area = float(n)
     perimeter = crack_perimeter(mask)
     bbox_area = mask.shape[0] * mask.shape[1]
-    major, minor, eccentricity, orientation = _eigen_features(n, s_r, s_c, s_rr, s_cc, s_rc)
+    major, minor, eccentricity, orientation = _eigen_features(geometry)
     hull_area = convex_hull_area(mask)
 
     features = {
         "Area": area,
         "Perimeter": float(perimeter),
         "Extent": float(n) / float(bbox_area),
-        "Centroid_Row": float(s_r) / n + region.bbox[0],
-        "Centroid_Col": float(s_c) / n + region.bbox[1],
+        "Centroid_Row": float(geometry.row_sum) / n + region.bbox[0],
+        "Centroid_Col": float(geometry.col_sum) / n + region.bbox[1],
         "MajorAxisLength": major,
         "MinorAxisLength": minor,
         "Eccentricity": eccentricity,
@@ -339,7 +330,7 @@ def measure_shape(region: ObjectRegion, params: ShapeParams = ShapeParams()) -> 
         "Solidity": area / hull_area,
         "EulerNumber": float(euler_number(mask)),
         "BoundingBoxArea": float(bbox_area),
-        "MaxRadius": float(background_distance(mask).max()),
+        "MaxRadius": float(geometry.distance.max()),
     }
-    features.update(_zernike_magnitudes(mask, params.zernike_max_order))
+    features.update(_zernike_magnitudes(geometry, params.zernike_max_order))
     return features

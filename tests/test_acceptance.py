@@ -8,6 +8,7 @@ across a (workers, batch_size) matrix, so the suite takes a minute or so.
 import contextlib
 import hashlib
 import math
+import os
 import platform
 import subprocess
 import sys
@@ -98,6 +99,31 @@ def test_criterion_1_csv_digest_is_pinned(w1_baseline):
         pytest.skip(f"no W1 digest pinned for {_versions_key()}")
     with criterion(1, "the baseline CSV matches its pinned sha256"):
         assert hashlib.sha256(w1_baseline[2]).hexdigest() == pinned
+
+
+def test_bytes_but_texture_do_not_depend_on_avx512_dispatch(tmp_path):
+    """A reduced criterion-1 run of every family but texture gives the same
+    CSV with numpy's AVX-512 dispatch switched off in a subprocess.  Texture
+    is the site left open: its np.log2 rounds by SIMD target and changed two
+    InfoMeas cells of the bench's seed-0 many-small table."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    if "X86_V4" not in __cpu_dispatch__ or not __cpu_features__.get("X86_V4"):
+        pytest.skip("numpy dispatches no X86_V4 (AVX-512) code here")
+    import simdprobe
+
+    simdprobe.write_inputs(experiment(n_objects=100, size=256, seed=42), tmp_path)
+    # Names from numpy 2.4, whose AVX-512 base target is X86_V4; it ignores
+    # the older AVX512_SKX, AVX512_CLX and AVX512_CNL.
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    out = subprocess.run(
+        [sys.executable, str(Path(simdprobe.__file__)), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    switched_off = dict(line.split() for line in out.stdout.splitlines())
+    here = simdprobe.digests(tmp_path)
+    assert switched_off.pop("arctan2") != here.pop("arctan2"), "the switch took no effect"
+    assert switched_off == here
 
 
 def _oracle_cases(n_cases=50, seed=2024):

@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "filter_by_coverage",
     "glcm",
     "gray_open",
-    "gray_reconstruct",
     "hex_tessellation",
     "load_image",
     "load_mask",
@@ -51,6 +50,6 @@ PUBLIC_NAMES = [
 def test_public_surface_is_pinned():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert sorted(mp.__all__) == PUBLIC_NAMES
-    assert len(set(mp.__all__)) == len(mp.__all__) == 43
+    assert len(set(mp.__all__)) == len(mp.__all__) == 42
     for name in PUBLIC_NAMES:
         assert hasattr(mp, name), name

@@ -28,6 +28,7 @@ from morphoprof import (
     measure_radial,
     measure_texture,
 )
+from morphoprof.core import mask_geometry
 
 
 def test_empty_mask_yields_no_regions():
@@ -284,20 +285,44 @@ def test_region_stores_python_ints():
     assert region.bbox == (4, 5, 5, 6) and all(type(v) is int for v in region.bbox)
 
 
-def test_centered_deviations_integer_and_float_paths():
-    from morphoprof.core import centered_deviations
+def test_region_copies_the_callers_mask():
+    # The region used to keep the caller's array itself and make it
+    # read-only: writing to it again emptied the validated region.
+    mask = np.ones((2, 2), dtype=bool)
+    region = ObjectRegion(1, (0, 0, 1, 1), mask)
+    assert mask.flags.writeable
+    mask[:] = False
+    assert region.local_mask.all()
 
-    small = np.ones((16, 16), dtype=bool)
-    n, dr, dc = centered_deviations(small)
+
+def test_mask_geometry_integer_and_float_paths():
+    small = mask_geometry(np.ones((16, 16), dtype=bool))
+    n, (dr, dc) = small.count, small.deviations
     assert n == 256
     assert dr.dtype == np.int64
     assert int(dr.sum()) == 0 and int(dc.sum()) == 0
     # Objects big enough to overflow the n-scaled int64 switch to floats.
-    huge = np.ones((1500, 1500), dtype=bool)
-    n, dr, dc = centered_deviations(huge)
+    huge = mask_geometry(np.ones((1500, 1500), dtype=bool))
+    n, (dr, dc) = huge.count, huge.deviations
     assert n == 1500 * 1500
     assert dr.dtype == np.float64
     assert abs(dr.sum()) < 1e-3 * n
+
+
+def test_mask_geometry_keys_on_shape_and_is_read_only():
+    # All-True 2x3 and 3x2 masks have the same bytes.
+    wide = mask_geometry(np.ones((2, 3), dtype=bool))
+    tall = mask_geometry(np.ones((3, 2), dtype=bool))
+    assert wide.mask.shape == (2, 3) and wide.rows.tolist() == [0, 0, 0, 1, 1, 1]
+    assert tall.mask.shape == (3, 2) and tall.rows.tolist() == [0, 0, 1, 1, 2, 2]
+    # Equal masks share one geometry, whichever array holds them.
+    assert mask_geometry(np.asfortranarray(np.ones((3, 2), dtype=bool))) is tall
+    arrays = [tall.mask, tall.rows, tall.cols, *tall.deviations, tall.edge, tall.distance,
+              tall.rho, tall.wedge]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
 
 
 @pytest.mark.parametrize(

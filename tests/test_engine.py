@@ -4,6 +4,7 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+import scipy.ndimage
 
 from morphoprof import (
     ColocParams,
@@ -27,7 +28,7 @@ from morphoprof import (
     table_columns,
     write_table,
 )
-from morphoprof import coloc, engine, intensity, shape
+from morphoprof import coloc, core, engine, intensity, shape
 from morphoprof.engine import FAMILIES, REGISTRY, feature_catalog
 from conftest import row_of
 from synth import experiment
@@ -129,6 +130,23 @@ def test_run_measures_through_public_functions_on_crop_planes(monkeypatch):
         assert np.array_equal(region.local_mask, expected.local_mask)
         assert isinstance(plane, ImagePlane)
         assert plane.pixels.shape == region.local_mask.shape
+
+
+def test_run_takes_one_distance_transform_per_object(monkeypatch):
+    """Shape and radial on two channels read one geometry per object."""
+    calls = []
+    transform = scipy.ndimage.distance_transform_edt
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.ndimage, "distance_transform_edt", counting)
+    core._geometry.cache_clear()
+    spec = experiment(n_objects=30, size=96, families=("shape", "intensity", "radial"))
+    assert len(spec.channels) == 2 and spec.workers == 1
+    (table,) = run(spec)
+    assert len(calls) == table.n_rows > 0
 
 
 def test_coloc_requires_two_channels():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import radial_oracle
 
 from morphoprof import ImagePlane, RadialParams, measure_radial
-from morphoprof.radial import bin_geometry
+from morphoprof.core import mask_geometry
 from synth import small_blob, smooth_plane
 
 
@@ -63,7 +63,8 @@ def test_fraction_sums(rng):
         features = measure_radial(region, ImagePlane(rng.random(mask.shape)))
         total = math.fsum(features[f"FracAtD_{b}of4"] for b in range(1, 5))
         assert_close(total, 1.0, rel=1e-12)
-        bins, _ = bin_geometry(region.local_mask, 4)
+        rho = mask_geometry(region.local_mask).rho
+        bins = np.minimum(4, 1 + np.floor(rho * 4))
         pixel_fracs = [
             (bins == b).sum() / region.local_mask.sum() for b in range(1, 5)
         ]
