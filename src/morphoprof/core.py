@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.ndimage
 
 #: Sentinel for feature values that are undefined for a given object
 #: (for example the Pearson correlation of a constant channel).  NaN is
@@ -177,26 +176,30 @@ def extract_objects(mask: LabelMask) -> list[ObjectRegion]:
     """Extract one region per distinct nonzero label, sorted by label.
 
     Disconnected pixels sharing a label form a single region whose bbox
-    spans all of them; no connectivity split is performed.
+    spans all of them; no connectivity split is performed.  The cost
+    follows the count of foreground pixels, never the label values.
     """
     labels = mask.labels
-    foreground = labels > 0
-    values = labels[foreground]
-    present, rank = np.unique(values, return_inverse=True)
-    if present.size == 0:
+    # Flat indices of a boolean are faster to find than 2-D ones of labels.
+    flat = np.flatnonzero(labels.ravel() > 0)
+    if flat.size == 0:
         return []
-    # find_objects sizes its output by the largest label, so rank the labels
-    # 1..n first: the cost then follows the object count, not label values.
-    ranked = np.zeros(labels.shape, dtype=np.min_scalar_type(present.size))
-    ranked[foreground] = rank + 1
-    slices = scipy.ndimage.find_objects(ranked, max_label=present.size)
-    regions = []
-    for label, sl in zip(present.tolist(), slices):
-        local = labels[sl] == label
-        r0, c0 = sl[0].start, sl[1].start
-        r1, c1 = sl[0].stop - 1, sl[1].stop - 1
-        regions.append(ObjectRegion(label=label, bbox=(r0, c0, r1, c1), local_mask=local))
-    return regions
+    # A stable sort by label keeps each label's pixels in row-major order, so
+    # the first pixel of a label's run holds its smallest row.
+    values = labels.ravel()[flat]
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    rows, cols = np.divmod(flat[order], mask.width)
+    starts = np.flatnonzero(np.diff(values, prepend=0))
+    boxes = zip(values[starts].tolist(), rows[starts].tolist(),
+                np.minimum.reduceat(cols, starts).tolist(),
+                np.maximum.reduceat(rows, starts).tolist(),
+                np.maximum.reduceat(cols, starts).tolist())
+    return [
+        ObjectRegion(label=label, bbox=(r0, c0, r1, c1),
+                     local_mask=labels[r0 : r1 + 1, c0 : c1 + 1] == label)
+        for label, r0, c0, r1, c1 in boxes
+    ]
 
 
 def max_project(stack: list[ImagePlane]) -> ImagePlane:
@@ -239,8 +242,64 @@ def _exponents(rows: np.ndarray) -> np.ndarray:
     return np.frexp(np.abs(rows).max(axis=-1, initial=0.0, where=np.isfinite(rows)))[1]
 
 
+def _column_distance(padded: np.ndarray, dtype) -> np.ndarray:
+    """Distance from each pixel of ``padded``, whose first and last rows are
+    False, to the nearest False pixel in its column."""
+    n = padded.shape[0]
+    index = np.arange(n, dtype=dtype)[:, None]
+    above = np.maximum.accumulate(np.where(padded, 0, index), axis=0)
+    below = np.minimum.accumulate(np.where(padded, n - 1, index)[::-1], axis=0)[::-1]
+    return np.minimum(index - above, below - index)
+
+
+def _edt(mask: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance from each True pixel of ``mask``, in row-major
+    order, to the nearest False one, everything outside ``mask`` counting as
+    False: integer squared distances, then one square root."""
+    height, width = mask.shape
+    dtype = np.int32 if (height + 2) ** 2 + (width + 2) ** 2 < 2**31 else np.int64
+    padded = np.zeros((height + 2, width + 2), dtype=bool)  # np.pad costs more on small masks
+    padded[1:-1, 1:-1] = mask
+    g = _column_distance(padded, dtype)
+    rows, cols = np.nonzero(padded)
+    # d2 = min over offsets o of g*g at columns c +- o, plus o*o.  With h the
+    # distance to the nearest False pixel in the row, the bound b = min(g, h)
+    # gives d2 <= b*b: no offset >= b can beat it, and no offset < b leaves
+    # the row.  Sorted by b, the pixels still active at o are a suffix.
+    bound = np.minimum(g[rows, cols], _column_distance(padded.T, dtype)[cols, rows])
+    order = np.argsort(bound)
+    bound = bound[order]
+    flat = (rows * (width + 2) + cols)[order]
+    d2 = bound * bound
+    # g*g flattened behind ``top`` zeros: its views from top -+ o, indexed by
+    # a pixel's flat index p, read columns c -+ o of the pixel's row.
+    top = int(bound.max(initial=0))
+    g2 = np.concatenate([np.zeros(top, dtype), (g * g).ravel()])
+    offsets = np.arange(1, top)
+    for offset, active in zip(offsets.tolist(), np.searchsorted(bound, offsets, "right").tolist()):
+        p = flat[active:]
+        near = np.minimum(g2[top - offset :][p], g2[top + offset :][p])
+        near += offset * offset
+        np.minimum(d2[active:], near, out=d2[active:])
+    distance = np.empty(d2.size)
+    distance[order] = np.sqrt(d2)
+    return distance
+
+
 #: Angular wedges of pi/4 around the centroid, starting at angle -pi.
 WEDGES = 8
+
+
+def _octant(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """The index of the :data:`WEDGES` that holds the direction (dr, dc),
+    each wedge closed at its start; (0, 0) is in wedge 4.  Exact on integers
+    and floats alike: signs and comparisons only, no angle."""
+    # A half turn maps the angles in [-pi, 0), and pi with them, onto [0, pi).
+    lower = (dr < 0) | ((dr == 0) & (dc < 0))
+    y, x = np.where(lower, -dr, dr), np.where(lower, -dc, dc)
+    # Count the wedge starts at pi/4, pi/2 and 3pi/4 that the angle has passed.
+    passed = (y >= x).astype(np.int64) + (x <= 0) + (y <= -x)
+    return np.where(y > 0, passed, 0) + 4 * ~lower
 
 
 class MaskGeometry:
@@ -258,10 +317,12 @@ class MaskGeometry:
     * ``edge``: the crack boundary as a bbox-shaped mask, object pixels
       with a 4-neighbor outside the mask.
     * ``distance``: Euclidean distance to the nearest background pixel,
-      counting everything outside the bbox as background.
+      counting everything outside the bbox as background; exact, the
+      square root of an integer squared distance.
     * ``rho``: the normalized radius Dc / (Dc + De), Dc the distance to
       the centroid and De ``distance``; 0 when both are 0.
-    * ``wedge``: the index in 0..7 of the :data:`WEDGES` around the centroid.
+    * ``wedge``: the index in 0..7 of the :data:`WEDGES` around the centroid,
+      an exact octant from the deviations' signs and magnitudes.
     """
 
     def __init__(self, mask: np.ndarray):
@@ -285,8 +346,7 @@ class MaskGeometry:
 
     @cached_property
     def distance(self) -> np.ndarray:
-        dist = scipy.ndimage.distance_transform_edt(np.pad(self.mask, 1))
-        return _frozen(dist[1:-1, 1:-1][self.mask])
+        return _frozen(_edt(self.mask))
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -298,9 +358,7 @@ class MaskGeometry:
 
     @cached_property
     def wedge(self) -> np.ndarray:
-        dr, dc = self.deviations
-        theta = np.arctan2(dr.astype(np.float64), dc.astype(np.float64))
-        return _frozen(np.floor(4.0 * (theta + np.pi) / np.pi).astype(np.int64) % WEDGES)
+        return _frozen(_octant(*self.deviations))
 
 
 def mask_geometry(local_mask: np.ndarray) -> MaskGeometry:

@@ -40,6 +40,7 @@ def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, floa
     exponent = int(_exponents(values))
     std = math.ldexp(float(np.ldexp(values, -exponent).std()), exponent)
     median = float(np.median(values))
+    lower, upper = np.percentile(values, [25, 75]).tolist()
     edge_values = crop[geometry.edge]
 
     centroid_r = float(geometry.row_sum) / geometry.count
@@ -60,8 +61,8 @@ def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, floa
         "MinIntensity": float(values.min()),
         "MaxIntensity": float(values.max()),
         "MADIntensity": float(np.median(np.abs(values - median))),
-        "LowerQuartile": float(np.percentile(values, 25)),
-        "UpperQuartile": float(np.percentile(values, 75)),
+        "LowerQuartile": lower,
+        "UpperQuartile": upper,
         "IntegratedIntensityEdge": float(edge_values.sum()),
         "MeanIntensityEdge": float(edge_values.mean()),
         "MassDisplacement": displacement,

@@ -11,7 +11,27 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.ndimage
 import scipy.spatial
+
+
+# ---------------------------------------------------------------- core
+
+
+def extract_objects_oracle(labels):
+    """(label, bbox, local_mask) per distinct nonzero label, sorted by label,
+    from ``scipy.ndimage.find_objects`` on the labels ranked 1..n: the route
+    ``extract_objects`` took while the runtime depended on scipy."""
+    labels = np.asarray(labels).astype(np.int64)
+    foreground = labels > 0
+    present, rank = np.unique(labels[foreground], return_inverse=True)
+    ranked = np.zeros(labels.shape, dtype=np.int64)
+    ranked[foreground] = rank + 1
+    slices = scipy.ndimage.find_objects(ranked, max_label=present.size)
+    return [
+        (label, (sl[0].start, sl[1].start, sl[0].stop - 1, sl[1].stop - 1), labels[sl] == label)
+        for label, sl in zip(present.tolist(), slices)
+    ]
 
 
 # ---------------------------------------------------------------- shape

@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.ndimage
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import extract_objects_oracle
 
 from morphoprof import (
     ColocParams,
@@ -28,7 +30,8 @@ from morphoprof import (
     measure_radial,
     measure_texture,
 )
-from morphoprof.core import mask_geometry
+from morphoprof import core
+from morphoprof.core import WEDGES, mask_geometry
 
 
 def test_empty_mask_yields_no_regions():
@@ -307,6 +310,118 @@ def test_mask_geometry_integer_and_float_paths():
     assert n == 1500 * 1500
     assert dr.dtype == np.float64
     assert abs(dr.sum()) < 1e-3 * n
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.uint16, np.uint32, np.uint64]),
+    density=st.floats(0.0, 1.0),
+)
+@example(seed=0, dtype=np.uint16, density=0.0)
+@example(seed=0, dtype=np.uint64, density=1.0)
+def test_extraction_matches_the_find_objects_oracle(seed, dtype, density):
+    """Labels, bboxes and local masks equal scipy's route on label images with
+    sparse labels up to 2^62 (the dtype's maximum for the narrower ones)."""
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(1, 30, size=2)
+    top = min(int(np.iinfo(dtype).max), 2**62)
+    pool = rng.integers(1, top, size=rng.integers(1, 8), endpoint=True, dtype=np.uint64)
+    labels = np.where(rng.random((h, w)) < density, rng.choice(pool, size=(h, w)), 0).astype(dtype)
+    got = extract_objects(LabelMask(labels))
+    want = extract_objects_oracle(labels)
+    assert [(r.label, r.bbox) for r in got] == [(label, bbox) for label, bbox, _ in want]
+    for region, (_, _, local) in zip(got, want):
+        assert np.array_equal(region.local_mask, local)
+
+
+def _assert_distance_is_scipys(mask):
+    want = scipy.ndimage.distance_transform_edt(np.pad(mask, 1))[1:-1, 1:-1][mask]
+    assert mask_geometry(mask).distance.tobytes() == want.tobytes()
+
+
+@st.composite
+def distance_masks(draw):
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["full", "ring", "checkerboard", "random"]))
+    rows, cols = np.indices((h, w))
+    if kind == "full":
+        return np.ones((h, w), dtype=bool)
+    if kind == "ring":
+        thickness = draw(st.integers(1, 5))
+        return ~((rows >= thickness) & (rows < h - thickness)
+                 & (cols >= thickness) & (cols < w - thickness))
+    if kind == "checkerboard":
+        mask = (rows + cols) % 2 == draw(st.integers(0, 1))
+    else:
+        density = draw(st.floats(0.05, 1.0))
+        mask = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((h, w)) < density
+    mask.flat[draw(st.integers(0, h * w - 1))] = True
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(distance_masks())
+@example(np.ones((1, 1), dtype=bool))
+@example(np.ones((1, 17), dtype=bool))
+@example(np.ones((17, 1), dtype=bool))
+@example(np.ones((9, 14), dtype=bool))
+def test_distance_is_scipys_euclidean_distance_transform_bit_for_bit(mask):
+    _assert_distance_is_scipys(mask)
+
+
+def test_distance_of_a_radius_160_disk_is_scipys():
+    rows, cols = np.ogrid[-160:161, -160:161]
+    _assert_distance_is_scipys(rows * rows + cols * cols <= 160 * 160)
+
+
+@pytest.mark.parametrize("shape", [(2, 46340), (46340, 2)])
+def test_distance_on_the_int64_path_is_scipys(shape):
+    # (h + 2)^2 + (w + 2)^2 >= 2^31 puts the squared distances in int64.
+    assert (shape[0] + 2) ** 2 + (shape[1] + 2) ** 2 >= 2**31
+    mask = np.ones(shape, dtype=bool)
+    mask.flat[::7] = False
+    mask.flat[5000:5300] = False
+    _assert_distance_is_scipys(mask)
+
+
+def _arctan2_wedge(dr, dc):
+    """The wedge rule that went through the angle."""
+    theta = np.arctan2(dr.astype(np.float64), dc.astype(np.float64))
+    return np.floor(4.0 * (theta + np.pi) / np.pi).astype(np.int64) % WEDGES
+
+
+def test_wedge_is_the_arctan2_octant_on_every_small_deviation():
+    cols = np.arange(-1500, 1501)
+    for rows in np.array_split(cols, 15):
+        dr, dc = (a.ravel() for a in np.meshgrid(rows, cols, indexing="ij"))
+        assert np.array_equal(core._octant(dr, dc), _arctan2_wedge(dr, dc))
+
+
+@pytest.mark.parametrize(
+    "direction, wedge",
+    [((0, 1), 4), ((1, 1), 5), ((1, 0), 6), ((1, -1), 7),
+     ((0, -1), 0), ((-1, -1), 1), ((-1, 0), 2), ((-1, 1), 3), ((0, 0), 4)],
+)
+def test_wedge_boundary_directions(direction, wedge):
+    for scale in (1, 1000, 2.0**40):
+        dr, dc = (np.array([v * scale]) for v in direction)
+        assert core._octant(dr, dc).tolist() == [wedge]
+
+
+def test_wedge_on_the_float64_path_is_the_arctan2_octant():
+    rng = np.random.default_rng(5)
+    # 50,000 scattered pixels in a 46,341-wide mask overflow the n-scaled
+    # int64 deviations, which are then float64.
+    mask = np.zeros((64, 46341), dtype=bool)
+    mask.flat[rng.choice(mask.size, 50_000, replace=False)] = True
+    geometry = mask_geometry(mask)
+    assert geometry.deviations[0].dtype == np.float64
+    assert np.array_equal(geometry.wedge, _arctan2_wedge(*geometry.deviations))
+    # Large, diagonal and near-diagonal float pairs.
+    d = rng.integers(-(2**40), 2**40, size=10**5).astype(np.float64)
+    for dr, dc in ((d, rng.permutation(d)), (d, d), (d, -d), (d, d + 1), (d - 1, -d), (d, 0 * d)):
+        assert np.array_equal(core._octant(dr, dc), _arctan2_wedge(dr, dc))
 
 
 def test_mask_geometry_keys_on_shape_and_is_read_only():

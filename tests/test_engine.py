@@ -4,7 +4,6 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
-import scipy.ndimage
 
 from morphoprof import (
     ColocParams,
@@ -135,13 +134,13 @@ def test_run_measures_through_public_functions_on_crop_planes(monkeypatch):
 def test_run_takes_one_distance_transform_per_object(monkeypatch):
     """Shape and radial on two channels read one geometry per object."""
     calls = []
-    transform = scipy.ndimage.distance_transform_edt
+    transform = core._edt
 
     def counting(*args, **kwargs):
         calls.append(args)
         return transform(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.ndimage, "distance_transform_edt", counting)
+    monkeypatch.setattr(core, "_edt", counting)
     core._geometry.cache_clear()
     spec = experiment(n_objects=30, size=96, families=("shape", "intensity", "radial"))
     assert len(spec.channels) == 2 and spec.workers == 1

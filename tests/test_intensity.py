@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 from conftest import assert_close, assert_feature_maps_close, plane_of, region_of
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import intensity_oracle
 
@@ -141,6 +141,20 @@ def test_matches_naive_oracle(seed):
     assert_feature_maps_close(
         measure_intensity(region, plane), intensity_oracle(region, plane), rel=1e-9
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40))
+@example([0.3])
+@example([0.1, 0.7])
+@example([-0.0, 0.0])
+def test_quartiles_are_the_two_percentile_calls_bit_for_bit(values):
+    """Both quartiles come from one np.percentile call, with the bits of one
+    call per quartile; n = 1 and n = 2 included."""
+    plane = plane_of([values])
+    got = measure_intensity(region_of(np.ones((1, len(values)), dtype=bool)), plane)
+    for key, q in (("LowerQuartile", 25), ("UpperQuartile", 75)):
+        assert got[key].hex() == float(np.percentile(values, q)).hex(), key
 
 
 def test_extreme_but_finite_magnitudes_keep_std_exact(rng):

@@ -1,6 +1,37 @@
-"""The test run's own configuration."""
+"""The test run's own configuration, and what the runtime needs."""
+
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+from synth import experiment
+
+import morphoprof
+from morphoprof import ImagePlane, save_image, save_mask
+from morphoprof.cli import main
 
 pytest_plugins = ["pytester"]
+
+#: The directory that holds the morphoprof package, for a fresh interpreter.
+SRC = str(Path(morphoprof.__file__).parents[1])
+
+#: Runs the CLI with every ``scipy`` import failing, as where it is not installed.
+WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+sys.path.insert(0, sys.argv[1])
+from morphoprof.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
 
 
 def test_a_failing_property_reports_its_falsifying_example(pytestconfig, pytester):
@@ -25,3 +56,32 @@ def test_a_failing_property_reports_its_falsifying_example(pytestconfig, pyteste
     assert "INTERNALERROR" not in output
     assert "Falsifying example" in output
     result.assert_outcomes(failed=1, passed=1)
+
+
+def test_import_loads_no_scipy():
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); import morphoprof; "
+            "print(sorted(name for name in sys.modules if name.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_extract_without_scipy_writes_the_same_bytes(tmp_path):
+    """A reduced criterion-1 run of all six families, once in this process
+    and once in an interpreter where scipy cannot be imported."""
+    spec = experiment(n_objects=100, size=256, seed=42)
+    ((_, mask),) = spec.object_sets
+    save_mask(mask, tmp_path / "mask.u32")
+    args = ["extract", "--mask", str(tmp_path / "mask.u32"), "--mask-names", "cells",
+            "--channel-names", ",".join(name for name, _ in spec.channels)]
+    for name, plane in spec.channels:
+        save_image(ImagePlane(plane.pixels.astype(np.float32)), tmp_path / f"{name}.f32")
+        args += ["--image", str(tmp_path / f"{name}.f32")]
+
+    assert main([*args, "--out", str(tmp_path / "here.csv")]) == 0
+    subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, SRC, *args,
+                    "--out", str(tmp_path / "blocked.csv")],
+                   capture_output=True, text=True, check=True, timeout=300)
+    here, blocked = (hashlib.sha256((tmp_path / f"{stem}_cells.csv").read_bytes()).hexdigest()
+                     for stem in ("here", "blocked"))
+    assert blocked == here
