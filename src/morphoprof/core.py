@@ -59,7 +59,8 @@ class ImagePlane:
         # Complex would lose its imaginary part and strings would be parsed.
         if arr.dtype.kind not in "biuf":
             raise ValueError(f"image values must be real numbers, got dtype {arr.dtype}")
-        arr = _grid(arr.astype(np.float64), "image")
+        with np.errstate(invalid="ignore"):  # a signalling NaN warns; it is rejected below
+            arr = _grid(arr.astype(np.float64), "image")
         if not np.all(np.isfinite(arr)):
             raise ValueError("image contains non-finite values")
         object.__setattr__(self, "pixels", arr)
@@ -326,7 +327,7 @@ class MaskGeometry:
     """
 
     def __init__(self, mask: np.ndarray):
-        self.mask = mask
+        self.mask = _frozen(mask.view())
         self.rows, self.cols = (_frozen(i.astype(np.int64, copy=False)) for i in np.nonzero(mask))
         self.count = self.rows.size
         self.row_sum, self.col_sum = int(self.rows.sum()), int(self.cols.sum())
@@ -340,7 +341,8 @@ class MaskGeometry:
 
     @cached_property
     def edge(self) -> np.ndarray:
-        padded = np.pad(self.mask, 1)
+        padded = np.zeros((self.mask.shape[0] + 2, self.mask.shape[1] + 2), dtype=bool)
+        padded[1:-1, 1:-1] = self.mask
         interior = padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
         return _frozen(self.mask & ~interior)
 
@@ -361,13 +363,8 @@ class MaskGeometry:
         return _frozen(_octant(*self.deviations))
 
 
-def mask_geometry(local_mask: np.ndarray) -> MaskGeometry:
-    """The :class:`MaskGeometry` of a boolean mask.  The last one is kept, so
-    the families measuring one object share it, whichever array holds the mask."""
-    mask = np.ascontiguousarray(local_mask, dtype=bool)
-    return _geometry(mask.shape, mask.tobytes())
-
-
 @lru_cache(maxsize=1)
-def _geometry(shape: tuple[int, int], data: bytes) -> MaskGeometry:
-    return MaskGeometry(np.frombuffer(data, dtype=bool).reshape(shape))
+def mask_geometry(region: ObjectRegion) -> MaskGeometry:
+    """The :class:`MaskGeometry` of ``region``'s mask.  The last one is kept,
+    so the families measuring one region share it."""
+    return MaskGeometry(region.local_mask)

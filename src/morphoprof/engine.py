@@ -9,19 +9,19 @@ The feature catalog and experiment validation loop over the same records.
 Objects are measured in ascending-label batches.  Determinism is
 structural: labels ascend, families keep registry order, a family of
 arity k runs over ``itertools.combinations(channels, k)`` in declaration
-order, and every measurement is a pure function of one object's cropped
-data.  A batch comes back as one block of value rows, written at its
+order, and every measurement is a pure function of one object's region
+and the pixels in its bbox.  A batch comes back as one block of value rows, written at its
 first row's index whatever order batches finish in, so the output tables
 are byte-identical for any worker count or batch size.
 
-Workers receive the object set name, the expanded steps as (family name,
-params, channel names) and, per object, its region and its bbox crops as
-image planes rather than whole images, which bounds the peak working set by
-batch size and image size instead of the total object count.  A family
-that fails names the object set, label, family and channels it failed
-on.  Channel families run the public ``measure_X`` functions on the
-object's region in its crop's frame, so the pipeline and a direct call
-measure the same way.
+Every family measures an object on its own region and the spec's own
+image planes, through the public ``measure_X`` functions, so the
+pipeline and a direct call measure the same way: the channel families
+read views of the object's bbox, and no pixel is copied up front.  A
+batch carries the object set name, the expanded steps as (family name,
+params, channel names) and the batch's regions, never pixels; each pool
+worker gets the planes once, when it starts.  A family that fails names
+the object set, label, family and channels it failed on.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class Family:
     params_field: str | None
     keys: Callable[[Any], list[Key]]
     #: (region, planes of the measured channels, params) -> {dict key: value}.
-    #: Channel families get crop planes and the region in the crop's frame.
     measure: Callable[[ObjectRegion, tuple[ImagePlane, ...], Any], dict[str, float]]
 
     def params(self, spec: ExperimentSpec):
@@ -227,33 +226,27 @@ def table_columns(spec: ExperimentSpec, object_set: str) -> list[str]:
     ]
 
 
-def _measure_batch(payload) -> np.ndarray:
-    """Worker entry point: measure a batch of pre-cropped objects into one
-    float64 block of rows, in batch order.
+def _measure_batch(planes: dict[str, ImagePlane], payload) -> np.ndarray:
+    """Measure a batch of objects into one float64 block of rows, in batch order.
 
-    ``payload`` is (object set name, steps, objects); each step is (family
-    name, params, channel names), each object is (region, {channel name:
-    ImagePlane of its bbox crop}).  Channel families see the region in its
-    crop's frame.  An error inside a family is raised again as a
+    ``payload`` is (object set name, steps, regions); each step is (family
+    name, params, channel names), and ``planes`` maps channel names to
+    the spec's planes.  An error inside a family is raised again as a
     RuntimeError naming the object set, label, family and channels,
     chained to the original.
     """
-    set_name, named_steps, objects = payload
+    set_name, named_steps, regions = payload
     steps = []
     for name, family_params, chans in named_steps:
         family = _BY_NAME[name]
         keys = [key for key, *_ in family.keys(family_params)]
-        steps.append((family, family_params, keys, chans))
+        steps.append((family, family_params, keys, tuple(planes[ch] for ch in chans), chans))
     block = []
-    for region, crops in objects:
-        h, w = region.local_mask.shape
-        local = ObjectRegion(region.label, (0, 0, h - 1, w - 1), region.local_mask)
+    for region in regions:
         row: list[float] = []
-        for family, family_params, keys, chans in steps:
-            # Shape keeps the global region: its Centroid_Row/Col add the bbox offset.
-            target = local if chans else region
+        for family, family_params, keys, step_planes, chans in steps:
             try:
-                values = family.measure(target, tuple(crops[ch] for ch in chans), family_params)
+                values = family.measure(region, step_planes, family_params)
                 row.extend(values[key] for key in keys)
             except Exception as exc:
                 where = f"object set {set_name}, label {region.label}, family {family.name}"
@@ -264,22 +257,35 @@ def _measure_batch(payload) -> np.ndarray:
     return np.array(block, dtype=np.float64)
 
 
-def _blocks(workers: int, payloads):
+#: A pool worker's planes, set once by ``_start_worker``.
+_worker_planes: dict[str, ImagePlane] = {}
+
+
+def _start_worker(planes: dict[str, ImagePlane]) -> None:
+    global _worker_planes
+    _worker_planes = planes
+
+
+def _measure_in_worker(payload) -> np.ndarray:
+    return _measure_batch(_worker_planes, payload)
+
+
+def _blocks(workers: int, planes: dict[str, ImagePlane], payloads):
     """(batch start, value block) per (start, payload), as batches finish.
 
-    One worker measures in-process.  A pool keeps at most workers + 1
-    batches in flight, so memory tracks batch_size, and takes whichever
-    finishes first, so no worker idles behind a slow batch.
+    One worker measures in-process.  Pool workers get the planes once, at
+    start; at most workers + 1 batches are in flight, so memory tracks
+    batch_size, and the first to finish is taken, so no worker idles.
     """
     if workers <= 1:
         for start, payload in payloads:
-            yield start, _measure_batch(payload)
+            yield start, _measure_batch(planes, payload)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(planes,)) as pool:
         pending = {}
         while True:
             for start, payload in itertools.islice(payloads, workers + 1 - len(pending)):
-                pending[pool.submit(_measure_batch, payload)] = start
+                pending[pool.submit(_measure_in_worker, payload)] = start
             if not pending:
                 return
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
@@ -294,25 +300,16 @@ def run(spec: ExperimentSpec) -> list[FeatureTable]:
     (batch_size, workers) combination.
     """
     steps = [(family.name, params, chans) for family, params, chans in _steps(spec)]
-    # A shape-only run reads no channel, so it crops none.
-    cropped = any(chans for *_, chans in steps)
-    planes = {name: plane.pixels for name, plane in spec.channels} if cropped else {}
+    planes = dict(spec.channels)
     tables = []
     for set_name, mask in spec.object_sets:
         regions = extract_objects(mask)
         columns = table_columns(spec, set_name)
         values = np.empty((len(regions), len(columns)), dtype=np.float64)
         starts = range(0, len(regions), spec.batch_size)
-        # Crops are copied into image planes batch by batch, only as the batches are consumed.
-        payloads = (
-            (start, (set_name, steps, [
-                (region, {name: ImagePlane(region.crop(arr)) for name, arr in planes.items()})
-                for region in regions[start : start + spec.batch_size]
-            ]))
-            for start in starts
-        )
+        payloads = ((s, (set_name, steps, regions[s : s + spec.batch_size])) for s in starts)
         # No more workers than batches; a single batch is measured in-process.
-        for start, block in _blocks(min(spec.workers, len(starts)), payloads):
+        for start, block in _blocks(min(spec.workers, len(starts)), planes, payloads):
             values[start : start + len(block)] = block
         tables.append(FeatureTable(set_name, columns, [r.label for r in regions], values))
     return tables

@@ -32,7 +32,7 @@ FEATURES = (
 
 def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, float]:
     """Intensity statistics of one region, keyed by bare feature name."""
-    geometry = mask_geometry(region.local_mask)
+    geometry = mask_geometry(region)
     crop = region.crop(plane.pixels)
     values = crop[geometry.mask]
     # The std squares deviations: take it at a power-of-two scale where the

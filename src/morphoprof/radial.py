@@ -32,7 +32,7 @@ def measure_radial(
     region: ObjectRegion, plane: ImagePlane, params: RadialParams = RadialParams()
 ) -> dict[str, float]:
     """Radial distribution features, keyed ``<Stat>_<b>of<B>``."""
-    geometry = mask_geometry(region.local_mask)
+    geometry = mask_geometry(region)
     bin_of = np.minimum(params.bins, 1 + np.floor(geometry.rho * params.bins).astype(np.int64))
     values = region.crop(plane.pixels)[geometry.mask]
     # Every feature is scale-invariant: rescaling by a power of two keeps the

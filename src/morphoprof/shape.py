@@ -120,7 +120,8 @@ def euler_number(local_mask: np.ndarray) -> int:
     (Q1 - Q3 - 2 QD) / 4, where Q1 and Q3 count the 2x2 windows of the
     padded mask holding one and three pixels, and QD those holding a lone
     diagonal pair (Gray, IEEE Trans. Computers, 1971)."""
-    padded = np.pad(local_mask, 1).view(np.uint8)
+    padded = np.zeros((local_mask.shape[0] + 2, local_mask.shape[1] + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = local_mask
     quads = padded[:-1, :-1] + 2 * padded[:-1, 1:] + 4 * padded[1:, :-1] + 8 * padded[1:, 1:]
     q = np.bincount(quads.ravel(), minlength=16).tolist()
     return (q[1] + q[2] + q[4] + q[8] - q[7] - q[11] - q[13] - q[14] - 2 * (q[6] + q[9])) // 4
@@ -308,7 +309,7 @@ def _zernike_magnitudes(geometry: MaskGeometry, max_order: int) -> dict[str, flo
 def measure_shape(region: ObjectRegion, params: ShapeParams = ShapeParams()) -> dict[str, float]:
     """All shape features for one region, keyed by bare feature name."""
     mask = region.local_mask
-    geometry = mask_geometry(mask)
+    geometry = mask_geometry(region)
     n = geometry.count
     area = float(n)
     perimeter = crack_perimeter(mask)

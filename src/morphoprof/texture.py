@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MISSING, ImagePlane, ObjectRegion, _check_int
+from .core import MISSING, ImagePlane, ObjectRegion, _check_int, _exponents
 
 FEATURES = (
     "AngularSecondMoment",
@@ -63,6 +63,8 @@ def quantize(region: ObjectRegion, plane: ImagePlane, gray_levels: int) -> np.nd
     """
     local_mask = region.local_mask
     values = region.crop(plane.pixels)[local_mask]
+    # Bins are scale-invariant, and at this power-of-two scale hi - lo stays finite.
+    values = np.ldexp(values, -_exponents(values))
     lo = float(values.min())
     hi = float(values.max())
     levels = np.full(local_mask.shape, -1, dtype=np.int32)

@@ -31,7 +31,7 @@ from morphoprof import (
     measure_texture,
 )
 from morphoprof import core
-from morphoprof.core import WEDGES, mask_geometry
+from morphoprof.core import WEDGES, MaskGeometry, mask_geometry
 
 
 def test_empty_mask_yields_no_regions():
@@ -299,13 +299,13 @@ def test_region_copies_the_callers_mask():
 
 
 def test_mask_geometry_integer_and_float_paths():
-    small = mask_geometry(np.ones((16, 16), dtype=bool))
+    small = MaskGeometry(np.ones((16, 16), dtype=bool))
     n, (dr, dc) = small.count, small.deviations
     assert n == 256
     assert dr.dtype == np.int64
     assert int(dr.sum()) == 0 and int(dc.sum()) == 0
     # Objects big enough to overflow the n-scaled int64 switch to floats.
-    huge = mask_geometry(np.ones((1500, 1500), dtype=bool))
+    huge = MaskGeometry(np.ones((1500, 1500), dtype=bool))
     n, (dr, dc) = huge.count, huge.deviations
     assert n == 1500 * 1500
     assert dr.dtype == np.float64
@@ -337,7 +337,7 @@ def test_extraction_matches_the_find_objects_oracle(seed, dtype, density):
 
 def _assert_distance_is_scipys(mask):
     want = scipy.ndimage.distance_transform_edt(np.pad(mask, 1))[1:-1, 1:-1][mask]
-    assert mask_geometry(mask).distance.tobytes() == want.tobytes()
+    assert MaskGeometry(mask).distance.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -415,7 +415,7 @@ def test_wedge_on_the_float64_path_is_the_arctan2_octant():
     # int64 deviations, which are then float64.
     mask = np.zeros((64, 46341), dtype=bool)
     mask.flat[rng.choice(mask.size, 50_000, replace=False)] = True
-    geometry = mask_geometry(mask)
+    geometry = MaskGeometry(mask)
     assert geometry.deviations[0].dtype == np.float64
     assert np.array_equal(geometry.wedge, _arctan2_wedge(*geometry.deviations))
     # Large, diagonal and near-diagonal float pairs.
@@ -424,16 +424,18 @@ def test_wedge_on_the_float64_path_is_the_arctan2_octant():
         assert np.array_equal(core._octant(dr, dc), _arctan2_wedge(dr, dc))
 
 
-def test_mask_geometry_keys_on_shape_and_is_read_only():
-    # All-True 2x3 and 3x2 masks have the same bytes.
-    wide = mask_geometry(np.ones((2, 3), dtype=bool))
-    tall = mask_geometry(np.ones((3, 2), dtype=bool))
-    assert wide.mask.shape == (2, 3) and wide.rows.tolist() == [0, 0, 0, 1, 1, 1]
-    assert tall.mask.shape == (3, 2) and tall.rows.tolist() == [0, 0, 1, 1, 2, 2]
-    # Equal masks share one geometry, whichever array holds them.
-    assert mask_geometry(np.asfortranarray(np.ones((3, 2), dtype=bool))) is tall
-    arrays = [tall.mask, tall.rows, tall.cols, *tall.deviations, tall.edge, tall.distance,
-              tall.rho, tall.wedge]
+def test_mask_geometry_is_kept_for_the_last_region_and_is_read_only():
+    mask = np.ones((3, 2), dtype=bool)
+    first, second = (ObjectRegion(1, (0, 0, 2, 1), mask) for _ in range(2))
+    # One region gives one geometry ...
+    geometry = mask_geometry(first)
+    assert mask_geometry(first) is geometry
+    assert geometry.mask.shape == (3, 2) and geometry.rows.tolist() == [0, 0, 1, 1, 2, 2]
+    # ... and the next region replaces it, even with an equal mask.
+    assert mask_geometry(second) is not geometry
+    assert mask_geometry(first) is not geometry
+    arrays = [geometry.mask, geometry.rows, geometry.cols, *geometry.deviations, geometry.edge,
+              geometry.distance, geometry.rho, geometry.wedge]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -27,7 +27,7 @@ from morphoprof import (
     table_columns,
     write_table,
 )
-from morphoprof import coloc, core, engine, intensity, shape
+from morphoprof import coloc, core, engine, granularity, intensity, radial, shape, texture
 from morphoprof.engine import FAMILIES, REGISTRY, feature_catalog
 from conftest import row_of
 from synth import experiment
@@ -109,26 +109,33 @@ def test_measure_keys_follow_registry_key_list():
         assert list(public[family.name](params)) == keys, family.name
 
 
-def test_run_measures_through_public_functions_on_crop_planes(monkeypatch):
-    """Each object and channel is one call of the public measure_intensity,
-    with the region in its crop's frame and a plane of the crop's size."""
+def test_run_measures_each_object_on_its_region_and_the_specs_planes(monkeypatch):
+    """Every family call of one object gets the same region, with
+    extract_objects' label, bbox and mask, and the spec's own planes."""
     calls = []
+    for module in (shape, intensity, texture, granularity, radial, coloc):
+        name = "measure_" + module.__name__.rpartition(".")[2]
 
-    def recording(region, plane):
-        calls.append((region, plane))
-        return measure_intensity(region, plane)
+        def recording(region, *args, measure=getattr(module, name)):
+            calls.append((region, [arg for arg in args if isinstance(arg, ImagePlane)]))
+            return measure(region, *args)
 
-    monkeypatch.setattr(intensity, "measure_intensity", recording)
-    spec = tiny_spec(n_channels=2, n_sets=1, families=("intensity",), workers=1)
-    (table,) = run(spec)
+        monkeypatch.setattr(module, name, recording)
+    spec = tiny_spec(n_channels=2, n_sets=1, workers=1)
+    run(spec)
     regions = extract_objects(spec.object_sets[0][1])
-    assert len(calls) == len(regions) * len(spec.channels) == table.n_rows * 2
-    for (region, plane), expected in zip(calls, [r for r in regions for _ in spec.channels]):
-        assert region.label == expected.label
-        assert region.bbox[:2] == (0, 0)
+    planes = dict(spec.channels)
+    # ImagePlane compares by identity, so == on these lists means the same objects.
+    expected_planes = [[planes[ch] for ch in chans] for *_, chans in measurements(spec)]
+    per_object = len(expected_planes)
+    assert len(calls) == len(regions) * per_object
+    for i, expected in enumerate(regions):
+        measured = calls[i * per_object : (i + 1) * per_object]
+        region = measured[0][0]
+        assert all(r is region for r, _ in measured)
+        assert (region.label, region.bbox) == (expected.label, expected.bbox)
         assert np.array_equal(region.local_mask, expected.local_mask)
-        assert isinstance(plane, ImagePlane)
-        assert plane.pixels.shape == region.local_mask.shape
+        assert [args for _, args in measured] == expected_planes
 
 
 def test_run_takes_one_distance_transform_per_object(monkeypatch):
@@ -141,7 +148,7 @@ def test_run_takes_one_distance_transform_per_object(monkeypatch):
         return transform(*args, **kwargs)
 
     monkeypatch.setattr(core, "_edt", counting)
-    core._geometry.cache_clear()
+    core.mask_geometry.cache_clear()
     spec = experiment(n_objects=30, size=96, families=("shape", "intensity", "radial"))
     assert len(spec.channels) == 2 and spec.workers == 1
     (table,) = run(spec)
@@ -249,9 +256,9 @@ def test_pool_never_has_more_workers_than_batches(tmp_path, monkeypatch):
     built = []
 
     class RecordingPool(engine.ProcessPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             built.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers, initializer=initializer, initargs=initargs)
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
 
@@ -276,8 +283,8 @@ def test_blocks_land_by_batch_start_whatever_order_batches_finish(tmp_path, monk
     submitted, finished, in_flight = [], [], []
 
     class NewestFirstPool:
-        def __init__(self, max_workers):
-            pass
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -299,6 +306,8 @@ def test_blocks_land_by_batch_start_whatever_order_batches_finish(tmp_path, monk
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", NewestFirstPool)
     monkeypatch.setattr(engine, "wait", newest_first)
+    # The initializer runs in this process: restore the planes it sets.
+    monkeypatch.setattr(engine, "_worker_planes", engine._worker_planes)
 
     def csv_bytes(workers):
         spec = experiment(n_objects=12, size=64, seed=3, workers=workers, batch_size=3)
@@ -315,6 +324,44 @@ def test_blocks_land_by_batch_start_whatever_order_batches_finish(tmp_path, monk
     assert sorted(finished) == list(range(n_batches))
     assert finished != sorted(finished)
     assert max(in_flight) == 2 + 1
+
+
+def test_pool_payloads_hold_no_pixels_and_each_pool_gets_the_planes_once(monkeypatch):
+    given, payloads = [], []
+
+    class RecordingPool(engine.ProcessPoolExecutor):
+        def __init__(self, max_workers, initializer, initargs):
+            given.append(initargs)
+            super().__init__(max_workers, initializer=initializer, initargs=initargs)
+
+        def submit(self, fn, payload):
+            payloads.append(payload)
+            return super().submit(fn, payload)
+
+    def leaves(item):
+        if isinstance(item, (tuple, list)):
+            for child in item:
+                yield from leaves(child)
+        else:
+            yield item
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    spec = tiny_spec(n_channels=2, n_sets=2, workers=2, batch_size=1)
+    run(spec)
+    # Two object sets of two objects: one pool and two one-object batches each.
+    assert given == [(dict(spec.channels),)] * 2
+    assert len(payloads) == 4
+    assert not any(isinstance(leaf, (ImagePlane, np.ndarray)) for leaf in leaves(payloads))
+
+
+def test_pool_over_two_object_sets_gives_the_in_process_bytes(tmp_path):
+    def csv_bytes(workers):
+        tables = run(tiny_spec(n_channels=2, n_sets=2, workers=workers, batch_size=1))
+        for table in tables:
+            write_table(table, tmp_path / f"{workers}-{table.object_set}.csv")
+        return [(tmp_path / f"{workers}-{t.object_set}.csv").read_bytes() for t in tables]
+
+    assert csv_bytes(2) == csv_bytes(1)
 
 
 def test_empty_mask_gives_header_only_table(tmp_path):

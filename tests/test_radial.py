@@ -63,7 +63,7 @@ def test_fraction_sums(rng):
         features = measure_radial(region, ImagePlane(rng.random(mask.shape)))
         total = math.fsum(features[f"FracAtD_{b}of4"] for b in range(1, 5))
         assert_close(total, 1.0, rel=1e-12)
-        rho = mask_geometry(region.local_mask).rho
+        rho = mask_geometry(region).rho
         bins = np.minimum(4, 1 + np.floor(rho * 4))
         pixel_fracs = [
             (bins == b).sum() / region.local_mask.sum() for b in range(1, 5)

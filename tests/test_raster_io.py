@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -432,6 +432,7 @@ def raster_bytes(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(raster_bytes())
+@example(b"MPROF F32 1 1\n\x00\x00\x81\x7f")  # a signalling NaN
 def test_bytes_after_a_magic_load_or_raise_format_error(tmp_path_factory, content):
     path = tmp_path_factory.getbasetemp() / "fuzz.bin"
     path.write_bytes(content)

@@ -1,6 +1,8 @@
 import math
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from conftest import assert_feature_maps_close, plane_of, region_of
 from oracles import glcm_oracle, quantize_oracle, texture_oracle
 
@@ -173,3 +175,22 @@ def test_distance_two_uses_distance_scaled_offsets(rng):
         texture_oracle(region, plane, 2, 4),
         rel=1e-9,
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 1023), mixed=st.booleans())
+@example(seed=0, e=1023, mixed=False)
+@example(seed=0, e=1023, mixed=True)
+def test_power_of_two_scaling_changes_no_bit_of_texture(seed, e, mixed):
+    """Every feature of a plane x 2^e is bitwise the unit plane's, up to the
+    top of the float range and for mixed signs, where max - min overflowed."""
+    rng = np.random.default_rng(seed)
+    mask = small_blob(rng, size=12)
+    # Multiples of 2^-10, so no scaled value falls below the normal range.
+    values = rng.integers(0, 1024, size=mask.shape) / 1024
+    if mixed:
+        values = 2 * values - 1
+    region = region_of(mask)
+    base = measure_texture(region, plane_of(values))
+    got = measure_texture(region, plane_of(np.ldexp(values, e)))
+    assert np.array_equal(list(got.values()), list(base.values()), equal_nan=True)
