@@ -13,12 +13,19 @@ Raster formats, each with one sample dtype (``_DTYPES``):
 
 ``_parse_header`` alone reads magic bytes and headers, for both
 loaders; ``_load_samples`` reads a payload without trusting its declared
-size, and ``_save_samples`` writes every format.
+size, in chunks it joins once, and ``_save_samples`` writes every format.
 
 Feature tables are RFC-4180 CSV with a ``object_set,label,...`` header,
 ``\\n`` line endings and locale-independent ``.`` decimals.  Floats are
 serialized with the shortest representation that round-trips; missing
-cells are empty.
+cells are empty.  ``write_table`` formats each row from one ``repr`` of
+its values, which is :func:`format_cell`'s text cell for cell.
+``read_table`` reads the text once.  Text without ``"`` and ``\\r`` is
+split on ``\\n`` and ``,``, which yields exactly the rows ``csv.reader``
+would; other text goes through ``csv.reader``, and a cell longer than
+``csv.field_size_limit()`` there is a FormatError naming its row.  The
+split has no such limit: an over-long unquoted cell is parsed by the
+``float()`` grammar like any other.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import csv
 import io
 import math
 import re
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -110,24 +118,26 @@ def _raw_fields(data: bytes, path) -> tuple[int, int, int]:
 
 
 def _load_samples(path, formats) -> np.ndarray:
-    # The payload is read on, doubling (pipes cannot seek or report a size),
-    # so a header that declares more than the file holds fails as truncated
-    # without allocating the declared size; a byte past the declared size
-    # fails too.  The samples come back unconverted, shaped (h, w).
+    # The payload is read on in chunks that double (pipes cannot seek or
+    # report a size) and joined once, so a header that declares more than the
+    # file holds fails as truncated without allocating the declared size; a
+    # byte past the declared size fails too.  The samples come back
+    # unconverted and read-only, shaped (h, w).
     with open(path, "rb") as fh:
         fmt, width, height, payload = _parse_header(fh, path)
         if fmt not in formats:
             raise FormatError(f"{path}: {fmt} is not one of {', '.join(formats)}")
         dtype = np.dtype(_DTYPES[fmt])
-        payload, expected = bytearray(payload), width * height * dtype.itemsize
-        while len(payload) < expected:
-            chunk = fh.read(min(expected - len(payload), max(len(payload), 1 << 16)))
+        chunks, size, expected = [payload], len(payload), width * height * dtype.itemsize
+        while size < expected:
+            chunk = fh.read(min(expected - size, max(size, 1 << 16)))
             if not chunk:
-                raise FormatError(f"{path}: truncated payload ({len(payload)} of {expected} bytes)")
-            payload += chunk
-        if len(payload) > expected or fh.read(1):
+                raise FormatError(f"{path}: truncated payload ({size} of {expected} bytes)")
+            chunks.append(chunk)
+            size += len(chunk)
+        if size > expected or fh.read(1):
             raise FormatError(f"{path}: bytes after the {expected}-byte payload")
-    return np.frombuffer(payload, dtype).reshape(height, width)
+    return np.frombuffer(b"".join(chunks), dtype).reshape(height, width)
 
 
 def _save_samples(samples: np.ndarray, path, fmt: str) -> None:
@@ -195,13 +205,38 @@ def format_cell(value: float) -> str:
 
 def write_table(table: FeatureTable, path) -> None:
     """Write a FeatureTable as CSV; see the module docstring for the format."""
+    if np.isinf(table.values).any():  # before opening, so a refused table touches no file
+        raise ValueError("non-finite feature value cannot be serialized")
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["object_set", "label", *table.columns])
-    for label, values in zip(table.labels.tolist(), table.values.tolist()):
-        writer.writerow([table.object_set, label, *map(format_cell, values)])
+    csv.writer(buf, lineterminator="\n").writerow([table.object_set, ""])
+    lead = buf.getvalue()[:-1]  # the object set cell as csv quotes it, and a comma
+    sep = "," if table.columns else ""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        csv.writer(fh, lineterminator="\n").writerow(["object_set", "label", *table.columns])
+        for label, values in zip(table.labels.tolist(), table.values):
+            # The repr of a list of finite floats and NaNs holds format_cell's
+            # text for each cell, ", "-separated, with NaN as "nan".
+            cells = repr(values.tolist())[1:-1].replace(", ", ",").replace("nan", "")
+            fh.write(f"{lead}{label}{sep}{cells}\n")
+
+
+def _table_rows(text: str, path) -> tuple[int, Iterator[list[str]]]:
+    """The number of CSV rows in ``text`` and the rows, as ``csv.reader``
+    gives them."""
+    if '"' not in text and "\r" not in text:
+        # Without quotes or CRs a line's cells are its comma-separated
+        # pieces, and an empty line is an empty row, as csv.reader has it.
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()  # nothing follows the last line end
+        return len(lines), (line.split(",") if line else [] for line in lines)
+    rows = []
+    try:
+        for row in csv.reader(io.StringIO(text, newline="")):
+            rows.append(row)
+    except csv.Error as exc:  # e.g. a quoted cell past csv.field_size_limit()
+        raise FormatError(f"{path}: {exc} in row {len(rows) + 1}") from None
+    return len(rows), iter(rows)
 
 
 def read_table(path) -> FeatureTable:
@@ -211,17 +246,17 @@ def read_table(path) -> FeatureTable:
     ``nan``, ``inf`` and overflowing cells are rejected with their row.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+        n_rows, rows = _table_rows(fh.read(), path)
+    header = next(rows, None)
+    if header is None:
         raise FormatError(f"{path}: empty file")
-    header = rows[0]
     if header[:2] != ["object_set", "label"]:
         raise FormatError(f"{path}: header must start with object_set,label")
     columns = tuple(header[2:])
     object_set = ""
     labels = []
-    values = np.empty((len(rows) - 1, len(columns)), dtype=np.float64)
-    for i, row in enumerate(rows[1:]):
+    values = np.empty((n_rows - 1, len(columns)), dtype=np.float64)
+    for i, row in enumerate(rows):
         if len(row) != len(header):
             raise FormatError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
         if i == 0:

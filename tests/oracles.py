@@ -8,11 +8,14 @@ library can be checked against an independent route.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 import scipy.ndimage
 import scipy.spatial
+
+from morphoprof.raster_io import format_cell
 
 
 # ---------------------------------------------------------------- core
@@ -596,7 +599,30 @@ def coloc_oracle(region, plane_a, plane_b, tau):
     }
 
 
+# ------------------------------------------------------------- raster_io
+
+
+def write_table_oracle(table, path):
+    """A FeatureTable as CSV through ``csv.writer``, one ``format_cell``
+    per value: the bytes ``write_table`` must give for a finite table."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["object_set", "label", *table.columns])
+        for label, values in zip(table.labels.tolist(), table.values.tolist()):
+            writer.writerow([table.object_set, label, *map(format_cell, values)])
+
+
 # ------------------------------------------------------------ tessellate
+
+
+def hex_metric(d_row, d_col, circumradius):
+    """Containment metric of a pointy-top hexagon at the origin: <= 1
+    inside or on the hexagon, exactly 1 on its boundary, with the operands
+    ``hex_tessellation`` uses, in its order."""
+    r = circumradius
+    ax = np.abs(d_col)
+    ay = np.abs(d_row)
+    return np.maximum(ax / (math.sqrt(3.0) / 2.0 * r), (ax + math.sqrt(3.0) * ay) / (math.sqrt(3.0) * r))
 
 
 def hex_tessellation_oracle(height, width, radius):

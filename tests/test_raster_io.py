@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import re
 import threading
@@ -24,6 +25,7 @@ from morphoprof import (
 )
 from morphoprof import raster_io
 from morphoprof.cli import main
+from oracles import write_table_oracle
 
 
 def header_of(path):
@@ -271,6 +273,43 @@ def test_writing_an_infinite_cell_raises_and_leaves_the_file(tmp_path):
     assert path.read_text() == "previous contents\n"
 
 
+#: Cell values a table may hold, with NaN, signed zeros, subnormals, the
+#: ends of the float range and integer-valued floats drawn often.
+_TABLE_VALUES = st.one_of(
+    st.floats(allow_infinity=False),
+    st.sampled_from([np.nan, 0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308,
+                     -1.7976931348623157e308, 1.0, -3.0, 1e16, 2.0**53, 123456789.0]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_write_table_gives_the_bytes_of_the_format_cell_writer(tmp_path_factory, data):
+    n_rows, n_cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    cells = data.draw(st.lists(_TABLE_VALUES, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    values = np.array(cells, dtype=np.float64).reshape(n_rows, n_cols)
+    object_set = data.draw(st.sampled_from(["cells", "", "a,b", 'say "hi"', "two\nlines", "cr\r"]))
+    names = [data.draw(st.sampled_from(["f{}", "f,{}", 'f"{}'])) for _ in range(n_cols)]
+    labels = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n_rows,
+                                max_size=n_rows, unique=True))
+    table = FeatureTable(object_set, tuple(name.format(j) for j, name in enumerate(names)),
+                         np.sort(np.array(labels, dtype=np.int64)), values)
+    base = tmp_path_factory.getbasetemp()
+    got, want = base / "got.csv", base / "want.csv"
+    got.unlink(missing_ok=True)
+    if values.size and data.draw(st.booleans()):
+        # One infinite cell anywhere: ValueError, and no file is created.
+        poisoned = values.copy()
+        cell = data.draw(st.integers(0, values.size - 1))
+        poisoned.flat[cell] = data.draw(st.sampled_from([np.inf, -np.inf]))
+        with pytest.raises(ValueError, match="non-finite"):
+            write_table(FeatureTable(object_set, table.columns, table.labels, poisoned), got)
+        assert not got.exists()
+    write_table(table, got)
+    write_table_oracle(table, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -285,10 +324,30 @@ def test_nul_characters_in_table_cells_are_rejected(tmp_path, text, message):
         read_table(path)
 
 
-def reference_read(rows):
-    """Per-cell ``float()`` reading of table rows: (labels, values), or the
-    message of the first malformed row or cell."""
+@pytest.mark.parametrize("row", [1, 3])
+def test_a_quoted_cell_past_the_csv_field_limit_is_a_format_error(tmp_path, capsys, row):
+    # csv.reader raises its own csv.Error on a field longer than
+    # csv.field_size_limit(), which used to end the CLI in a traceback.
+    lines = ["object_set,label,f", "cells,1,0.5", "cells,2,0.25"]
+    lines[row - 1] = lines[row - 1][:-1] + '"' + "1" * (csv.field_size_limit() + 1) + '"'
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: ") + f".* in row {row}$"):
+        read_table(path)
+    assert main(["normalize", "--in", str(path), "--out", str(tmp_path / "n.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"morphoprof: error: {path}: ")
+
+
+def reference_read(text):
+    """``csv.reader`` rows of a table's text, each cell read by ``float()``:
+    (columns, labels, values), or the message of the first malformed row or
+    cell."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if not rows:
+        return "empty file"
     header, body = rows[0], rows[1:]
+    if header[:2] != ["object_set", "label"]:
+        return "header must start with object_set,label"
     labels, values = [], []
     for n, row in enumerate(body, start=2):
         if len(row) != len(header):
@@ -309,7 +368,8 @@ def reference_read(rows):
                 return f"non-numeric cell {cell!r} in row {n}"
             if not np.isfinite(values[-1]):
                 return f"non-finite cell {cell!r} in row {n}"
-    return labels, np.array(values, dtype=np.float64).reshape(len(body), len(header) - 2)
+    shape = (len(body), len(header) - 2)
+    return tuple(header[2:]), labels, np.array(values, dtype=np.float64).reshape(shape)
 
 
 _ODD_CELLS = ["", " 1", "1_0", "+1", "\u0661\u0662", "nan", "inf", "1e400", "abc", "1\x00"]
@@ -318,33 +378,56 @@ _CELLS = st.one_of(_FLOAT_CELLS, _FLOAT_CELLS, _FLOAT_CELLS, st.sampled_from(_OD
 
 
 @st.composite
-def table_rows(draw):
-    """A header and up to six body rows, some ragged or of another object set."""
+def table_text(draw):
+    """A header and up to six body rows, some short, long or of another
+    object set, as CSV text.  Half the texts are plain: LF line ends and no
+    quotes.  The others quote names and object sets that need it and, now
+    and then, whole rows that do not, and end lines with CRLF, lone CR or a
+    mix.  Either kind may hold blank lines and lack its final line end."""
+    plain = draw(st.booleans())
+    odd = [] if plain else ["f,{}", 'f"{}', "f\n{}"]
     n_cols = draw(st.integers(0, 5))
-    rows = [["object_set", "label", *(f"f{j}" for j in range(n_cols))]]
+    names = draw(st.lists(st.sampled_from(["f{}"] * 6 + odd), min_size=n_cols, max_size=n_cols))
+    rows = [["object_set", "label", *(name.format(j) for j, name in enumerate(names))]]
+    odd = [""] if plain else ["", "a,b", 'say "hi"', "two\nlines"]
+    cells_set = draw(st.sampled_from(["cells"] * 4 + odd))
     for n in range(draw(st.integers(0, 6))):
         width = draw(st.sampled_from([n_cols] * 18 + [max(n_cols - 1, 0), n_cols + 1]))
-        object_set = draw(st.sampled_from(["cells"] * 18 + ["nuclei", "cells\x00"]))
+        object_set = draw(st.sampled_from([cells_set] * 18 + ["nuclei", cells_set + "\x00"]))
         label = draw(st.sampled_from([str(n + 1)] * 18 + ["x", f"{n + 1}\x00"]))
         rows.append([object_set, label, *draw(st.lists(_CELLS, min_size=width, max_size=width))])
-    return rows
+    ends = ["\n"] if plain else draw(st.sampled_from([["\r\n"], ["\r"], ["\n", "\r\n", "\r"]]))
+    lines = []
+    for row in rows:
+        lines.extend([""] * draw(st.sampled_from([0] * 18 + [1, 2])))
+        quote_all = not plain and draw(st.sampled_from([False] * 4 + [True]))
+        lines.append(",".join(
+            '"' + cell.replace('"', '""') + '"'
+            if quote_all or any(c in cell for c in ',"\r\n') else cell
+            for cell in row
+        ))
+    final = draw(st.sampled_from(ends + [""]))  # "" leaves the last line unended
+    return "".join(line + draw(st.sampled_from(ends)) for line in lines[:-1]) + lines[-1] + final
 
 
-@settings(max_examples=200, deadline=None)
-@given(table_rows())
-def test_read_table_agrees_with_per_cell_parsing(tmp_path_factory, rows):
+@settings(max_examples=300, deadline=None)
+@given(table_text())
+def test_read_table_agrees_with_per_cell_parsing(tmp_path_factory, text):
+    # Unquoted text without CRs is split on line ends and commas; any other
+    # text goes through csv.reader.  Both must give csv.reader's rows.
     path = tmp_path_factory.getbasetemp() / "prop.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-    expected = reference_read(rows)
+        fh.write(text)
+    expected = reference_read(text)
     if isinstance(expected, str):
         with pytest.raises(FormatError) as info:
             read_table(path)
         assert str(info.value) == f"{path}: {expected}"
     else:
         loaded = read_table(path)
-        assert loaded.labels.tolist() == expected[0]
-        assert loaded.values.tobytes() == expected[1].tobytes()  # bitwise, NaN included
+        assert loaded.columns == expected[0]
+        assert loaded.labels.tolist() == expected[1]
+        assert loaded.values.tobytes() == expected[2].tobytes()  # bitwise, NaN included
 
 
 @pytest.mark.parametrize(

@@ -2,16 +2,16 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import hex_tessellation_oracle
+from oracles import hex_metric, hex_tessellation_oracle
 
 from morphoprof import HexGridParams, LabelMask, filter_by_coverage, hex_tessellation
-from morphoprof.tessellate import hex_metric
 
 
 def brute_force_assignment(height, width, radius):
@@ -82,9 +82,16 @@ def test_boundary_ties_go_to_the_lowest_lattice_index():
 @example(1, 28, 0.5)  # lattice box 2.6 times the canvas, the most among small canvases
 @example(300, 1, 5.0)  # one row tall
 @example(1, 300, 5.0)  # one column wide
-@example(100, 400, 3.7)  # row blocks of 163 rows, the last one partial
+@example(100, 400, 3.7)  # 163-row blocks over 30 lattice rows: interleaved bands
 @example(64, 48, 0.5)  # lattice rows 0.75 px apart, closer than pixel rows
 @example(7, 3000, 100.0)  # a tall strip over two row blocks
+@example(7, 3000, 200.0)  # 2,340-row blocks over 300-row lattice rows: interleaved bands
+@example(64, 700, 200.0)  # 256-row blocks over 300-row lattice rows: contiguous bands
+@example(1024, 80, 24.0)  # 16-row blocks over 36-row lattice rows, as the benchmark has them
+@example(40, 90, 4.0)  # 1.5*R = 6: rows 3, 9, ... halfway, so rint's ties set band edges
+@example(40, 90, 2.0)  # 1.5*R = 3, an odd integer: no row is halfway
+@example(40, 90, 2.9)  # 1.5*R = 4.35, not an integer
+@example(3, 200, 0.5)  # lattice rows 0.75 px apart: each band skips every other row or two
 def test_labels_match_the_sorted_lattice_ranking(width, height, radius):
     mask = hex_tessellation(HexGridParams(width=width, height=height, circumradius=radius))
     assert np.array_equal(mask.labels, hex_tessellation_oracle(height, width, radius))
@@ -152,6 +159,28 @@ def test_coverage_filter_matches_per_label_tally(rng):
             frac = fg[inside].sum() / inside.sum()
             expected = label if frac >= tau else 0
             assert (filtered[inside] == expected).all()
+
+
+def test_coverage_bins_labels_below_the_pixel_count_and_ranks_the_rest(rng, monkeypatch):
+    # Labels below the pixel count are their own bins, most of them absent
+    # here; labels at or above it are ranked first.  Either way the kept set
+    # is the densely relabeled mask's, and no 0 / 0 of an absent bin warns.
+    hexes = hex_tessellation(HexGridParams(width=30, height=20, circumradius=3.0)).labels
+    hexes = np.unique(np.where(hexes % 4 == 0, 0, hexes), return_inverse=True)[1]  # 0, 1..n
+    fg = LabelMask((rng.random(hexes.shape) < 0.5).astype(np.int64))
+    dense = filter_by_coverage(LabelMask(hexes), fg, 0.5).labels
+    unique, ranked = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda *a, **k: ranked.append(a) or unique(*a, **k))
+    top = hexes.size - int(hexes.max())  # lifts the largest label to the pixel count
+    for scale, offset, ranks in ((1, 0, False), (1, top - 1, False), (3, 0, False),
+                                 (1, top, True), (1, 2**40, True)):
+        labels = np.where(hexes > 0, scale * hexes + offset, 0)
+        ranked.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept = filter_by_coverage(LabelMask(labels), fg, 0.5).labels
+        assert bool(ranked) == ranks, (scale, offset)
+        assert np.array_equal(kept, np.where(dense > 0, labels, 0)), (scale, offset)
 
 
 def test_coverage_monotone_in_threshold(rng):
