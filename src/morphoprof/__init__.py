@@ -25,7 +25,7 @@ from .engine import (
     run,
     table_columns,
 )
-from .granularity import GranularityParams, gray_open, measure_granularity
+from .granularity import GranularityParams, measure_granularity
 from .intensity import measure_intensity
 from .postprocess import (
     ComparisonReport,
@@ -46,7 +46,7 @@ from .raster_io import (
 )
 from .shape import ShapeParams, measure_shape
 from .tessellate import HexGridParams, filter_by_coverage, hex_tessellation
-from .texture import TextureParams, glcm, measure_texture, quantize
+from .texture import TextureParams, measure_texture
 
 __version__ = "0.1.0"
 
@@ -72,8 +72,6 @@ __all__ = [
     "feature_catalog",
     "feature_name",
     "filter_by_coverage",
-    "glcm",
-    "gray_open",
     "hex_tessellation",
     "load_image",
     "load_mask",
@@ -84,7 +82,6 @@ __all__ = [
     "measure_radial",
     "measure_shape",
     "measure_texture",
-    "quantize",
     "read_table",
     "robust_standardize",
     "run",

@@ -161,7 +161,7 @@ class FeatureTable:
                 f"values shape {values.shape} does not match "
                 f"{labels.size} rows x {len(cols)} columns"
             )
-        if labels.size > 1 and not np.all(np.diff(labels) > 0):
+        if not np.all(labels[1:] > labels[:-1]):
             raise ValueError("labels must be strictly ascending")
         labels.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "columns", cols)

@@ -29,9 +29,10 @@ plain definitions, because min and max only select values:
   neighbour cannot change, so the front goes through the same sequence
   of states as the dense iteration.
 
-``measure_granularity`` allocates one set of guarded buffers per object
-and channel (the image entering the step, the limit it sets and the
-reconstruction state) and runs every step in place on it.
+``measure_granularity`` allocates every buffer and runs the kernels in
+place: the opening on its own buffer guarded as wide as the disk (+inf,
+then -inf), the steps on one set of one-pixel guarded buffers (the image
+entering the step, the limit it sets and the reconstruction state).
 """
 
 from __future__ import annotations
@@ -123,40 +124,6 @@ def _disk_filter(padded: np.ndarray, radius: int, op, out: np.ndarray) -> None:
                 op(out, block, out=out)
 
 
-def gray_erode(values: np.ndarray, mask: np.ndarray, radius: int) -> np.ndarray:
-    """Masked grayscale erosion by a disk; off-mask output is 0."""
-    radius = min(radius, sum(mask.shape))  # holds every offset within the crop
-    eroded = np.empty(mask.shape)
-    _disk_filter(_guarded(values, mask, radius, np.inf), radius, np.minimum, eroded)
-    return np.where(mask, eroded, 0.0)
-
-
-def gray_dilate(values: np.ndarray, mask: np.ndarray, radius: int) -> np.ndarray:
-    """Masked grayscale dilation by a disk; off-mask output is 0."""
-    radius = min(radius, sum(mask.shape))  # holds every offset within the crop
-    dilated = np.empty(mask.shape)
-    _disk_filter(_guarded(values, mask, radius, -np.inf), radius, np.maximum, dilated)
-    return np.where(mask, dilated, 0.0)
-
-
-def gray_open(values: np.ndarray, mask: np.ndarray, radius: int) -> np.ndarray:
-    """Masked grayscale opening (erosion then dilation) by a disk."""
-    return gray_dilate(gray_erode(values, mask, radius), mask, radius)
-
-
-def gray_reconstruct(marker: np.ndarray, limit: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Reconstruction by dilation: iterate marker <- min(dilate3x3(marker), limit)
-    until stable.  Requires marker <= limit (no NaN) on the mask; off-mask output is 0.
-
-    The iterations run dense over the whole crop, then, once few pixels
-    change on a large crop, as a sparse front over the changed pixels'
-    neighbours (see the module docstring); both produce the same states.
-    """
-    state = _guarded(marker, mask, 1, -np.inf)
-    _reconstruct(state, _guarded(limit, mask, 1, -np.inf))
-    return np.where(mask, state[1:-1, 1:-1], 0.0)
-
-
 def _reconstruct(state: np.ndarray, limit: np.ndarray) -> None:
     """Reconstruct in place: ``state`` and ``limit`` are -inf off the mask
     and in a one-pixel band around the crop."""
@@ -221,14 +188,24 @@ def measure_granularity(
     crop = region.crop(plane.pixels)
     length = params.spectrum_length
     keys = [str(i) for i in range(1, length + 1)]
+    # The background is the opening: an erosion, then a dilation, by the
+    # disk on one buffer guarded as wide as the disk.  A radius of height +
+    # width holds every offset within the crop, so larger ones cost no more.
+    radius = min(params.background_radius, sum(local_mask.shape))
+    padded = _guarded(crop, local_mask, radius, np.inf)
+    residue = np.empty(local_mask.shape)
+    _disk_filter(padded, radius, np.minimum, residue)
+    padded.fill(-np.inf)
+    np.copyto(padded[radius:-radius, radius:-radius], residue, where=local_mask)
+    _disk_filter(padded, radius, np.maximum, residue)
+    np.subtract(crop, residue, out=residue, where=local_mask)
+    np.maximum(0.0, residue, out=residue, where=local_mask)
     # Each step erodes the entering image (+inf off the mask) into the
     # state, which becomes the next entering image and is reconstructed
     # under the limit (the image that entered, -inf off the mask).  The
     # first limit is the residue of the opening, which lives only there.
-    limit = _guarded(
-        np.maximum(0.0, crop - gray_open(crop, local_mask, params.background_radius)),
-        local_mask, 1, -np.inf,
-    )
+    limit = _guarded(residue, local_mask, 1, -np.inf)
+    del padded, residue  # freed before the steps, so they add nothing to the peak
     inner_limit = limit[1:-1, 1:-1]
     start = float(inner_limit[local_mask].mean())
     if start == 0.0:

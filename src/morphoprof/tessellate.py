@@ -17,8 +17,9 @@ parity.  A candidate's column offset depends only on its lattice row's
 parity, so its column terms are computed once, in 1-D; its row terms are
 1-D per band, and only the metric itself is 2-D.  A pixel meets its
 candidates in the same order in any band, so the tie rule is unchanged.
-The hexagons that own at least one pixel are labeled densely from 1 in
-(j, i) lattice order.
+Each band writes its pixels' owners as flat indices into a lattice box
+bounded before the scan, and the hexagons that own at least one pixel
+are labeled densely from 1 in (j, i) lattice order.
 
 ``filter_by_coverage`` bins each pixel by its label when every label is
 below the pixel count, and by the label's rank otherwise, so its bin
@@ -74,8 +75,12 @@ def hex_tessellation(params: HexGridParams) -> LabelMask:
         i_cand = np.rint(cols / (s3 * r) - shift).astype(np.int64) + np.array([[-1], [0], [1]])
         ax = np.abs(cols - s3 * r * (i_cand + shift))
         t1 = ax / (s3 / 2.0 * r)
-    best_j = np.empty((height, width), dtype=np.int64)
-    best_i = np.empty((height, width), dtype=np.int64)
+    # Every candidate lies in the lattice box j >= j_base.min() - 1, i in
+    # [i_cand.min(), i_cand.max()], so each pixel's owner is stored as one
+    # flat index (j - j0) * ni + (i - i0), which sorts like its (j, i) pair.
+    j0, i0 = int(j_base.min()) - 1, int(i_cand.min())
+    ni = int(i_cand.max()) - i0 + 1
+    owner = np.empty((height, width), dtype=np.int64)
     step = max(1, _BLOCK_PIXELS // width)
     for top in range(0, height, step):
         for parity in (0, 1):
@@ -101,18 +106,14 @@ def hex_tessellation(params: HexGridParams) -> LabelMask:
                         np.less(metric, best_metric, out=take)
                         np.copyto(best_metric, metric, where=take)
                         np.copyto(best_k, 3 * dj + di + 4, where=take)
-            best_j[band] = best_k // 3 + (jb - 1)
-            band_i = i_cand[[(parity + dj) % 2 for dj in (-1, 0, 1)]].reshape(9, width)
-            best_i[band] = np.take_along_axis(band_i, best_k, 0)
+            band_i = i_cand[[(parity + dj) % 2 for dj in (-1, 0, 1)]].reshape(9, width) - i0
+            band_j = best_k // 3 + (jb - 1 - j0)
+            owner[band] = band_j * ni + np.take_along_axis(band_i, best_k, 0)
 
-    # Dense (j, i) rank: flat lattice indices sort like (j, i) pairs.  With
-    # circumradius >= 0.5 the owners' lattice box is a small multiple of the
-    # canvas: under 3 times on small canvases, about 1.5 times on large ones.
-    j0, i0 = int(best_j.min()), int(best_i.min())
-    ni = int(best_i.max()) - i0 + 1
-    flat = ((best_j - j0) * ni + (best_i - i0)).ravel()
-    labels = np.cumsum(np.bincount(flat) > 0)[flat]
-    return LabelMask(labels.reshape(height, width))
+    # Dense (j, i) rank.  With circumradius >= 0.5 the lattice box, hence the
+    # bincount, is a small multiple of the canvas: at most 9 times (on a 1x1
+    # canvas), about 1.5 times on large ones.
+    return LabelMask(np.cumsum(np.bincount(owner.ravel()) > 0)[owner])
 
 
 def filter_by_coverage(

@@ -1,15 +1,15 @@
 """Subprocess probe: run a synthetic experiment and print peak RSS in KiB.
 
 Usage: python memprobe.py <n_objects> [size]
-Run in a fresh process per configuration so ru_maxrss reflects that run.
+Run in a fresh process per configuration so its peak RSS reflects that run.
 """
 
-import resource
 import sys
 from pathlib import Path
 
 sys.path[:0] = [str(Path(__file__).parent), str(Path(__file__).parents[1] / "src")]
 
+from peakrss import peak_kib  # noqa: E402
 from synth import experiment  # noqa: E402
 
 from morphoprof import run  # noqa: E402
@@ -23,7 +23,7 @@ def main():
     )
     tables = run(spec)
     assert tables[0].n_rows > 0
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    print(peak_kib())
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from morphoprof import (
     ColocParams,
     ExperimentSpec,
     FeatureTable,
+    FormatError,
     GranularityParams,
     HexGridParams,
     ImagePlane,
@@ -29,8 +30,10 @@ from morphoprof import (
     measure_intensity,
     measure_radial,
     measure_texture,
+    read_table,
 )
 from morphoprof import core
+from morphoprof.cli import main
 from morphoprof.core import WEDGES, MaskGeometry, mask_geometry
 
 
@@ -206,6 +209,32 @@ def test_feature_table_rejects_non_integer_labels():
     assert empty.labels.dtype == np.int64 and empty.n_rows == 0
     table = FeatureTable("s", ("a",), np.array([1, 2], dtype=np.uint32), np.zeros((2, 1)))
     assert table.labels.dtype == np.int64 and table.labels.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "labels, ascending",
+    [
+        ([2**63 - 1, -(2**63)], False),
+        ([2**62, -(2**62) - 1], False),
+        ([-(2**63), 0], True),
+        ([-1, 2**63 - 1], True),
+    ],
+)
+def test_label_order_holds_for_labels_further_apart_than_int64(tmp_path, labels, ascending):
+    # Neighbouring labels are compared; their int64 difference used to wrap,
+    # which accepted descending pairs and rejected ascending ones.
+    path = tmp_path / "table.csv"
+    path.write_text("object_set,label,a\n" + "".join(f"c,{label},0.5\n" for label in labels))
+    if ascending:
+        table = FeatureTable("c", ("a",), np.array(labels), np.zeros((2, 1)))
+        assert table.labels.tolist() == labels
+        assert read_table(path).labels.tolist() == labels
+        return
+    with pytest.raises(ValueError, match="labels must be strictly ascending"):
+        FeatureTable("c", ("a",), np.array(labels), np.zeros((2, 1)))
+    with pytest.raises(FormatError, match=f"{path}: labels must be strictly ascending"):
+        read_table(path)
+    assert main(["normalize", "--in", str(path), "--out", str(tmp_path / "n.csv")]) == 1
 
 
 def test_labels_beyond_int64_are_named():

@@ -18,51 +18,77 @@ from oracles import (
 
 from morphoprof import GranularityParams, ImagePlane, measure_granularity
 from morphoprof import granularity
-from morphoprof.granularity import (
-    disk_footprint,
-    gray_dilate,
-    gray_erode,
-    gray_open,
-    gray_reconstruct,
-)
+from morphoprof.granularity import disk_footprint
 from synth import small_blob
+
+
+# The kernels on guarded buffers, as measure_granularity runs them, with
+# off-mask output 0.
+
+
+def disk_filter(values, mask, radius, op):
+    """Masked erosion (np.minimum) or dilation (np.maximum) by a disk."""
+    guard = np.inf if op is np.minimum else -np.inf
+    out = np.empty(mask.shape)
+    granularity._disk_filter(granularity._guarded(values, mask, radius, guard), radius, op, out)
+    return np.where(mask, out, 0.0)
+
+
+def opening(values, mask, radius):
+    eroded = disk_filter(values, mask, radius, np.minimum)
+    return disk_filter(eroded, mask, radius, np.maximum)
+
+
+def reconstruct(marker, limit, mask):
+    """Reconstruction by dilation of marker under limit."""
+    state = granularity._guarded(marker, mask, 1, -np.inf)
+    granularity._reconstruct(state, granularity._guarded(limit, mask, 1, -np.inf))
+    return np.where(mask, state[1:-1, 1:-1], 0.0)
 
 
 def test_open_leaves_constant_unchanged():
     mask = np.ones((5, 5), dtype=bool)
     values = np.full((5, 5), 0.4)
-    assert np.array_equal(gray_open(values, mask, 2), values)
+    assert np.array_equal(opening(values, mask, 2), values)
+    # Nothing is left above the background, so nothing is measured.
+    spectrum = measure_granularity(region_of(mask), plane_of(values), GranularityParams(4, 2))
+    assert list(spectrum.values()) == [0.0] * 4
 
 
 def test_open_flattens_single_bright_pixel():
     mask = np.ones((5, 5), dtype=bool)
     values = np.zeros((5, 5))
     values[2, 2] = 1.0
-    opened = gray_open(values, mask, 1)
+    opened = opening(values, mask, 1)
     assert (opened == 0.0).all()
+    # The whole pixel is residue, and the first erosion takes it.
+    spectrum = measure_granularity(region_of(mask), plane_of(values), GranularityParams(3, 1))
+    assert spectrum == {"1": 100.0, "2": 0.0, "3": 0.0}
 
 
 def test_open_matches_sliding_window_oracle(rng):
     mask = small_blob(rng, size=16)
     values = np.where(mask, rng.random(mask.shape), 0.0)
+    region, plane = region_of(mask), plane_of(values)
     for radius in (1, 2, 3):
-        assert np.array_equal(
-            gray_open(values, mask, radius), gray_open_oracle(values, mask, radius)
-        )
+        expected = gray_open_oracle(values, mask, radius)
+        assert np.array_equal(opening(values, mask, radius), expected)
+        got = measure_granularity(region, plane, GranularityParams(3, radius))
+        assert got == granularity_oracle(region, plane, 3, radius)
 
 
 def test_reconstruct_fixpoint_cases(rng):
     mask = np.ones((6, 6), dtype=bool)
     limit = rng.random((6, 6))
-    assert np.array_equal(gray_reconstruct(limit, limit, mask), limit)
+    assert np.array_equal(reconstruct(limit, limit, mask), limit)
     zeros = np.zeros((6, 6))
-    assert np.array_equal(gray_reconstruct(zeros, limit, mask), zeros)
+    assert np.array_equal(reconstruct(zeros, limit, mask), zeros)
 
 
 def test_reconstruct_requires_marker_below_limit():
     mask = np.ones((3, 3), dtype=bool)
     with pytest.raises(ValueError):
-        gray_reconstruct(np.ones((3, 3)), np.zeros((3, 3)), mask)
+        reconstruct(np.ones((3, 3)), np.zeros((3, 3)), mask)
 
 
 def test_reconstruct_rejects_nan_on_the_mask():
@@ -72,18 +98,18 @@ def test_reconstruct_rejects_nan_on_the_mask():
     zeros = np.zeros((3, 3))
     for marker, limit in ((values, values), (zeros, values), (values, 2 * values)):
         with pytest.raises(ValueError, match="NaN"):
-            gray_reconstruct(marker, limit, mask)
+            reconstruct(marker, limit, mask)
     # Off the mask a NaN is never read.
     mask[1, 1] = False
-    assert np.array_equal(gray_reconstruct(values, values, mask), np.where(mask, 1.0, 0.0))
+    assert np.array_equal(reconstruct(values, values, mask), np.where(mask, 1.0, 0.0))
 
 
 def test_reconstruct_matches_naive_iteration(rng):
     mask = small_blob(rng, size=12)
     limit = np.where(mask, rng.random(mask.shape), 0.0)
-    marker = gray_erode(limit, mask, 1)
+    marker = disk_filter(limit, mask, 1, np.minimum)
     assert np.array_equal(
-        gray_reconstruct(marker, limit, mask),
+        reconstruct(marker, limit, mask),
         gray_reconstruct_oracle(marker, limit, mask),
     )
 
@@ -195,7 +221,7 @@ def test_front_follows_a_long_serpentine_corridor(rng, front_calls):
     limit = np.where(mask, rng.random(mask.shape), 0.0)
     marker = np.zeros_like(limit)
     marker[0, 1] = limit[0, 1]
-    got = gray_reconstruct(marker, limit, mask)
+    got = reconstruct(marker, limit, mask)
     assert front_calls
     assert np.array_equal(got, dense_reconstruct(marker, limit, mask))
     # The seed's value reached the far end of the corridor, never growing.
@@ -213,10 +239,10 @@ def test_front_matches_dense_and_naive_on_plateaus_holes_and_split_labels(
     for mask in (disk_a | disk_b, (disk_a | disk_b) & ~holes):
         limit = np.where(mask, rng.integers(0, 4, size=mask.shape), 0).astype(float)
         for marker in (
-            gray_erode(limit, mask, 1),
+            disk_filter(limit, mask, 1, np.minimum),
             np.minimum(limit, rng.integers(0, 4, size=mask.shape)),
         ):
-            got = gray_reconstruct(marker, limit, mask)
+            got = reconstruct(marker, limit, mask)
             assert np.array_equal(got, dense_reconstruct(marker, limit, mask))
             assert np.array_equal(got, gray_reconstruct_oracle(marker, limit, mask))
     assert len(front_calls) == 4
@@ -229,7 +255,7 @@ def test_front_handles_one_pixel_and_one_line_objects(rng, front_calls):
         marker = np.zeros(shape)
         marker[0, 0] = limit[0, 0]
         assert np.array_equal(
-            gray_reconstruct(marker, limit, mask), dense_reconstruct(marker, limit, mask)
+            reconstruct(marker, limit, mask), dense_reconstruct(marker, limit, mask)
         )
     assert len(front_calls) == 3
 
@@ -248,7 +274,7 @@ def test_front_matches_dense_iteration(seed, height, levels, fill):
     limit = np.where(mask, rng.integers(0, levels + 1, size=shape), 0).astype(float)
     marker = np.minimum(limit, rng.integers(0, levels + 1, size=shape))
     assert np.array_equal(
-        gray_reconstruct(marker, limit, mask), dense_reconstruct(marker, limit, mask)
+        reconstruct(marker, limit, mask), dense_reconstruct(marker, limit, mask)
     )
 
 
@@ -341,8 +367,8 @@ def test_disk_filters_equal_footprint_filters(rng):
     for radius in range(1, 26):
         for mask, values in crops:
             low, high = footprint_filters(values, mask, radius)
-            assert np.array_equal(gray_erode(values, mask, radius), low)
-            assert np.array_equal(gray_dilate(values, mask, radius), high)
+            assert np.array_equal(disk_filter(values, mask, radius, np.minimum), low)
+            assert np.array_equal(disk_filter(values, mask, radius, np.maximum), high)
 
 
 @settings(max_examples=150, deadline=None)
@@ -372,8 +398,8 @@ def test_disk_filters_equal_footprint_filters_everywhere(
         mask[:, [0, -1]] = True
     values = rng.integers(0, levels, size=mask.shape) / levels
     low, high = footprint_filters(values, mask, radius)
-    assert np.array_equal(gray_erode(values, mask, radius), low)
-    assert np.array_equal(gray_dilate(values, mask, radius), high)
+    assert np.array_equal(disk_filter(values, mask, radius, np.minimum), low)
+    assert np.array_equal(disk_filter(values, mask, radius, np.maximum), high)
 
 
 def test_a_radius_past_the_crop_costs_no_more_than_one_that_covers_it(rng):
@@ -383,14 +409,21 @@ def test_a_radius_past_the_crop_costs_no_more_than_one_that_covers_it(rng):
     mask = np.zeros((6, 6), dtype=bool)
     mask[2:4, 2:4] = True
     region, plane = region_of(mask), ImagePlane(rng.random(mask.shape))
-    values, local = rng.random((3, 5)), rng.random((3, 5)) < 0.7
+    # A 3 x 5 crop with holes, its mask touching every edge.
+    local = rng.random((3, 5)) < 0.7
     local[[0, -1], :] = local[:, [0, -1]] = True
+    holed = np.zeros((6, 8), dtype=bool)
+    holed[1:4, 2:7] = local
+    holed_region, holed_plane = region_of(holed), ImagePlane(rng.random(holed.shape))
     start = time.perf_counter()
     spectra = [
         np.array(list(measure_granularity(region, plane, GranularityParams(3, r)).values()))
         for r in (4, 10**6)
     ]
     assert spectra[0].tobytes() == spectra[1].tobytes()
-    for op in (gray_erode, gray_dilate, gray_open):
-        assert op(values, local, 10**6).tobytes() == op(values, local, 8).tobytes()
+    crop = holed_plane.pixels[1:4, 2:7]
+    for r in (8, 10**6):
+        got = measure_granularity(holed_region, holed_plane, GranularityParams(3, r))
+        # scipy's footprint filters with a disk past the crop, unclamped.
+        assert got == footprint_pipeline(local, crop, GranularityParams(3, 40))
     assert time.perf_counter() - start < 2.0

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from conftest import assert_feature_maps_close, plane_of, region_of
 from oracles import glcm_oracle, quantize_oracle, texture_oracle
 
-from morphoprof import ImagePlane, TextureParams, measure_texture, quantize
-from morphoprof.texture import FEATURES, directions, glcm, haralick_features
+from morphoprof import ImagePlane, TextureParams, measure_texture
+from morphoprof.texture import FEATURES, directions, glcm, haralick_features, quantize
 from synth import small_blob, smooth_plane
 
 
