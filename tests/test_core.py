@@ -179,6 +179,10 @@ def test_mask_does_not_alias_its_source(dtype):
     assert mask.labels.dtype == np.int64 and not mask.labels.flags.writeable
 
 
+def _full_plane():
+    return ImagePlane(np.ones((9, 9)))
+
+
 @pytest.mark.parametrize(
     "measure",
     [
@@ -187,8 +191,10 @@ def test_mask_does_not_alias_its_source(dtype):
         lambda region, plane: measure_granularity(region, plane, GranularityParams()),
         lambda region, plane: measure_radial(region, plane, RadialParams()),
         lambda region, plane: measure_coloc(region, plane, plane, ColocParams()),
+        lambda region, plane: measure_coloc(region, plane, _full_plane(), ColocParams()),
+        lambda region, plane: measure_coloc(region, _full_plane(), plane, ColocParams()),
     ],
-    ids=["intensity", "texture", "granularity", "radial", "coloc"],
+    ids=["intensity", "texture", "granularity", "radial", "coloc", "coloc-a", "coloc-b"],
 )
 @pytest.mark.parametrize("shape", [(6, 9), (9, 6), (4, 4)])
 def test_plane_short_of_the_bbox_names_the_object(measure, shape):

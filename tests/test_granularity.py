@@ -165,6 +165,36 @@ def test_intensity_scaling_leaves_spectrum_unchanged(rng):
         assert_close(scaled[key], value, rel=1e-9, abs_tol=1e-9, label=key)
 
 
+
+def test_a_pixel_at_the_top_of_the_float_range_loses_all_of_its_mass_in_step_one():
+    # The percentage 100 * (prev_mean - mean) / start overflowed to inf
+    # before its division once the means passed about 1.8e306.
+    values = np.zeros((5, 5))
+    values[2, 2] = 1e308
+    got = measure_granularity(
+        region_of(np.ones((5, 5), dtype=bool)), plane_of(values), GranularityParams(3, 1)
+    )
+    assert got == {"1": 100.0, "2": 0.0, "3": 0.0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 1023), mixed=st.booleans())
+@example(seed=0, e=1023, mixed=False)
+@example(seed=0, e=1023, mixed=True)
+def test_power_of_two_scaling_changes_no_bit_of_granularity(seed, e, mixed):
+    """Every step of a plane x 2^e is bitwise the unit plane's, up to the top
+    of the float range and for mixed signs: the spectrum is a ratio."""
+    rng = np.random.default_rng(seed)
+    mask = small_blob(rng, size=12)
+    # Multiples of 2^-10, so no scaled value falls below the normal range.
+    values = rng.integers(0, 1024, size=mask.shape) / 1024
+    if mixed:
+        values = 2 * values - 1
+    region, params = region_of(mask), GranularityParams(6, 2)
+    base = measure_granularity(region, plane_of(values), params)
+    got = measure_granularity(region, plane_of(np.ldexp(values, e)), params)
+    assert np.array_equal(list(got.values()), list(base.values()))
+
 def test_matches_naive_pipeline_exactly_on_integer_inputs(rng):
     params = GranularityParams(spectrum_length=5, background_radius=3)
     for _ in range(3):

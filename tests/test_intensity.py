@@ -185,3 +185,19 @@ def test_power_of_two_scaling_changes_no_bit_of_intensity(seed, e):
     for key in SCALING:
         assert got[key] == math.ldexp(base[key], e), key
     assert all(map(math.isfinite, got.values()))
+
+
+def test_means_and_mass_displacement_hold_at_the_top_of_the_float_range():
+    """At 2^1023 the means are exactly x 2^e and MassDisplacement keeps its
+    bits; the sums they came from overflowed."""
+    rng = np.random.default_rng(7)
+    mask = np.ones((12, 12), dtype=bool)
+    values = rng.integers(0, 1024, size=mask.shape) / 1024
+    region = region_of(mask)
+    base = measure_intensity(region, plane_of(values))
+    # IntegratedIntensity(Edge) is truly past the float range here.
+    with np.errstate(over="ignore"):
+        got = measure_intensity(region, plane_of(np.ldexp(values, 1023)))
+    for key in ("MeanIntensity", "MeanIntensityEdge"):
+        assert got[key] == math.ldexp(base[key], 1023), key
+    assert got["MassDisplacement"] == base["MassDisplacement"]
