@@ -3,14 +3,9 @@
 Thresholds for the Manders fractions are a fixed fraction of each
 channel's per-object maximum; degenerate inputs (zero variance, zero
 mass) yield the missing sentinel rather than a crash or NaN surprise.
-
-Each channel's crop is first scaled by the power of two 2^-e that brings
-its largest magnitude into [0.5, 1) (``core._exponents``), so squares
-and products stay in the float range at any finite intensity.
-Multiplying by a power of two
-commutes with every rounding in the normal range: Pearson, Overlap and
-the Manders fractions keep their bits, and Slope is restored exactly
-with ``ldexp`` (missing if it lies past the float range).
+Both channels' values are taken at the power-of-two scale of
+:func:`~morphoprof.core.object_values`; Slope alone is restored, and is
+missing if it lies past the float range.
 """
 
 from __future__ import annotations
@@ -18,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import MISSING, ImagePlane, ObjectRegion, _exponents
+from .core import MISSING, ImagePlane, ObjectRegion, object_values
 
 FEATURES = ("Pearson", "Overlap", "Slope", "MandersM1", "MandersM2")
 
@@ -41,10 +34,8 @@ def measure_coloc(
     params: ColocParams = ColocParams(),
 ) -> dict[str, float]:
     """Colocalization features of one region over two aligned channels."""
-    a = region.crop(plane_a.pixels)[region.local_mask]
-    b = region.crop(plane_b.pixels)[region.local_mask]
-    e_a, e_b = _exponents(a), _exponents(b)
-    a, b = np.ldexp(a, -e_a), np.ldexp(b, -e_b)
+    _, a, e_a = object_values(region, plane_a)
+    _, b, e_b = object_values(region, plane_b)
     mean_a = float(a.mean())
     mean_b = float(b.mean())
     var_a = float(((a - mean_a) ** 2).mean())
@@ -57,7 +48,7 @@ def measure_coloc(
         pearson = cov / math.sqrt(var_a * var_b)
     slope = cov / var_a if var_a != 0.0 else MISSING
     try:
-        slope = math.ldexp(slope, int(e_b - e_a))
+        slope = math.ldexp(slope, e_b - e_a)
     except OverflowError:
         slope = MISSING
 

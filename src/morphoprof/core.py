@@ -236,11 +236,23 @@ def _check_int(name: str, value, low: int, high: float = math.inf) -> int:
     return value
 
 
-def _exponents(rows: np.ndarray) -> np.ndarray:
-    """Binary exponent e of each row's largest finite magnitude (0 if none):
-    scaled by 2**-e that magnitude is in [0.5, 1), so squares stay in range,
-    and a power of two changes no bit of a result in the normal range."""
-    return np.frexp(np.abs(rows).max(axis=-1, initial=0.0, where=np.isfinite(rows)))[1]
+def _scaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` times 2**-e, C-ordered, and e, the binary exponent of each
+    row's largest finite magnitude (0 if none).  Scaled, that magnitude is
+    in [0.5, 1), so squares stay in range, and a power of two changes no
+    bit of a result in the normal range."""
+    exponent = np.frexp(np.abs(rows).max(axis=-1, initial=0.0, where=np.isfinite(rows)))[1]
+    return np.ldexp(rows, -exponent[..., None], order="C"), exponent
+
+
+def object_values(region: ObjectRegion, plane: ImagePlane) -> tuple[np.ndarray, np.ndarray, int]:
+    """``plane``'s values on ``region``'s mask, in row-major order, and the
+    same values times 2**-e with e, the exponent of their largest magnitude:
+    see :func:`_scaled`.  Features that scale with the plane are restored
+    from the scaled values with ``math.ldexp``."""
+    values = region.crop(plane.pixels)[region.local_mask]
+    scaled, exponent = _scaled(values)
+    return values, scaled, int(exponent)
 
 
 def _column_distance(padded: np.ndarray, dtype) -> np.ndarray:

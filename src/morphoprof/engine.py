@@ -17,11 +17,11 @@ are byte-identical for any worker count or batch size.
 Every family measures an object on its own region and the spec's own
 image planes, through the public ``measure_X`` functions, so the
 pipeline and a direct call measure the same way: the channel families
-read views of the object's bbox, and no pixel is copied up front.  A
-batch carries the object set name, the expanded steps as (family name,
-params, channel names) and the batch's regions, never pixels; each pool
-worker gets the planes once, when it starts.  A family that fails names
-the object set, label, family and channels it failed on.
+read the object's values through ``core.object_values``, and no pixel is
+copied up front.  A batch carries the object set name, the expanded steps
+as (family name, params, channel names) and the batch's regions, never
+pixels; each pool worker gets the planes once, when it starts.  A family
+that fails names the object set, label, family and channels it failed on.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ lost at each step.
 
 All operators are mask-aware: pixels outside the object behave as +inf
 for erosion and -inf for dilation, so values never leak across the
-object boundary.  They run on guarded buffers: the crop with a band of
-the operator's identity (+inf or -inf) on every side and off the mask,
-so every neighbour is a plain array slice.
+object boundary.  They run on guarded buffers: the object's values with
+a band of the operator's identity (+inf or -inf) on every side and off
+the mask, so every neighbour is a plain array slice.  The values are the
+scaled ones of :func:`~morphoprof.core.object_values`: the spectrum is a ratio.
 
 Two kernels carry the cost, and both give exactly the values of the
 plain definitions, because min and max only select values:
@@ -42,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ImagePlane, ObjectRegion, _check_int
+from .core import ImagePlane, ObjectRegion, _check_int, object_values
 
 
 #: Reconstruction switches to the sparse front on crops of at least this
@@ -91,11 +92,11 @@ def _disk_rows(radius: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 
 def _guarded(values: np.ndarray, mask: np.ndarray, pad: int, fill: float) -> np.ndarray:
-    """``values`` on the mask, ``fill`` off it and in a band ``pad`` pixels
-    wide on every side."""
+    """The on-mask ``values`` (row-major) on the mask, ``fill`` off it and
+    in a band ``pad`` pixels wide on every side."""
     height, width = mask.shape
     out = np.full((height + 2 * pad, width + 2 * pad), fill)
-    np.copyto(out[pad : pad + height, pad : pad + width], values, where=mask)
+    out[pad : pad + height, pad : pad + width][mask] = values
     return out
 
 
@@ -185,29 +186,29 @@ def measure_granularity(
 ) -> dict[str, float]:
     """Granular spectrum of one region; keys are the step indexes "1".."L"."""
     local_mask = region.local_mask
-    crop = region.crop(plane.pixels)
+    _, values, _ = object_values(region, plane)
     length = params.spectrum_length
     keys = [str(i) for i in range(1, length + 1)]
     # The background is the opening: an erosion, then a dilation, by the
     # disk on one buffer guarded as wide as the disk.  A radius of height +
     # width holds every offset within the crop, so larger ones cost no more.
     radius = min(params.background_radius, sum(local_mask.shape))
-    padded = _guarded(crop, local_mask, radius, np.inf)
+    padded = _guarded(values, local_mask, radius, np.inf)
     residue = np.empty(local_mask.shape)
     _disk_filter(padded, radius, np.minimum, residue)
     padded.fill(-np.inf)
     np.copyto(padded[radius:-radius, radius:-radius], residue, where=local_mask)
     _disk_filter(padded, radius, np.maximum, residue)
-    np.subtract(crop, residue, out=residue, where=local_mask)
-    np.maximum(0.0, residue, out=residue, where=local_mask)
+    values -= residue[local_mask]
+    np.maximum(0.0, values, out=values)
     # Each step erodes the entering image (+inf off the mask) into the
     # state, which becomes the next entering image and is reconstructed
     # under the limit (the image that entered, -inf off the mask).  The
     # first limit is the residue of the opening, which lives only there.
-    limit = _guarded(residue, local_mask, 1, -np.inf)
-    del padded, residue  # freed before the steps, so they add nothing to the peak
+    limit = _guarded(values, local_mask, 1, -np.inf)
+    start = float(values.mean())
+    del padded, residue, values  # freed before the steps, so they add nothing to the peak
     inner_limit = limit[1:-1, 1:-1]
-    start = float(inner_limit[local_mask].mean())
     if start == 0.0:
         return {k: 0.0 for k in keys}
 

@@ -3,7 +3,8 @@
 Statistics use the population convention (objects are complete pixel
 populations, not samples) and quartiles interpolate linearly between
 order statistics at h = (n - 1) * p.  Edge pixels and the centroid come
-from :func:`~morphoprof.core.mask_geometry`.
+from :func:`~morphoprof.core.mask_geometry`; the means, std and mass
+displacement from the scaled values of :func:`~morphoprof.core.object_values`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import ImagePlane, ObjectRegion, _exponents, mask_geometry
+from .core import ImagePlane, ObjectRegion, mask_geometry, object_values
 
 FEATURES = (
     "IntegratedIntensity",
@@ -33,37 +34,32 @@ FEATURES = (
 def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, float]:
     """Intensity statistics of one region, keyed by bare feature name."""
     geometry = mask_geometry(region)
-    crop = region.crop(plane.pixels)
-    values = crop[geometry.mask]
-    # The std squares deviations: take it at a power-of-two scale where the
-    # squares stay in range, then restore that scale exactly.
-    exponent = int(_exponents(values))
-    std = math.ldexp(float(np.ldexp(values, -exponent).std()), exponent)
+    values, scaled, exponent = object_values(region, plane)
+    on_edge = geometry.edge[geometry.mask]
     median = float(np.median(values))
     lower, upper = np.percentile(values, [25, 75]).tolist()
-    edge_values = crop[geometry.edge]
 
     centroid_r = float(geometry.row_sum) / geometry.count
     centroid_c = float(geometry.col_sum) / geometry.count
-    total = float(values.sum())
-    if total == 0.0:
+    mass = float(scaled.sum())
+    if mass == 0.0:
         displacement = 0.0
     else:
-        weighted_r = float((geometry.rows * values).sum()) / total
-        weighted_c = float((geometry.cols * values).sum()) / total
+        weighted_r = float((geometry.rows * scaled).sum()) / mass
+        weighted_c = float((geometry.cols * scaled).sum()) / mass
         displacement = math.hypot(weighted_r - centroid_r, weighted_c - centroid_c)
 
     return {
-        "IntegratedIntensity": total,
-        "MeanIntensity": float(values.mean()),
+        "IntegratedIntensity": float(values.sum()),
+        "MeanIntensity": math.ldexp(float(scaled.mean()), exponent),
         "MedianIntensity": median,
-        "StdIntensity": std,
+        "StdIntensity": math.ldexp(float(scaled.std()), exponent),
         "MinIntensity": float(values.min()),
         "MaxIntensity": float(values.max()),
         "MADIntensity": float(np.median(np.abs(values - median))),
         "LowerQuartile": lower,
         "UpperQuartile": upper,
-        "IntegratedIntensityEdge": float(edge_values.sum()),
-        "MeanIntensityEdge": float(edge_values.mean()),
+        "IntegratedIntensityEdge": float(values[on_edge].sum()),
+        "MeanIntensityEdge": math.ldexp(float(scaled[on_edge].mean()), exponent),
         "MassDisplacement": displacement,
     }

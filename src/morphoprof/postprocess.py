@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MISSING, FeatureTable, _check_fraction, _exponents
+from .core import MISSING, FeatureTable, _check_fraction, _scaled
 from .raster_io import format_cell
 
 
@@ -66,8 +66,7 @@ def correlation_filter(table: FeatureTable, threshold: float = 0.9) -> FeatureTa
     _check_fraction("correlation threshold", threshold)
     # One contiguous row per column, so a row-wise mean sums as _abs_corr's
     # does; each is rescaled once, which |r| does not see.
-    rows = table.values.T
-    rows = np.ldexp(rows, -_exponents(rows)[:, None], order="C")
+    rows, _ = _scaled(table.values.T)
     std, centered = np.zeros(len(rows)), np.zeros_like(rows)
     for k in np.flatnonzero(np.isfinite(rows).all(axis=1) & (table.n_rows >= 2)):
         std[k], centered[k] = rows[k].std(), rows[k] - rows[k].mean()
@@ -123,8 +122,7 @@ def _fit_feature(name: str, a: np.ndarray, b: np.ndarray) -> FeatureFit:
     n = int(a.size)
     if n == 0:
         return FeatureFit(name, MISSING, MISSING, MISSING, 0)
-    e_a, e_b = _exponents(a), _exponents(b)
-    a, b = np.ldexp(a, -e_a), np.ldexp(b, -e_b)
+    (a, e_a), (b, e_b) = _scaled(a), _scaled(b)
     var_a = float(((a - a.mean()) ** 2).sum())
     if var_a == 0.0:
         slope = 0.0

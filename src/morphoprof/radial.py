@@ -3,6 +3,8 @@
 Each object pixel's normalized radius rho and angular wedge come from
 :func:`~morphoprof.core.mask_geometry`.  Bins partition [0, 1) into B
 equal slices of rho; the wedges feed the per-bin coefficient of variation.
+Every feature is a ratio of the scaled values of
+:func:`~morphoprof.core.object_values`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MISSING, WEDGES, ImagePlane, ObjectRegion, _check_int, _exponents, mask_geometry
+from .core import MISSING, WEDGES, ImagePlane, ObjectRegion, _check_int, mask_geometry, object_values
 
 STATS = ("FracAtD", "MeanFrac", "RadialCV")
 
@@ -34,10 +36,7 @@ def measure_radial(
     """Radial distribution features, keyed ``<Stat>_<b>of<B>``."""
     geometry = mask_geometry(region)
     bin_of = np.minimum(params.bins, 1 + np.floor(geometry.rho * params.bins).astype(np.int64))
-    values = region.crop(plane.pixels)[geometry.mask]
-    # Every feature is scale-invariant: rescaling by a power of two keeps the
-    # wedge sums' squares in range and changes no bit of a ratio.
-    values = np.ldexp(values, -_exponents(values))
+    _, values, _ = object_values(region, plane)
     total = float(values.sum())
 
     frac, mean_frac, radial_cv = [], [], []

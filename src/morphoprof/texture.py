@@ -1,14 +1,15 @@
 """Haralick texture features from object-restricted co-occurrence matrices.
 
 Intensities are quantized per object into equal-width bins between the
-object's min and max; the level grid holds -1 off the object, so it alone
-says which pixels pair up.  One symmetric GLCM is built for each of the
-four standard directions at the configured distance, and the 13 classic
-Haralick statistics are averaged over the directions that produced at
-least one pixel pair.  A direction whose offset reaches past the bbox
-has none, so at a distance of at least the bbox's height and width (or
-on a single pixel) every value is missing.  Entropies use log base 2
-with 0*log(0) = 0.
+min and max of its scaled values (:func:`~morphoprof.core.object_values`);
+the level grid holds -1 off the object, so it alone says which pixels
+pair up.  One symmetric GLCM is built for each of the four standard
+directions at the configured distance, and the 13 classic Haralick
+statistics are averaged over the directions that produced at least one
+pixel pair.  A direction whose offset reaches past the bbox has none, so
+at a distance of at least the bbox's height and width (or on a single
+pixel) every value is missing.  Entropies use log base 2 with
+0*log(0) = 0.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MISSING, ImagePlane, ObjectRegion, _check_int, _exponents
+from .core import MISSING, ImagePlane, ObjectRegion, _check_int, object_values
 
 FEATURES = (
     "AngularSecondMoment",
@@ -62,9 +63,7 @@ def quantize(region: ObjectRegion, plane: ImagePlane, gray_levels: int) -> np.nd
     constant object maps entirely to level 0.
     """
     local_mask = region.local_mask
-    values = region.crop(plane.pixels)[local_mask]
-    # Bins are scale-invariant, and at this power-of-two scale hi - lo stays finite.
-    values = np.ldexp(values, -_exponents(values))
+    _, values, _ = object_values(region, plane)
     lo = float(values.min())
     hi = float(values.max())
     levels = np.full(local_mask.shape, -1, dtype=np.int32)

@@ -30,7 +30,8 @@ def disk_filter(values, mask, radius, op):
     """Masked erosion (np.minimum) or dilation (np.maximum) by a disk."""
     guard = np.inf if op is np.minimum else -np.inf
     out = np.empty(mask.shape)
-    granularity._disk_filter(granularity._guarded(values, mask, radius, guard), radius, op, out)
+    padded = granularity._guarded(values[mask], mask, radius, guard)
+    granularity._disk_filter(padded, radius, op, out)
     return np.where(mask, out, 0.0)
 
 
@@ -41,8 +42,8 @@ def opening(values, mask, radius):
 
 def reconstruct(marker, limit, mask):
     """Reconstruction by dilation of marker under limit."""
-    state = granularity._guarded(marker, mask, 1, -np.inf)
-    granularity._reconstruct(state, granularity._guarded(limit, mask, 1, -np.inf))
+    state = granularity._guarded(marker[mask], mask, 1, -np.inf)
+    granularity._reconstruct(state, granularity._guarded(limit[mask], mask, 1, -np.inf))
     return np.where(mask, state[1:-1, 1:-1], 0.0)
 
 
