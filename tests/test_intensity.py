@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 from conftest import assert_close, assert_feature_maps_close, plane_of, region_of
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import intensity_oracle
 
-from morphoprof import ImagePlane, measure_intensity
+from morphoprof import FeatureTable, ImagePlane, measure_intensity, write_table
 from morphoprof.intensity import FEATURES
 from synth import small_blob, smooth_plane
 
@@ -201,3 +202,21 @@ def test_means_and_mass_displacement_hold_at_the_top_of_the_float_range():
     for key in ("MeanIntensity", "MeanIntensityEdge"):
         assert got[key] == math.ldexp(base[key], 1023), key
     assert got["MassDisplacement"] == base["MassDisplacement"]
+
+
+def test_sums_past_the_float_range_are_missing(tmp_path):
+    """On u x 2^1023 the sums are truly past the float range: they are
+    missing, with no overflow warning, and the table can still be written.
+    They used to be inf, which write_table refuses for the whole table."""
+    rng = np.random.default_rng(0)
+    mask = np.zeros((20, 20), dtype=bool)
+    mask[3:17, 2:18] = True  # 14 x 16
+    plane = plane_of(np.ldexp(rng.random(mask.shape), 1023))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = measure_intensity(region_of(mask), plane)
+    sums = ("IntegratedIntensity", "IntegratedIntensityEdge")
+    assert all(math.isnan(got[key]) for key in sums)
+    assert all(math.isfinite(got[key]) for key in FEATURES if key not in sums)
+    table = FeatureTable("cells", tuple(got), [1], [list(got.values())])
+    write_table(table, tmp_path / "cells.csv")
