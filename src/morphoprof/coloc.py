@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import MISSING, ImagePlane, ObjectRegion, object_values
+from .core import MISSING, ImagePlane, ObjectRegion, _restored, object_values
 
 FEATURES = ("Pearson", "Overlap", "Slope", "MandersM1", "MandersM2")
 
@@ -46,11 +46,7 @@ def measure_coloc(
         pearson = MISSING
     else:
         pearson = cov / math.sqrt(var_a * var_b)
-    slope = cov / var_a if var_a != 0.0 else MISSING
-    try:
-        slope = math.ldexp(slope, e_b - e_a)
-    except OverflowError:
-        slope = MISSING
+    slope = _restored(cov / var_a, e_b - e_a) if var_a != 0.0 else MISSING
 
     sq_a = float((a * a).sum())
     sq_b = float((b * b).sum())

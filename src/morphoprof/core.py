@@ -3,6 +3,11 @@
 Each type checks its values in its constructor, is immutable after it
 (backing arrays are marked read-only), compares and hashes by identity,
 and is safe to share across worker processes.
+
+Rasters stay at their width: a plane keeps float32 or float64 samples
+and a mask uint8, uint16 or uint32 labels, so a loaded file is held as
+it was read.  :func:`object_values` widens only an object's own values
+to float64, which changes no value: every narrower sample is exact there.
 """
 
 from __future__ import annotations
@@ -44,25 +49,47 @@ def _int64_labels(labels) -> np.ndarray:
     return labels.astype(np.int64)
 
 
+#: Sample dtypes a plane keeps; it widens every other real dtype to float64.
+_PIXEL_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+#: Label dtypes a mask keeps; it widens every other integer dtype to int64.
+_LABEL_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32))
+
+
+def _adopt(cls, arr: np.ndarray):
+    """A ``cls`` (:class:`ImagePlane` or :class:`LabelMask`) that holds
+    ``arr`` itself: checked alike, but without the copy that keeps a
+    caller's array from changing under it.  Only for an array nothing else
+    holds, such as a raster loader's fresh read."""
+    obj = object.__new__(cls)
+    obj._hold(arr, copy=False)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class ImagePlane:
     """One imaging channel: a 2-D grid of finite real intensities.
 
-    Values loaded from integer file formats are normalized to [0, 1];
-    in-memory construction accepts any finite floats.
+    float32 and float64 values keep their width; other real dtypes are
+    widened to float64.  Values loaded from integer file formats are
+    normalized to [0, 1]; in-memory construction accepts any finite floats.
     """
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.pixels)
+        self._hold(self.pixels, copy=True)
+
+    def _hold(self, pixels, copy: bool) -> None:
+        arr = np.asarray(pixels)
         # Complex would lose its imaginary part and strings would be parsed.
         if arr.dtype.kind not in "biuf":
             raise ValueError(f"image values must be real numbers, got dtype {arr.dtype}")
+        dtype = arr.dtype if arr.dtype in _PIXEL_DTYPES else np.float64
         with np.errstate(invalid="ignore"):  # a signalling NaN warns; it is rejected below
-            arr = _grid(arr.astype(np.float64), "image")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("image contains non-finite values")
+            arr = _grid(arr.astype(dtype, copy=copy), "image")
+            # The extremes carry any NaN or infinity, without an image-sized mask.
+            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+                raise ValueError("image contains non-finite values")
         object.__setattr__(self, "pixels", arr)
 
     @property
@@ -80,13 +107,23 @@ class LabelMask:
 
     Labels are opaque positive identifiers: they need not be contiguous,
     and pixels sharing a label form one object even when disconnected.
+    uint8, uint16 and uint32 labels keep their width; other integer dtypes
+    are widened to int64.
     """
 
     labels: np.ndarray
 
     def __post_init__(self):
-        arr = _grid(_int64_labels(self.labels), "mask")
-        if arr.min(initial=0) < 0:
+        self._hold(self.labels, copy=True)
+
+    def _hold(self, labels, copy: bool) -> None:
+        arr = np.asarray(labels)
+        if arr.dtype in _LABEL_DTYPES:
+            arr = arr.astype(arr.dtype, copy=copy)
+        else:
+            arr = _int64_labels(arr)
+        arr = _grid(arr, "mask")
+        if arr.dtype.kind == "i" and arr.min(initial=0) < 0:
             raise ValueError("labels must be non-negative")
         object.__setattr__(self, "labels", arr)
 
@@ -245,12 +282,22 @@ def _scaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(rows, -exponent[..., None], order="C"), exponent
 
 
+def _restored(value: float, exponent: int) -> float:
+    """``value`` times 2**exponent, the inverse of :func:`_scaled`'s factor;
+    :data:`MISSING` when the product is past the float range."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        return MISSING
+
+
 def object_values(region: ObjectRegion, plane: ImagePlane) -> tuple[np.ndarray, np.ndarray, int]:
-    """``plane``'s values on ``region``'s mask, in row-major order, and the
-    same values times 2**-e with e, the exponent of their largest magnitude:
-    see :func:`_scaled`.  Features that scale with the plane are restored
-    from the scaled values with ``math.ldexp``."""
-    values = region.crop(plane.pixels)[region.local_mask]
+    """``plane``'s values on ``region``'s mask, in row-major order and
+    widened to float64, and the same values times 2**-e with e, the
+    exponent of their largest magnitude: see :func:`_scaled`.  Features
+    that scale with the plane are restored from the scaled values with
+    ``math.ldexp``."""
+    values = region.crop(plane.pixels)[region.local_mask].astype(np.float64, copy=False)
     scaled, exponent = _scaled(values)
     return values, scaled, int(exponent)
 

@@ -8,10 +8,17 @@ lost at each step.
 
 All operators are mask-aware: pixels outside the object behave as +inf
 for erosion and -inf for dilation, so values never leak across the
-object boundary.  They run on guarded buffers: the object's values with
-a band of the operator's identity (+inf or -inf) on every side and off
-the mask, so every neighbour is a plain array slice.  The values are the
-scaled ones of :func:`~morphoprof.core.object_values`: the spectrum is a ratio.
+object boundary.  The values are the scaled ones of
+:func:`~morphoprof.core.object_values`: the spectrum is a ratio.
+
+Erosion, dilation and reconstruction only compare and select, so they
+run on the values' integer ranks (:func:`_ranks`), int16 or int32, which
+move a quarter or half of float64's bytes: each ranking's table turns
+ranks back into float64 values for the opening's subtraction and for the
+step means, which are therefore bitwise those of float64 kernels.  The
+kernels run on guarded buffers: the object's ranks with a band of the
+operator's identity (a rank above or below every other) on every side
+and off the mask, so every neighbour is a plain array slice.
 
 Two kernels carry the cost, and both give exactly the values of the
 plain definitions, because min and max only select values:
@@ -22,7 +29,7 @@ plain definitions, because min and max only select values:
   half-width is reached fold in the row-shifted run of every disk row
   that wide.  Only the current run and the output are alive.
 * Reconstruction iterates dense 3x3 dilations, each two three-way max
-  passes over slices of the -inf-guarded state, while many pixels
+  passes over slices of the bottom-guarded state, while many pixels
   change.  On crops of at least ``_SPARSE_MIN_SIZE`` pixels it then
   switches to a sparse front that revisits only the neighbours of the
   pixels changed by the last iteration, in the manner of L. Vincent's
@@ -31,9 +38,10 @@ plain definitions, because min and max only select values:
   of states as the dense iteration.
 
 ``measure_granularity`` allocates every buffer and runs the kernels in
-place: the opening on its own buffer guarded as wide as the disk (+inf,
-then -inf), the steps on one set of one-pixel guarded buffers (the image
-entering the step, the limit it sets and the reconstruction state).
+place: the opening on its own buffer of the values' ranks, guarded as
+wide as the disk (top, then bottom), the steps on one set of one-pixel
+guarded buffers of the residue's ranks (the image entering the step, the
+limit it sets and the reconstruction state).
 """
 
 from __future__ import annotations
@@ -91,12 +99,36 @@ def _disk_rows(radius: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     )
 
 
-def _guarded(values: np.ndarray, mask: np.ndarray, pad: int, fill: float) -> np.ndarray:
-    """The on-mask ``values`` (row-major) on the mask, ``fill`` off it and
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.integer, np.integer]:
+    """(keys, table, top, bottom): the ranks of ``values``, int16 below
+    32,767 distinct values and int32 above, the sorted distinct values that
+    map them back (``table[keys]`` is ``values``), and guards above and
+    below every rank.
+
+    -0.0 and 0.0 compare equal and share a rank, which the spectrum cannot
+    tell: values that differ only in the sign of zeros give sums that
+    differ only when they are zero, and a step whose previous and current
+    means are both zero records +0.0 either way.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    table = ordered[new]
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if table.size < np.iinfo(t).max)
+    keys = np.empty(values.size, dtype)
+    keys[order] = np.cumsum(new, dtype=dtype) - 1
+    info = np.iinfo(dtype)
+    return keys, table, dtype(info.max), dtype(info.min)
+
+
+def _guarded(keys: np.ndarray, mask: np.ndarray, pad: int, fill) -> np.ndarray:
+    """The on-mask ``keys`` (row-major) on the mask, ``fill`` off it and
     in a band ``pad`` pixels wide on every side."""
     height, width = mask.shape
-    out = np.full((height + 2 * pad, width + 2 * pad), fill)
-    out[pad : pad + height, pad : pad + width][mask] = values
+    out = np.full((height + 2 * pad, width + 2 * pad), fill, dtype=keys.dtype)
+    out[pad : pad + height, pad : pad + width][mask] = keys
     return out
 
 
@@ -126,15 +158,16 @@ def _disk_filter(padded: np.ndarray, radius: int, op, out: np.ndarray) -> None:
 
 
 def _reconstruct(state: np.ndarray, limit: np.ndarray) -> None:
-    """Reconstruct in place: ``state`` and ``limit`` are -inf off the mask
-    and in a one-pixel band around the crop."""
+    """Reconstruct in place: ``state`` and ``limit`` hold a value below
+    every on-mask one (-inf, or a rank's bottom guard) off the mask and in
+    a one-pixel band around the crop."""
     # NaN fails the comparison too; with it the iteration would never settle.
-    if not np.all(state <= limit):
+    if not (state <= limit).all():
         raise ValueError("marker must not exceed limit, and neither may be NaN, on the mask")
     inner, bound = state[1:-1, 1:-1], limit[1:-1, 1:-1]
     size = inner.size
-    across = np.empty((state.shape[0], inner.shape[1]))
-    grown = np.empty(inner.shape)
+    across = np.empty((state.shape[0], inner.shape[1]), state.dtype)
+    grown = np.empty(inner.shape, state.dtype)
     moved = np.empty(inner.shape, dtype=bool)
     while True:
         np.maximum(state[:, :-2], state[:, 2:], out=across)
@@ -193,39 +226,43 @@ def measure_granularity(
     # disk on one buffer guarded as wide as the disk.  A radius of height +
     # width holds every offset within the crop, so larger ones cost no more.
     radius = min(params.background_radius, sum(local_mask.shape))
-    padded = _guarded(values, local_mask, radius, np.inf)
-    residue = np.empty(local_mask.shape)
-    _disk_filter(padded, radius, np.minimum, residue)
-    padded.fill(-np.inf)
-    np.copyto(padded[radius:-radius, radius:-radius], residue, where=local_mask)
-    _disk_filter(padded, radius, np.maximum, residue)
-    values -= residue[local_mask]
+    ranks, table, top, bottom = _ranks(values)
+    padded = _guarded(ranks, local_mask, radius, top)
+    opened = np.empty(local_mask.shape, ranks.dtype)
+    _disk_filter(padded, radius, np.minimum, opened)
+    padded.fill(bottom)
+    np.copyto(padded[radius:-radius, radius:-radius], opened, where=local_mask)
+    _disk_filter(padded, radius, np.maximum, opened)
+    values -= table.take(opened[local_mask])
     np.maximum(0.0, values, out=values)
-    # Each step erodes the entering image (+inf off the mask) into the
-    # state, which becomes the next entering image and is reconstructed
-    # under the limit (the image that entered, -inf off the mask).  The
-    # first limit is the residue of the opening, which lives only there.
-    limit = _guarded(values, local_mask, 1, -np.inf)
-    start = float(values.mean())
-    del padded, residue, values  # freed before the steps, so they add nothing to the peak
+    # Each step erodes the entering image (top off the mask) into the state,
+    # which becomes the next entering image and is reconstructed under the
+    # limit (the image that entered, bottom off the mask).  The first limit
+    # is the residue of the opening, which lives only there.
+    ranks, table, top, bottom = _ranks(values)
+    limit = _guarded(ranks, local_mask, 1, bottom)
+    count = values.size
+    start = float(values.sum()) / count
+    del padded, opened, values, ranks  # freed before the steps, so they add nothing to the peak
     inner_limit = limit[1:-1, 1:-1]
     if start == 0.0:
         return {k: 0.0 for k in keys}
 
-    entering = np.full_like(limit, np.inf)
+    entering = np.full_like(limit, top)
     inner_entering = entering[1:-1, 1:-1]
     np.copyto(inner_entering, inner_limit, where=local_mask)
-    state = np.full_like(limit, -np.inf)
+    state = np.full_like(limit, bottom)
     inner = state[1:-1, 1:-1]
     outside = ~local_mask
     out = {}
     prev_mean = start
     for key in keys:
         _disk_filter(entering, 1, np.minimum, inner)
-        np.copyto(inner, -np.inf, where=outside)
+        np.copyto(inner, bottom, where=outside)
         np.copyto(inner_entering, inner, where=local_mask)
         _reconstruct(state, limit)
-        mean = float(inner[local_mask].mean())
+        # np.mean's own arithmetic, the sum over the count, without its wrapper.
+        mean = float(table.take(inner[local_mask]).sum()) / count
         out[key] = 100.0 * (prev_mean - mean) / start
         prev_mean = mean
         np.copyto(inner_limit, inner_entering, where=local_mask)

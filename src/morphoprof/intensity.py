@@ -3,8 +3,12 @@
 Statistics use the population convention (objects are complete pixel
 populations, not samples) and quartiles interpolate linearly between
 order statistics at h = (n - 1) * p.  Edge pixels and the centroid come
-from :func:`~morphoprof.core.mask_geometry`; the means, std and mass
-displacement from the scaled values of :func:`~morphoprof.core.object_values`.
+from :func:`~morphoprof.core.mask_geometry`.  The sums, means, std and
+mass displacement come from the scaled values of
+:func:`~morphoprof.core.object_values`, and a sum past the float range is
+missing.  The median, MAD and quartiles are taken on the values
+themselves: at scale the quartiles lost their bit-for-bit match with
+``np.percentile``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import ImagePlane, ObjectRegion, mask_geometry, object_values
+from .core import ImagePlane, ObjectRegion, _restored, mask_geometry, object_values
 
 FEATURES = (
     "IntegratedIntensity",
@@ -50,7 +54,7 @@ def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, floa
         displacement = math.hypot(weighted_r - centroid_r, weighted_c - centroid_c)
 
     return {
-        "IntegratedIntensity": float(values.sum()),
+        "IntegratedIntensity": _restored(float(scaled.sum()), exponent),
         "MeanIntensity": math.ldexp(float(scaled.mean()), exponent),
         "MedianIntensity": median,
         "StdIntensity": math.ldexp(float(scaled.std()), exponent),
@@ -59,7 +63,7 @@ def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, floa
         "MADIntensity": float(np.median(np.abs(values - median))),
         "LowerQuartile": lower,
         "UpperQuartile": upper,
-        "IntegratedIntensityEdge": float(values[on_edge].sum()),
+        "IntegratedIntensityEdge": _restored(float(scaled[on_edge].sum()), exponent),
         "MeanIntensityEdge": math.ldexp(float(scaled[on_edge].mean()), exponent),
         "MassDisplacement": displacement,
     }

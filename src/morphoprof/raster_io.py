@@ -13,7 +13,10 @@ Raster formats, each with one sample dtype (``_DTYPES``):
 
 ``_parse_header`` alone reads magic bytes and headers, for both
 loaders; ``_load_samples`` reads a payload without trusting its declared
-size, in chunks it joins once, and ``_save_samples`` writes every format.
+size, and ``_save_samples`` writes every format.  A loaded raster keeps
+its file's width: a RAWF32 plane holds float32 samples and a mask its
+uint8, uint16 or uint32 labels, in the one buffer the payload was read
+into.  PGM image samples become float64 when they are normalized.
 
 Feature tables are RFC-4180 CSV with a ``object_set,label,...`` header,
 ``\\n`` line endings and locale-independent ``.`` decimals.  Floats are
@@ -33,12 +36,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import re
+import stat
 from collections.abc import Iterator
 
 import numpy as np
 
-from .core import MISSING, FeatureTable, ImagePlane, LabelMask
+from .core import MISSING, FeatureTable, ImagePlane, LabelMask, _adopt
 
 #: Sample dtype of each raster format.
 _DTYPES = {"PGM8": "u1", "PGM16": ">u2", "RAWF32": "<f4", "RAWU32": "<u4"}
@@ -118,26 +123,46 @@ def _raw_fields(data: bytes, path) -> tuple[int, int, int]:
 
 
 def _load_samples(path, formats) -> np.ndarray:
-    # The payload is read on in chunks that double (pipes cannot seek or
-    # report a size) and joined once, so a header that declares more than the
-    # file holds fails as truncated without allocating the declared size; a
-    # byte past the declared size fails too.  The samples come back
-    # unconverted and read-only, shaped (h, w).
+    # A regular file's size is checked against the header's before anything
+    # is allocated, then its payload is read once into the array returned.
+    # A pipe cannot seek or report a size, so its payload is read on in
+    # chunks that double and joined once.  Either way a header that declares
+    # more than the file holds fails as truncated without allocating the
+    # declared size, and a byte past the declared size fails too.  The
+    # samples come back unconverted but in native byte order, shaped (h, w),
+    # in a buffer nothing else holds.
     with open(path, "rb") as fh:
         fmt, width, height, payload = _parse_header(fh, path)
         if fmt not in formats:
             raise FormatError(f"{path}: {fmt} is not one of {', '.join(formats)}")
         dtype = np.dtype(_DTYPES[fmt])
-        chunks, size, expected = [payload], len(payload), width * height * dtype.itemsize
-        while size < expected:
-            chunk = fh.read(min(expected - size, max(size, 1 << 16)))
-            if not chunk:
-                raise FormatError(f"{path}: truncated payload ({size} of {expected} bytes)")
-            chunks.append(chunk)
-            size += len(chunk)
+        size, expected = len(payload), width * height * dtype.itemsize
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            size += info.st_size - fh.tell()
+            if size == expected:
+                buffer = np.empty(expected, np.uint8)
+                buffer[: len(payload)] = np.frombuffer(payload, np.uint8)
+                size = len(payload)
+                while size < expected and (count := fh.readinto(buffer[size:])):
+                    size += count
+        else:
+            chunks = [payload]
+            while size < expected:
+                chunk = fh.read(min(expected - size, max(size, 1 << 16)))
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                size += len(chunk)
+            buffer = bytearray().join(chunks)
+        if size < expected:
+            raise FormatError(f"{path}: truncated payload ({size} of {expected} bytes)")
         if size > expected or fh.read(1):
             raise FormatError(f"{path}: bytes after the {expected}-byte payload")
-    return np.frombuffer(b"".join(chunks), dtype).reshape(height, width)
+    samples = np.frombuffer(buffer, dtype).reshape(height, width)
+    if not dtype.isnative:
+        samples = samples.byteswap(inplace=True).view(dtype.newbyteorder())
+    return samples
 
 
 def _save_samples(samples: np.ndarray, path, fmt: str) -> None:
@@ -158,7 +183,7 @@ def load_image(path) -> ImagePlane:
     if samples.dtype.kind == "u":  # PGM: divide by the format maximum
         samples = samples / np.iinfo(samples.dtype).max
     try:
-        return ImagePlane(samples)
+        return _adopt(ImagePlane, samples)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -173,7 +198,8 @@ def save_image(plane: ImagePlane, path, fmt: str = "RAWF32") -> None:
         samples = plane.pixels
     elif fmt in ("PGM8", "PGM16"):
         maxval = np.iinfo(_DTYPES[fmt]).max
-        samples = np.rint(np.clip(plane.pixels, 0.0, 1.0) * maxval)
+        # Quantized in float64, whatever the plane's width.
+        samples = np.rint(np.clip(plane.pixels, 0.0, 1.0, dtype=np.float64) * maxval)
     else:
         raise ValueError(f"unknown image format {fmt!r}")
     _save_samples(samples, path, fmt)
@@ -181,7 +207,7 @@ def save_image(plane: ImagePlane, path, fmt: str = "RAWF32") -> None:
 
 def load_mask(path) -> LabelMask:
     """Load a PGM8, PGM16 or RAWU32 label mask; samples are used verbatim."""
-    return LabelMask(_load_samples(path, ("PGM8", "PGM16", "RAWU32")))
+    return _adopt(LabelMask, _load_samples(path, ("PGM8", "PGM16", "RAWU32")))
 
 
 def save_mask(mask: LabelMask, path, fmt: str = "RAWU32") -> None:

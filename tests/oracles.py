@@ -3,7 +3,9 @@
 Every function here recomputes a measurement family from first
 principles (explicit loops, brute-force distance scans, literal formula
 transcription) without touching the library's optimized kernels, so the
-library can be checked against an independent route.
+library can be checked against an independent route.  One exception,
+``granularity_float64_reference``, runs the library's kernels on float64
+values: it checks the rank keys, not the kernels.
 """
 
 from __future__ import annotations
@@ -510,6 +512,42 @@ def granularity_oracle(region, plane, spectrum_length, background_radius):
         mean = float(rec[mask].mean())
         out[key] = 100.0 * (prev - mean) / start
         prev = mean
+    return out
+
+
+def granularity_float64_reference(region, plane, params):
+    """measure_granularity's pipeline with its kernels run on the object's
+    float64 values, guarded by +-inf, where the library runs them on ranks.
+
+    Unlike the rest of this module it reuses the library's kernels: it is
+    the reference for the rank keys alone.  The tests check the kernels
+    against scipy's filters and a dense iteration.
+    """
+    from morphoprof.core import object_values
+    from morphoprof.granularity import _disk_filter, _guarded, _reconstruct
+
+    mask = region.local_mask
+    _, values, _ = object_values(region, plane)
+    radius = min(params.background_radius, sum(mask.shape))
+    padded = _guarded(values, mask, radius, np.inf)
+    opened = np.empty(mask.shape)
+    _disk_filter(padded, radius, np.minimum, opened)
+    padded = _guarded(opened[mask], mask, radius, -np.inf)
+    _disk_filter(padded, radius, np.maximum, opened)
+    residue = np.maximum(0.0, values - opened[mask])
+    start = float(residue.mean())
+    keys = [str(i) for i in range(1, params.spectrum_length + 1)]
+    if start == 0.0:
+        return {k: 0.0 for k in keys}
+    out, prev, image = {}, start, residue
+    for key in keys:
+        eroded = np.empty(mask.shape)
+        _disk_filter(_guarded(image, mask, 1, np.inf), 1, np.minimum, eroded)
+        state = _guarded(eroded[mask], mask, 1, -np.inf)
+        _reconstruct(state, _guarded(image, mask, 1, -np.inf))
+        mean = float(state[1:-1, 1:-1][mask].mean())
+        out[key] = 100.0 * (prev - mean) / start
+        prev, image = mean, eroded[mask]
     return out
 
 

@@ -1,4 +1,6 @@
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import morphoprof as mp
@@ -62,3 +64,14 @@ def test_every_public_name_is_listed_in_the_readme():
     text = README.read_text(encoding="utf-8")
     section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
     assert sorted(set(re.findall(r"`([A-Za-z_]\w*)`", section))) == sorted(mp.__all__)
+
+
+def test_import_leaves_the_process_pool_out():
+    # The pool's imports (multiprocessing, logging, socket, ...) wait for a
+    # run with more than one worker.
+    src = str(Path(__file__).parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import morphoprof; "
+            "print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -176,7 +176,7 @@ def test_mask_does_not_alias_its_source(dtype):
     mask = LabelMask(source)
     source[:] = 9
     assert mask.labels.tolist() == [[0, 3], [7, 1]]
-    assert mask.labels.dtype == np.int64 and not mask.labels.flags.writeable
+    assert mask.labels.dtype == dtype and not mask.labels.flags.writeable
 
 
 def _full_plane():

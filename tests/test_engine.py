@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import itertools
 from concurrent.futures import Future
@@ -255,12 +256,12 @@ def test_run_is_deterministic_across_workers_and_batching(tmp_path):
 def test_pool_never_has_more_workers_than_batches(tmp_path, monkeypatch):
     built = []
 
-    class RecordingPool(engine.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, initializer, initargs):
             built.append(max_workers)
             super().__init__(max_workers, initializer=initializer, initargs=initargs)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
 
     def csv_bytes(workers, batch_size):
         spec = experiment(n_objects=12, size=64, seed=3, workers=workers, batch_size=batch_size)
@@ -304,8 +305,8 @@ def test_blocks_land_by_batch_start_whatever_order_batches_finish(tmp_path, monk
         finished.append(index)
         return {future}, set(pending) - {future}
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", NewestFirstPool)
-    monkeypatch.setattr(engine, "wait", newest_first)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NewestFirstPool)
+    monkeypatch.setattr(concurrent.futures, "wait", newest_first)
     # The initializer runs in this process: restore the planes it sets.
     monkeypatch.setattr(engine, "_worker_planes", engine._worker_planes)
 
@@ -329,7 +330,7 @@ def test_blocks_land_by_batch_start_whatever_order_batches_finish(tmp_path, monk
 def test_pool_payloads_hold_no_pixels_and_each_pool_gets_the_planes_once(monkeypatch):
     given, payloads = [], []
 
-    class RecordingPool(engine.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, initializer, initargs):
             given.append(initargs)
             super().__init__(max_workers, initializer=initializer, initargs=initargs)
@@ -345,7 +346,7 @@ def test_pool_payloads_hold_no_pixels_and_each_pool_gets_the_planes_once(monkeyp
         else:
             yield item
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     spec = tiny_spec(n_channels=2, n_sets=2, workers=2, batch_size=1)
     run(spec)
     # Two object sets of two objects: one pool and two one-object batches each.

@@ -11,6 +11,7 @@ from conftest import assert_close, plane_of, region_of
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    granularity_float64_reference,
     granularity_oracle,
     gray_open_oracle,
     gray_reconstruct_oracle,
@@ -361,14 +362,93 @@ def test_large_object_spectrum_matches_footprint_pipeline(rng, front_calls):
 
 def test_granularity_memory_is_bounded_by_a_few_crops():
     # A fresh interpreter, so ru_maxrss reflects this one call.  The crop of
-    # a radius-160 disk is 805 KiB; 8 MiB is about ten crop-sized arrays.
+    # a radius-160 disk is 805 KiB; 7 MiB is about nine crop-sized arrays.
     probe = Path(__file__).parent / "granprobe.py"
     out = subprocess.run(
         [sys.executable, str(probe), "160"],
         capture_output=True, text=True, check=True, timeout=120,
     )
     added_kib = int(out.stdout.strip())
-    assert added_kib < 8 * 1024, f"measure_granularity added {added_kib} KiB"
+    assert added_kib < 7 * 1024, f"measure_granularity added {added_kib} KiB"
+
+
+# ------------------------------------------------------------- rank keys
+
+
+def spectrum_bits(spectrum):
+    return [value.hex() for value in spectrum.values()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    height=st.integers(1, 30),
+    width=st.integers(1, 30),
+    radius=st.sampled_from([1, 2, 5, 10, 60]),
+    fill=st.floats(0.3, 1.0),
+    levels=st.sampled_from([0, 1, 3, 40]),
+    signs=st.sampled_from(["positive", "mixed", "both zeros"]),
+    e=st.sampled_from([0, -1000, 1000]),
+)
+@example(seed=1, height=1, width=30, radius=60, fill=1.0, levels=3, signs="both zeros", e=0)
+@example(seed=2, height=30, width=1, radius=2, fill=1.0, levels=0, signs="mixed", e=1000)
+@example(seed=3, height=30, width=30, radius=5, fill=0.6, levels=1, signs="both zeros", e=-1000)
+def test_rank_keys_change_no_bit_of_the_float64_spectrum(
+    seed, height, width, radius, fill, levels, signs, e
+):
+    """Crops with holes, 1 x n and n x 1 crops, ties (few levels), zeros of
+    both signs, mixed signs and planes x 2^+-1000: the spectrum on rank keys
+    is bitwise the one on float64 values."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((height, width)) < fill
+    mask[rng.integers(height), rng.integers(width)] = True
+    if levels:
+        values = rng.integers(0, levels + 1, size=mask.shape) / levels
+    else:
+        values = rng.random(mask.shape)
+    if signs == "mixed":
+        values = 2 * values - 1
+    elif signs == "both zeros":  # -values turns 0.0 into -0.0
+        values = np.where(rng.random(mask.shape) < 0.5, -values, values)
+    region, plane = region_of(mask), plane_of(np.ldexp(values, e))
+    params = GranularityParams(6, radius)
+    got = measure_granularity(region, plane, params)
+    assert spectrum_bits(got) == spectrum_bits(
+        granularity_float64_reference(region, plane, params)
+    )
+
+
+def test_rank_keys_are_int16_below_32767_distinct_values():
+    for count, dtype in ((32766, np.int16), (32767, np.int32)):
+        values = np.arange(count, 0, -1) / 7
+        ranks, table, top, bottom = granularity._ranks(values)
+        assert ranks.dtype == dtype and np.array_equal(table[ranks], values)
+        assert top == np.iinfo(dtype).max and bottom == np.iinfo(dtype).min
+        assert bottom < ranks.min() and ranks.max() < top
+    # Zeros of both signs compare equal and share a rank.
+    ranks, table, _, _ = granularity._ranks(np.array([0.0, 1.0, -0.0, -1.0]))
+    assert ranks.tolist() == [1, 2, 1, 0] and table.tolist() == [-1.0, 0.0, 1.0]
+
+
+def test_rank_keys_take_int32_past_32767_distinct_values(rng, monkeypatch):
+    dtypes = []
+    ranks = granularity._ranks
+
+    def recorded(values):
+        keys = ranks(values)
+        dtypes.append(keys[0].dtype)
+        return keys
+
+    monkeypatch.setattr(granularity, "_ranks", recorded)
+    mask = np.ones((250, 250), dtype=bool)
+    mask[::7, ::5] = False
+    region, plane = region_of(mask), plane_of(rng.random(mask.shape))
+    params = GranularityParams(8, 10)
+    got = measure_granularity(region, plane, params)
+    assert dtypes == [np.int32, np.int32]  # the values, then the residue
+    assert spectrum_bits(got) == spectrum_bits(
+        granularity_float64_reference(region, plane, params)
+    )
 
 
 # ------------------------------------------------------------ disk filters

@@ -2,8 +2,11 @@ import csv
 import io
 import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,6 +496,50 @@ def test_lying_header_fails_before_allocating(tmp_path):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("kind", ["image", "mask"])
+def test_loading_a_raster_adds_about_its_payload_to_the_peak(tmp_path, rng, kind):
+    # The payload is read once into the array the plane or mask holds: no
+    # joined chunks beside it and no float64 or int64 copy after it.
+    path = tmp_path / "big.raw"
+    samples = np.arange(1024 * 1024, dtype=np.uint32).reshape(1024, 1024)
+    if kind == "image":
+        save_image(ImagePlane(rng.random(samples.shape, dtype=np.float32)), path)
+    else:
+        save_mask(LabelMask(samples), path)
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__).parent / "loadprobe.py"), kind, str(path)],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    added_kib, payload_kib = int(out.stdout), samples.nbytes // 1024
+    assert added_kib <= 1.5 * payload_kib, f"loading a {kind} added {added_kib} KiB"
+
+
+def test_big_endian_masks_load_from_a_pipe(tmp_path):
+    # PGM16 samples are swapped into native order in the buffer they were read into.
+    labels = np.arange(300 * 300, dtype=np.uint16).reshape(300, 300)  # > pipe buffer
+    save_mask(LabelMask(labels), tmp_path / "m.pgm", fmt="PGM16")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=fifo.write_bytes, args=((tmp_path / "m.pgm").read_bytes(),), daemon=True
+    )
+    writer.start()
+    mask = load_mask(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert mask.labels.dtype == np.uint16 and np.array_equal(mask.labels, labels)
+    assert np.array_equal(load_mask(tmp_path / "m.pgm").labels, labels)
+
+
+def test_pgm_quantizes_a_float32_plane_as_its_float64_values(tmp_path):
+    # In float32, 0.6098039150238037 * 255 rounds up to 155.5, and rint gives 156.
+    values = np.array([[0.6098039150238037, 0.6700618267059326]], dtype=np.float32)
+    for fmt, top in (("PGM8", 255), ("PGM16", 65535)):
+        save_image(ImagePlane(values), tmp_path / "q.pgm", fmt=fmt)
+        expected = np.rint(values.astype(np.float64) * top) / top
+        assert np.array_equal(load_image(tmp_path / "q.pgm").pixels, expected)
+
+
 @st.composite
 def raster_bytes(draw):
     """A magic prefix, then random bytes or a small raster with one edit,
@@ -558,7 +605,8 @@ def test_image_round_trip(tmp_path_factory, data):
     f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
     pixels = data.draw(arrays(np.float32, _SHAPES, elements=f32)).astype(np.float64)
     save_image(ImagePlane(np.asarray(pixels, order=data.draw(st.sampled_from("CF")))), path)
-    assert load_image(path).pixels.tobytes() == pixels.tobytes()  # bit-exact, -0.0 too
+    # Bit-exact at the file's width, -0.0 too.
+    assert load_image(path).pixels.tobytes() == pixels.astype(np.float32).tobytes()
     pixels = data.draw(arrays(np.float64, _SHAPES, elements=st.floats(-2, 2)))
     for fmt, top in (("PGM8", 255), ("PGM16", 65535)):
         save_image(ImagePlane(pixels), path, fmt=fmt)
