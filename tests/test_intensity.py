@@ -220,3 +220,23 @@ def test_sums_past_the_float_range_are_missing(tmp_path):
     assert all(math.isfinite(got[key]) for key in FEATURES if key not in sums)
     table = FeatureTable("cells", tuple(got), [1], [list(got.values())])
     write_table(table, tmp_path / "cells.csv")
+
+
+def test_mad_of_a_mixed_sign_plane_at_the_top_of_the_float_range(tmp_path):
+    """On (2u - 1) x 1.7e308 the deviations from the median, and the mean of
+    the two middle ones, overflowed: MADIntensity was inf, with an overflow
+    warning, and write_table refused the whole table.  It is the MAD of the
+    plane / 16, times 16, bit for bit."""
+    rng = np.random.default_rng(0)
+    mask = np.zeros((20, 20), dtype=bool)
+    mask[3:17, 2:18] = True  # 14 x 16
+    values = (2 * rng.random(mask.shape) - 1) * 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = measure_intensity(region_of(mask), plane_of(values))
+    small = np.ldexp(values[mask], -4)
+    want = math.ldexp(float(np.median(np.abs(small - np.median(small)))), 4)
+    assert got["MADIntensity"] == want
+    assert not any(map(math.isinf, got.values()))
+    table = FeatureTable("cells", tuple(got), [1], [list(got.values())])
+    write_table(table, tmp_path / "cells.csv")
