@@ -251,7 +251,11 @@ def max_project(stack: list[ImagePlane]) -> ImagePlane:
                 f"plane {i} has dims {plane.width}x{plane.height}, "
                 f"expected {shape[1]}x{shape[0]}"
             )
-    return ImagePlane(np.maximum.reduce([p.pixels for p in stack]))
+    # One running maximum in the planes' common dtype, so float32 stays float32.
+    out = np.array(stack[0].pixels, dtype=np.result_type(*(p.pixels for p in stack)))
+    for plane in stack[1:]:
+        np.maximum(out, plane.pixels, out=out)
+    return _adopt(ImagePlane, out)
 
 
 def _check_fraction(name: str, value: float) -> None:
@@ -312,38 +316,57 @@ def _column_distance(padded: np.ndarray, dtype) -> np.ndarray:
     return np.minimum(index - above, below - index)
 
 
+#: Rows per strip of :func:`_edt`, each of which bounds its own offsets.
+_EDT_STRIP = 128
+
+
+def _band(line_max: np.ndarray, offsets: np.ndarray) -> tuple[list[int], list[int]]:
+    """For each offset o, the first index of ``line_max`` above o and one
+    past the last, from its running maxima from either end."""
+    first = np.searchsorted(np.maximum.accumulate(line_max), offsets, "right")
+    past = line_max.size - np.searchsorted(np.maximum.accumulate(line_max[::-1]), offsets, "right")
+    return first.tolist(), past.tolist()
+
+
 def _edt(mask: np.ndarray) -> np.ndarray:
     """Exact Euclidean distance from each True pixel of ``mask``, in row-major
     order, to the nearest False one, everything outside ``mask`` counting as
     False: integer squared distances, then one square root."""
     height, width = mask.shape
-    dtype = np.int32 if (height + 2) ** 2 + (width + 2) ** 2 < 2**31 else np.int64
-    padded = np.zeros((height + 2, width + 2), dtype=bool)  # np.pad costs more on small masks
+    stride = width + 2
+    dtype = np.int32 if (height + 2) ** 2 + stride**2 < 2**31 else np.int64
+    padded = np.zeros((height + 2, stride), dtype=bool)  # np.pad costs more on small masks
     padded[1:-1, 1:-1] = mask
     g = _column_distance(padded, dtype)
-    rows, cols = np.nonzero(padded)
     # d2 = min over offsets o of g*g at columns c +- o, plus o*o.  With h the
     # distance to the nearest False pixel in the row, the bound b = min(g, h)
-    # gives d2 <= b*b: no offset >= b can beat it, and no offset < b leaves
-    # the row.  Sorted by b, the pixels still active at o are a suffix.
-    bound = np.minimum(g[rows, cols], _column_distance(padded.T, dtype)[cols, rows])
-    order = np.argsort(bound)
-    bound = bound[order]
-    flat = (rows * (width + 2) + cols)[order]
-    d2 = bound * bound
-    # g*g flattened behind ``top`` zeros: its views from top -+ o, indexed by
-    # a pixel's flat index p, read columns c -+ o of the pixel's row.
-    top = int(bound.max(initial=0))
-    g2 = np.concatenate([np.zeros(top, dtype), (g * g).ravel()])
-    offsets = np.arange(1, top)
-    for offset, active in zip(offsets.tolist(), np.searchsorted(bound, offsets, "right").tolist()):
-        p = flat[active:]
-        near = np.minimum(g2[top - offset :][p], g2[top + offset :][p])
-        near += offset * offset
-        np.minimum(d2[active:], near, out=d2[active:])
-    distance = np.empty(d2.size)
-    distance[order] = np.sqrt(d2)
-    return distance
+    # gives d2 <= b*b, so only offsets below b can lower it.
+    bound = np.minimum(g, _column_distance(padded.T, dtype).T)
+    d2 = (bound * bound).ravel()
+    g *= g
+    g2 = g.ravel()
+    near = np.empty(_EDT_STRIP * stride, dtype)
+    # Each offset runs over one contiguous flat range per strip of rows, from
+    # the first row and column of the strip whose bound exceeds it to the
+    # last.  A read at flat index p -+ o may wrap into the next or previous
+    # row only where the column is within o of the False border, so h < o:
+    # the candidate, at least o*o, leaves such a pixel's d2 as it is.  Every
+    # other candidate is a squared distance to a False pixel.
+    for start in range(0, height + 2, _EDT_STRIP):
+        strip = bound[start : start + _EDT_STRIP]
+        top = int(strip.max())
+        if top < 2:
+            continue
+        offsets = np.arange(1, top)
+        rows = zip(*_band(strip.max(axis=1), offsets))
+        cols = zip(*_band(strip.max(axis=0), offsets))
+        for offset, (r0, r1), (c0, c1) in zip(offsets.tolist(), rows, cols):
+            lo, hi = (start + r0) * stride + c0, (start + r1 - 1) * stride + c1
+            out = near[: hi - lo]
+            np.minimum(g2[lo - offset : hi - offset], g2[lo + offset : hi + offset], out=out)
+            out += offset * offset
+            np.minimum(d2[lo:hi], out, out=d2[lo:hi])
+    return np.sqrt(d2.reshape(padded.shape)[1:-1, 1:-1][mask], dtype=np.float64)
 
 
 #: Angular wedges of pi/4 around the centroid, starting at angle -pi.

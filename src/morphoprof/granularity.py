@@ -35,13 +35,18 @@ plain definitions, because min and max only select values:
   pixels changed by the last iteration, in the manner of L. Vincent's
   hybrid algorithm (IEEE TIP 2(2), 1993).  A pixel with no changed
   neighbour cannot change, so the front goes through the same sequence
-  of states as the dense iteration.
+  of states as the dense iteration.  Once at most ``_TAIL`` pixels
+  changed, a worklist of single pixels finishes the reconstruction
+  without a numpy call per round: the reconstruction is the least
+  fixpoint above the marker, which every order of updates reaches.
 
 ``measure_granularity`` allocates every buffer and runs the kernels in
 place: the opening on its own buffer of the values' ranks, guarded as
 wide as the disk (top, then bottom), the steps on one set of one-pixel
 guarded buffers of the residue's ranks (the image entering the step, the
-limit it sets and the reconstruction state).
+limit it sets and the reconstruction state).  A step whose erosion
+changed nothing ends the iteration: every later step would erode and
+reconstruct the same image, so each records 0.0.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ from .core import ImagePlane, ObjectRegion, _check_int, object_values
 _SPARSE_MIN_SIZE = 1024
 #: ... once fewer than one pixel in this many changed in an iteration.
 _SPARSE_RATIO = 16
+#: The front hands its last rounds, once at most this many pixels changed,
+#: to a worklist of single pixels, which costs no numpy call per round.
+_TAIL = 24
 
 
 @dataclass(frozen=True)
@@ -157,10 +165,11 @@ def _disk_filter(padded: np.ndarray, radius: int, op, out: np.ndarray) -> None:
                 op(out, block, out=out)
 
 
-def _reconstruct(state: np.ndarray, limit: np.ndarray) -> None:
+def _reconstruct(state: np.ndarray, limit: np.ndarray) -> bool:
     """Reconstruct in place: ``state`` and ``limit`` hold a value below
     every on-mask one (-inf, or a rank's bottom guard) off the mask and in
-    a one-pixel band around the crop."""
+    a one-pixel band around the crop.  True when ``state`` was already
+    the reconstruction, so the first dense pass moved nothing."""
     # NaN fails the comparison too; with it the iteration would never settle.
     if not (state <= limit).all():
         raise ValueError("marker must not exceed limit, and neither may be NaN, on the mask")
@@ -168,7 +177,10 @@ def _reconstruct(state: np.ndarray, limit: np.ndarray) -> None:
     size = inner.size
     across = np.empty((state.shape[0], inner.shape[1]), state.dtype)
     grown = np.empty(inner.shape, state.dtype)
-    moved = np.empty(inner.shape, dtype=bool)
+    # Guarded like ``state``, so the front reads padded flat indices off it.
+    changed = np.zeros(state.shape, dtype=bool)
+    moved = changed[1:-1, 1:-1]
+    first = True
     while True:
         np.maximum(state[:, :-2], state[:, 2:], out=across)
         np.maximum(across, state[:, 1:-1], out=across)
@@ -178,33 +190,36 @@ def _reconstruct(state: np.ndarray, limit: np.ndarray) -> None:
         np.not_equal(grown, inner, out=moved)
         count = np.count_nonzero(moved)
         if count == 0:
-            return
+            return first
+        first = False
         inner[...] = grown
         if size >= _SPARSE_MIN_SIZE and count * _SPARSE_RATIO < size:
-            _reconstruct_front(state, limit, moved)
-            return
+            _reconstruct_front(state, limit, np.flatnonzero(changed))
+            return False
 
 
-def _reconstruct_front(state: np.ndarray, limit: np.ndarray, moved: np.ndarray) -> None:
+def _reconstruct_front(state: np.ndarray, limit: np.ndarray, changed: np.ndarray) -> None:
     """Continue the dense iteration in place from ``state``, in which the
-    pixels ``moved`` changed.
+    pixels at flat indices ``changed`` changed.
 
     Values only rise, and after one dense step each pixel below its limit
     holds the max of its previous neighbourhood, so the next value of q is
     max(q, min(p, limit(q)) for each neighbour p changed last).  Each
     changed pixel offers its value to its 8 neighbours; only offers that
     raise a neighbour are applied, and those neighbours form the next front.
+    Once at most ``_TAIL`` pixels changed, a worklist of single pixels
+    takes over, which reaches the same fixpoint: the reconstruction is the
+    least one above the marker, whatever order the offers come in.
     """
     stride = state.shape[1]
     flat, bound = state.reshape(-1), limit.reshape(-1)
     slot = np.empty(flat.size, dtype=np.intp)
     around = (np.arange(-1, 2)[:, None] * stride + np.arange(-1, 2)).ravel()
     around = around[around != 0]
-    rows, cols = np.nonzero(moved)
-    changed = (rows + 1) * stride + cols + 1
-    while changed.size:
-        targets = (changed[:, None] + around).ravel()
-        offers = np.minimum(np.repeat(flat[changed], around.size), bound[targets])
+    while changed.size > _TAIL:
+        targets = changed[:, None] + around
+        offers = np.minimum(flat[changed][:, None], bound[targets]).ravel()
+        targets = targets.ravel()
         rise = offers > flat[targets]
         targets, offers = targets[rise], offers[rise]
         np.maximum.at(flat, targets, offers)
@@ -212,6 +227,19 @@ def _reconstruct_front(state: np.ndarray, limit: np.ndarray, moved: np.ndarray) 
         order = np.arange(targets.size)
         slot[targets] = order
         changed = targets[slot[targets] == order]
+    values, limits = memoryview(flat), memoryview(bound)
+    around = around.tolist()
+    work = changed.tolist()
+    while work:
+        p = work.pop()
+        value = values[p]
+        for q in around:
+            q += p
+            if values[q] < value:
+                offer = min(value, limits[q])
+                if offer > values[q]:
+                    values[q] = offer
+                    work.append(q)
 
 
 def measure_granularity(
@@ -256,14 +284,19 @@ def measure_granularity(
     outside = ~local_mask
     out = {}
     prev_mean = start
+    settled = False
     for key in keys:
-        _disk_filter(entering, 1, np.minimum, inner)
-        np.copyto(inner, bottom, where=outside)
-        np.copyto(inner_entering, inner, where=local_mask)
-        _reconstruct(state, limit)
-        # np.mean's own arithmetic, the sum over the count, without its wrapper.
-        mean = float(table.take(inner[local_mask]).sum()) / count
+        if not settled:
+            _disk_filter(entering, 1, np.minimum, inner)
+            np.copyto(inner, bottom, where=outside)
+            np.copyto(inner_entering, inner, where=local_mask)
+            # Only when the first dense pass moved nothing can the erosion
+            # have changed nothing.  Then no later step changes anything:
+            # each keeps this mean and records 100 * (mean - mean) / start.
+            settled = _reconstruct(state, limit) and np.array_equal(state, limit)
+            # np.mean's own arithmetic, the sum over the count, without its wrapper.
+            mean = float(table.take(inner[local_mask]).sum()) / count
+            np.copyto(inner_limit, inner_entering, where=local_mask)
         out[key] = 100.0 * (prev_mean - mean) / start
         prev_mean = mean
-        np.copyto(inner_limit, inner_entering, where=local_mask)
     return out

@@ -6,9 +6,10 @@ order statistics at h = (n - 1) * p.  Edge pixels and the centroid come
 from :func:`~morphoprof.core.mask_geometry`.  The sums, means, std and
 mass displacement come from the scaled values of
 :func:`~morphoprof.core.object_values`, and a sum past the float range is
-missing.  The median, MAD and quartiles are taken on the values
-themselves: at scale the quartiles lost their bit-for-bit match with
-``np.percentile``.
+missing.  The median and quartiles are taken on the values themselves: at
+scale the quartiles lost their bit-for-bit match with ``np.percentile``.
+So is MAD, but on a plane whose largest magnitude reaches 2**1021 it is
+taken at scale, where its deviations cannot overflow.
 """
 
 from __future__ import annotations
@@ -33,6 +34,17 @@ FEATURES = (
     "MeanIntensityEdge",
     "MassDisplacement",
 )
+
+
+def _mad(values: np.ndarray, scaled: np.ndarray, exponent: int, median: float) -> float:
+    """The median absolute deviation from ``median``.  From a largest
+    magnitude of 2**1021 up, a deviation or the mean of the two middle ones
+    can overflow, so they are taken on the values times 2**-exponent and
+    restored (missing past the float range); smaller planes keep their bits."""
+    if exponent <= 1021:
+        return float(np.median(np.abs(values - median)))
+    deviations = np.abs(scaled - math.ldexp(median, -exponent))
+    return _restored(float(np.median(deviations)), exponent)
 
 
 def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, float]:
@@ -60,7 +72,7 @@ def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, floa
         "StdIntensity": math.ldexp(float(scaled.std()), exponent),
         "MinIntensity": float(values.min()),
         "MaxIntensity": float(values.max()),
-        "MADIntensity": float(np.median(np.abs(values - median))),
+        "MADIntensity": _mad(values, scaled, exponent, median),
         "LowerQuartile": lower,
         "UpperQuartile": upper,
         "IntegratedIntensityEdge": _restored(float(scaled[on_edge].sum()), exponent),

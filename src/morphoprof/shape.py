@@ -168,30 +168,37 @@ def _eigen_features(geometry: MaskGeometry) -> tuple[float, float, float, float]
 
 
 @lru_cache(maxsize=None)
-def _radial_poly_table(max_order: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(m per term, coefficients, bound) for the terms of
-    :func:`zernike_indexes`, one row per term.
+def _radial_poly_table(max_order: int) -> tuple[list[int], np.ndarray, np.ndarray, list[int], float]:
+    """(row per term, m per row, coefficients, prefix, bound) for the terms
+    of :func:`zernike_indexes`, one row per term, the rows ordered by their
+    number of coefficients, most first (ties keep the terms' order).
 
-    Row t holds the coefficients of R_nm as a polynomial in rho^2 (highest
-    power first), excluding the common rho^m factor, right-aligned after
-    zeros.  The s-th is (-1)^s (n-s)! / (s! ((n+m)/2-s)! ((n-m)/2-s)!),
-    which is the integer C(n-s, s) C(n-2s, (n-m)/2-s).  A leading zero
-    leaves Horner's rule unchanged bit for bit: 0 * rho2 + 0 is 0, and
-    0 * rho2 + c is c.  ``bound`` is twice the largest sum of |coeffs|,
-    which bounds every |R_nm * exp(-i*m*theta)| on rho <= 1 with room for
-    rounding.
+    Row r holds the coefficients of R_nm as a polynomial in rho^2 (highest
+    power first), excluding the common rho^m factor, then zeros.  The s-th
+    is (-1)^s (n-s)! / (s! ((n+m)/2-s)! ((n-m)/2-s)!), which is the integer
+    C(n-s, s) C(n-2s, (n-m)/2-s).  Horner's rule starts each row at its
+    first coefficient, which is bitwise the rule over a table right-aligned
+    after zeros: over a leading zero it gives 0 * rho2 + 0, which is 0,
+    then 0 * rho2 + c, which is c.  Column k is a coefficient of the first
+    ``prefix[k - 1]`` rows only.  ``bound`` is twice the largest sum of
+    |coeffs|, which bounds every |R_nm * exp(-i*m*theta)| on rho <= 1 with
+    room for rounding.
     """
     terms = zernike_indexes(max_order)
+    order = sorted(range(len(terms)), key=lambda t: terms[t][1] - terms[t][0])
     coeffs = np.zeros((len(terms), max_order // 2 + 1))
-    for t, (n, m) in enumerate(terms):
-        half = (n - m) // 2
-        for s in range(half + 1):
-            coeffs[t, s - half - 1] = (-1) ** s * math.comb(n - s, s) * math.comb(n - 2 * s, half - s)
+    halves = []
+    for row, t in enumerate(order):
+        n, m = terms[t]
+        halves.append((n - m) // 2)
+        for s in range(halves[-1] + 1):
+            coeffs[row, s] = (-1) ** s * math.comb(n - s, s) * math.comb(n - 2 * s, halves[-1] - s)
+    prefix = [sum(half >= k for half in halves) for k in range(1, coeffs.shape[1])]
     bound = 2.0 * float(np.abs(coeffs).sum(axis=1).max())
-    term_m = np.array([m for _, m in terms])
+    term_m = np.array([terms[t][1] for t in order])
     # Cached and shared by every call, so read-only.
     term_m.flags.writeable = coeffs.flags.writeable = False
-    return term_m, coeffs, bound
+    return np.argsort(order).tolist(), term_m, coeffs, prefix, bound
 
 
 #: Pixels per block of the Zernike sums, which bounds their temporaries.
@@ -260,7 +267,7 @@ def _zernike_magnitudes(geometry: MaskGeometry, max_order: int) -> dict[str, flo
     d2 = dr * dr + dc * dc
     # A lone pixel has d2 = 0 everywhere, so any divisor gives rho = 0.
     d2_max = float(d2.max()) or 1.0
-    term_m, coeffs, bound = _radial_poly_table(max_order)
+    row_of, term_m, coeffs, prefix, bound = _radial_poly_table(max_order)
     terms = term_m.size
 
     def blocks():
@@ -286,13 +293,15 @@ def _zernike_magnitudes(geometry: MaskGeometry, max_order: int) -> dict[str, flo
                 np.multiply(rho_pow[m - 1], rho, out=rho_pow[m])
                 np.subtract(pow_re[m - 1] * unit_re, pow_im[m - 1] * unit_im, out=pow_re[m])
                 np.add(pow_re[m - 1] * unit_im, pow_im[m - 1] * unit_re, out=pow_im[m])
-            # R_nm by Horner's rule in the imaginary half, then both products.
+            # R_nm by Horner's rule in the imaginary half, each row from its
+            # first coefficient, then both products.
             out = products[:, :size]
             radial = out[terms:]
             radial[:] = coeffs[:, :1]
-            for column in coeffs.T[1:]:
-                radial *= rho2
-                radial += column[:, None]
+            for column, rows in enumerate(prefix, 1):
+                part = radial[:rows]
+                part *= rho2
+                part += coeffs[:rows, column, None]
             radial *= rho_pow[term_m]
             np.multiply(radial, pow_re[term_m], out=out[:terms])
             radial *= pow_im[term_m]
@@ -301,8 +310,8 @@ def _zernike_magnitudes(geometry: MaskGeometry, max_order: int) -> dict[str, flo
     sums = _exact_row_sums(blocks(), count, bound)
     pi_area = math.pi * float(count)
     return {
-        f"Zernike_{n}_{m}": math.hypot(sums[t], sums[terms + t]) * ((n + 1) / pi_area)
-        for t, (n, m) in enumerate(zernike_indexes(max_order))
+        f"Zernike_{n}_{m}": math.hypot(sums[row], sums[terms + row]) * ((n + 1) / pi_area)
+        for row, (n, m) in zip(row_of, zernike_indexes(max_order))
     }
 
 

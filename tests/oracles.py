@@ -190,6 +190,61 @@ def zernike_fsum_oracle(local_mask, max_order):
     return out
 
 
+def zernike_full_table_reference(geometry, max_order):
+    """The library's Zernike magnitudes with Horner's rule run over every
+    column of one table, each term's coefficients right-aligned after
+    zeros and the rows in :func:`zernike_indexes` order: the route before
+    each row started at its first coefficient.
+
+    Like ``granularity_float64_reference`` it reuses a library kernel, the
+    exact row sums (which ``test_exact_row_sums_equal_fsum`` checks): it is
+    the reference for the Horner steps alone.
+    """
+    from morphoprof.shape import _BLOCK_PIXELS, _exact_row_sums, zernike_indexes
+
+    terms = zernike_indexes(max_order)
+    coeffs = np.zeros((len(terms), max_order // 2 + 1))
+    for t, (n, m) in enumerate(terms):
+        half = (n - m) // 2
+        for s in range(half + 1):
+            coeffs[t, s - half - 1] = (-1) ** s * math.comb(n - s, s) * math.comb(n - 2 * s, half - s)
+    bound = 2.0 * float(np.abs(coeffs).sum(axis=1).max())
+    term_m = np.array([m for _, m in terms])
+    count, (dr, dc) = geometry.count, geometry.deviations
+    d2 = dr * dr + dc * dc
+    d2_max = float(d2.max()) or 1.0
+
+    def blocks():
+        for start in range(0, count, _BLOCK_PIXELS):
+            part = slice(start, start + _BLOCK_PIXELS)
+            rho2 = np.minimum(1.0, d2[part].astype(np.float64) / d2_max)
+            rho = np.sqrt(rho2)
+            norm = np.sqrt(d2[part].astype(np.float64))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                unit_re = np.where(norm > 0, dc[part] / norm, 1.0)
+                unit_im = np.where(norm > 0, -(dr[part] / norm), 0.0)
+            rho_pow = np.ones((max_order + 1, rho.size))
+            pow_re = np.ones((max_order + 1, rho.size))
+            pow_im = np.zeros((max_order + 1, rho.size))
+            for m in range(1, max_order + 1):
+                rho_pow[m] = rho_pow[m - 1] * rho
+                pow_re[m] = pow_re[m - 1] * unit_re - pow_im[m - 1] * unit_im
+                pow_im[m] = pow_re[m - 1] * unit_im + pow_im[m - 1] * unit_re
+            radial = np.empty((len(terms), rho.size))
+            radial[:] = coeffs[:, :1]
+            for column in coeffs.T[1:]:
+                radial = radial * rho2 + column[:, None]
+            radial = radial * rho_pow[term_m]
+            yield np.concatenate([radial * pow_re[term_m], radial * pow_im[term_m]])
+
+    sums = _exact_row_sums(blocks(), count, bound)
+    pi_area = math.pi * float(count)
+    return {
+        f"Zernike_{n}_{m}": math.hypot(sums[t], sums[len(terms) + t]) * ((n + 1) / pi_area)
+        for t, (n, m) in enumerate(terms)
+    }
+
+
 def convex_hull_oracle(local_mask):
     """Frozen earlier convex hull area, bit for bit: the four corners of
     every crack-boundary pixel, doubled to integers, an Andrew monotone

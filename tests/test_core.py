@@ -1,6 +1,9 @@
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from morphoprof import (
     measure_radial,
     measure_texture,
     read_table,
+    save_image,
 )
 from morphoprof import core
 from morphoprof.cli import main
@@ -149,6 +153,31 @@ def test_max_project_matches_elementwise_oracle(rng):
     for r in range(8):
         for c in range(8):
             assert result[r, c] == max(p.pixels[r, c] for p in planes)
+
+
+def test_max_project_keeps_the_planes_common_dtype(rng):
+    low, high = (ImagePlane(rng.random((6, 7), dtype=np.float32)) for _ in range(2))
+    assert max_project([low, high]).pixels.dtype == np.float32
+    wide = ImagePlane(rng.random((6, 7)))
+    got = max_project([low, wide, high]).pixels
+    assert got.dtype == np.float64
+    want = np.maximum.reduce([p.pixels.astype(np.float64) for p in (low, wide, high)])
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
+def test_projecting_adds_about_one_plane_to_the_peak(tmp_path, rng):
+    # One running maximum: no stack of every plane and no copy of the result.
+    paths = []
+    for i in range(3):
+        paths.append(tmp_path / f"plane{i}.raw")
+        save_image(ImagePlane(rng.random((1024, 1024), dtype=np.float32)), paths[-1])
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__).parent / "projectprobe.py"), *map(str, paths)],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    added_kib, plane_kib = int(out.stdout), 1024 * 1024 * 4 // 1024
+    assert added_kib <= 1.5 * plane_kib, f"projecting added {added_kib} KiB"
 
 
 def test_max_project_errors():
@@ -410,9 +439,41 @@ def test_distance_of_a_radius_160_disk_is_scipys():
     _assert_distance_is_scipys(rows * rows + cols * cols <= 160 * 160)
 
 
-@pytest.mark.parametrize("shape", [(2, 46340), (46340, 2)])
+def _disks(shape, *centers, radius):
+    rows, cols = np.indices(shape)
+    return np.logical_or.reduce([np.hypot(rows - r, cols - c) <= radius for r, c in centers])
+
+
+def _ring():
+    rows, cols = np.indices((621, 621))
+    d = np.hypot(rows - 310, cols - 310)
+    return (d <= 310) & (d > 290)
+
+
+def _u():
+    mask = np.zeros((400, 300), dtype=bool)
+    mask[:, :60] = mask[:, -60:] = mask[-60:] = True
+    return mask
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _disks((1024, 1024), (100, 100), (923, 923), radius=100),
+    lambda: _disks((201, 640), (100, 100), (100, 539), radius=100),
+    _ring,
+    _u,
+], ids=["corner-disks", "side-by-side-disks", "ring", "u"])
+def test_distance_is_scipys_where_an_offset_band_would_overreach(make):
+    """Masks whose rows or columns of large bound are far apart: two disks in
+    opposite corners of one crop, two disks side by side, a 20-px ring of
+    radius 300 and a U.  A strip's offset range then spans pixels of small
+    bound and reads across row ends."""
+    _assert_distance_is_scipys(make())
+
+
+@pytest.mark.parametrize("shape", [(2, 46340), (46340, 2), (9, 46340), (46340, 9)])
 def test_distance_on_the_int64_path_is_scipys(shape):
-    # (h + 2)^2 + (w + 2)^2 >= 2^31 puts the squared distances in int64.
+    # (h + 2)^2 + (w + 2)^2 >= 2^31 puts the squared distances in int64;
+    # nine rows or columns give bounds past 1, so offsets run there too.
     assert (shape[0] + 2) ** 2 + (shape[1] + 2) ** 2 >= 2**31
     mask = np.ones(shape, dtype=bool)
     mask.flat[::7] = False

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     granularity_float64_reference,
     granularity_oracle,
+    gray_erode_oracle,
     gray_open_oracle,
     gray_reconstruct_oracle,
 )
@@ -238,6 +239,19 @@ def front_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def tails(monkeypatch):
+    """The values of ``_TAIL`` a front test runs with: the module's own, 0
+    (the front runs to its end) and 10**9 (the worklist from the start)."""
+
+    def each():
+        for tail in (granularity._TAIL, 0, 10**9):
+            monkeypatch.setattr(granularity, "_TAIL", tail)
+            yield tail
+
+    return each
+
+
 def serpentine(height, width):
     """A one-pixel corridor snaking down the crop, walls between its runs."""
     mask = np.zeros((height, width), dtype=bool)
@@ -247,49 +261,60 @@ def serpentine(height, width):
     return mask
 
 
-def test_front_follows_a_long_serpentine_corridor(rng, front_calls):
+def test_front_follows_a_long_serpentine_corridor(rng, front_calls, tails):
     mask = serpentine(48, 48)
     assert mask.sum() >= 128 and mask.size >= granularity._SPARSE_MIN_SIZE
     limit = np.where(mask, rng.random(mask.shape), 0.0)
     marker = np.zeros_like(limit)
     marker[0, 1] = limit[0, 1]
-    got = reconstruct(marker, limit, mask)
-    assert front_calls
-    assert np.array_equal(got, dense_reconstruct(marker, limit, mask))
-    # The seed's value reached the far end of the corridor, never growing.
-    assert np.count_nonzero(got) == mask.sum()
-    assert got.max() == limit[0, 1]
+    want = dense_reconstruct(marker, limit, mask)
+    for _ in tails():
+        front_calls.clear()
+        got = reconstruct(marker, limit, mask)
+        assert front_calls
+        assert np.array_equal(got, want)
+        # The seed's value reached the far end of the corridor, never growing.
+        assert np.count_nonzero(got) == mask.sum()
+        assert got.max() == limit[0, 1]
 
 
 def test_front_matches_dense_and_naive_on_plateaus_holes_and_split_labels(
-    rng, front_calls
+    rng, front_calls, tails
 ):
     yy, xx = np.mgrid[:34, :40]
     disk_a = np.hypot(yy - 16, xx - 12) <= 11
     disk_b = np.hypot(yy - 17, xx - 31) <= 7
     holes = rng.random(yy.shape) < 0.08
+    cases = []
     for mask in (disk_a | disk_b, (disk_a | disk_b) & ~holes):
         limit = np.where(mask, rng.integers(0, 4, size=mask.shape), 0).astype(float)
         for marker in (
             disk_filter(limit, mask, 1, np.minimum),
             np.minimum(limit, rng.integers(0, 4, size=mask.shape)),
         ):
-            got = reconstruct(marker, limit, mask)
-            assert np.array_equal(got, dense_reconstruct(marker, limit, mask))
-            assert np.array_equal(got, gray_reconstruct_oracle(marker, limit, mask))
-    assert len(front_calls) == 4
+            want = dense_reconstruct(marker, limit, mask)
+            assert np.array_equal(want, gray_reconstruct_oracle(marker, limit, mask))
+            cases.append((marker, limit, mask, want))
+    for _ in tails():
+        front_calls.clear()
+        for marker, limit, mask, want in cases:
+            assert np.array_equal(reconstruct(marker, limit, mask), want)
+        assert len(front_calls) == 4
 
 
-def test_front_handles_one_pixel_and_one_line_objects(rng, front_calls):
+def test_front_handles_one_pixel_and_one_line_objects(rng, front_calls, tails):
+    cases = []
     for shape in ((1, 1), (1, 1500), (1500, 1), (2, 700)):
         mask = np.ones(shape, dtype=bool)
         limit = np.round(rng.random(shape), 1) + 0.1
         marker = np.zeros(shape)
         marker[0, 0] = limit[0, 0]
-        assert np.array_equal(
-            reconstruct(marker, limit, mask), dense_reconstruct(marker, limit, mask)
-        )
-    assert len(front_calls) == 3
+        cases.append((marker, limit, mask, dense_reconstruct(marker, limit, mask)))
+    for _ in tails():
+        front_calls.clear()
+        for marker, limit, mask, want in cases:
+            assert np.array_equal(reconstruct(marker, limit, mask), want)
+        assert len(front_calls) == 3
 
 
 @settings(max_examples=25, deadline=None)
@@ -358,6 +383,69 @@ def test_large_object_spectrum_matches_footprint_pipeline(rng, front_calls):
     got = measure_granularity(region_of(mask), ImagePlane(crop), params)
     assert got == footprint_pipeline(mask, crop, params)
     assert any(got.values()) and not front_calls
+
+
+def test_steps_after_the_erosion_settles_run_no_reconstruction(monkeypatch):
+    """Once an erosion changes nothing, no later one can: the steps after it
+    reconstruct nothing and record 0.0, and the spectrum is the naive
+    pipeline's, which runs every step."""
+    rng = np.random.default_rng(5)
+    mask = small_blob(rng, size=12)
+    values = np.where(mask, rng.random(mask.shape), 0.0)
+    region, plane = region_of(mask), plane_of(values)
+    # The first step whose erosion leaves the naive pipeline's image as it was.
+    opened = gray_open_oracle(values, mask, 3)
+    image = np.where(mask, np.maximum(0.0, values - opened), 0.0)
+    for step in range(1, 21):
+        eroded = np.where(mask, gray_erode_oracle(image, mask, 1), 0.0)
+        if np.array_equal(eroded, image):
+            break
+        image = eroded
+    assert 2 <= step < 20
+    calls = []
+    inner = granularity._reconstruct
+
+    def counted(state, limit):
+        calls.append(state.size)
+        return inner(state, limit)
+
+    monkeypatch.setattr(granularity, "_reconstruct", counted)
+    got = measure_granularity(region, plane, GranularityParams(20, 3))
+    assert len(calls) == step
+    assert got == granularity_oracle(region, plane, 20, 3)
+    assert all(got[str(k)] == 0.0 for k in range(step + 1, 21))
+
+
+@pytest.mark.parametrize("radius", [1, 2, 10])
+def test_64_step_spectra_equal_the_float64_reference_bit_for_bit(rng, monkeypatch, radius):
+    """Long spectra settle well before their last step; every step after
+    that is still bitwise the reference's, which runs them all."""
+    calls = []
+    inner = granularity._reconstruct
+
+    def counted(state, limit):
+        calls.append(state.size)
+        return inner(state, limit)
+
+    yy, xx = np.mgrid[:72, :72]
+    disk = np.hypot(yy - 36, xx - 35) <= 33
+    holes = rng.random(disk.shape) < 0.05
+    smooth = scipy.ndimage.gaussian_filter(rng.random(disk.shape), 1.5)
+    blob = small_blob(rng, size=20)
+    params = GranularityParams(64, radius)
+    for mask, values in (
+        (disk, smooth),
+        (disk & ~holes, rng.integers(0, 5, size=disk.shape) / 4),
+        (blob, rng.random(blob.shape)),
+    ):
+        region, plane = region_of(mask), plane_of(values)
+        want = granularity_float64_reference(region, plane, params)
+        calls.clear()
+        monkeypatch.setattr(granularity, "_reconstruct", counted)
+        got = measure_granularity(region, plane, params)
+        monkeypatch.undo()
+        assert 0 < len(calls) < 64
+        assert spectrum_bits(got) == spectrum_bits(want)
 
 
 def test_granularity_memory_is_bounded_by_a_few_crops():

@@ -15,12 +15,15 @@ from oracles import (
     convex_hull_oracle,
     shape_oracle,
     zernike_fsum_oracle,
+    zernike_full_table_reference,
 )
 
 from morphoprof import LabelMask, ShapeParams, extract_objects, measure_shape
+from morphoprof.core import MaskGeometry
 from morphoprof.shape import (
     _BLOCK_PIXELS,
     _exact_row_sums,
+    _zernike_magnitudes,
     convex_hull_area,
     crack_perimeter,
     euler_number,
@@ -337,3 +340,19 @@ def test_shape_memory_is_bounded_by_pixel_blocks():
     )
     added_kib = int(out.stdout.strip())
     assert added_kib < 4 * 1024, f"measure_shape added {added_kib} KiB"
+
+
+def test_zernike_rows_from_their_first_coefficient_equal_the_full_table_bitwise(rng):
+    """Each Horner row starts at its first coefficient, rows ordered by their
+    length; every order 0..20 is bitwise the full table's, on a lone pixel,
+    a blob and a disk of several pixel blocks."""
+    yy, xx = np.mgrid[:61, :61]
+    disk = np.hypot(yy - 30, xx - 30) <= 30
+    assert disk.sum() > 2 * _BLOCK_PIXELS
+    for mask in (np.ones((1, 1), dtype=bool), small_blob(rng, size=20), disk):
+        geometry = MaskGeometry(mask)
+        for order in range(21):
+            got = _zernike_magnitudes(geometry, order)
+            want = zernike_full_table_reference(geometry, order)
+            assert list(got) == list(want)
+            assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()], order
