@@ -35,10 +35,7 @@ plain definitions, because min and max only select values:
   pixels changed by the last iteration, in the manner of L. Vincent's
   hybrid algorithm (IEEE TIP 2(2), 1993).  A pixel with no changed
   neighbour cannot change, so the front goes through the same sequence
-  of states as the dense iteration.  Once at most ``_TAIL`` pixels
-  changed, a worklist of single pixels finishes the reconstruction
-  without a numpy call per round: the reconstruction is the least
-  fixpoint above the marker, which every order of updates reaches.
+  of states as the dense iteration.
 
 ``measure_granularity`` allocates every buffer and runs the kernels in
 place: the opening on its own buffer of the values' ranks, guarded as
@@ -64,9 +61,6 @@ from .core import ImagePlane, ObjectRegion, _check_int, object_values
 _SPARSE_MIN_SIZE = 1024
 #: ... once fewer than one pixel in this many changed in an iteration.
 _SPARSE_RATIO = 16
-#: The front hands its last rounds, once at most this many pixels changed,
-#: to a worklist of single pixels, which costs no numpy call per round.
-_TAIL = 24
 
 
 @dataclass(frozen=True)
@@ -207,16 +201,13 @@ def _reconstruct_front(state: np.ndarray, limit: np.ndarray, changed: np.ndarray
     max(q, min(p, limit(q)) for each neighbour p changed last).  Each
     changed pixel offers its value to its 8 neighbours; only offers that
     raise a neighbour are applied, and those neighbours form the next front.
-    Once at most ``_TAIL`` pixels changed, a worklist of single pixels
-    takes over, which reaches the same fixpoint: the reconstruction is the
-    least one above the marker, whatever order the offers come in.
     """
     stride = state.shape[1]
     flat, bound = state.reshape(-1), limit.reshape(-1)
     slot = np.empty(flat.size, dtype=np.intp)
     around = (np.arange(-1, 2)[:, None] * stride + np.arange(-1, 2)).ravel()
     around = around[around != 0]
-    while changed.size > _TAIL:
+    while changed.size:
         targets = changed[:, None] + around
         offers = np.minimum(flat[changed][:, None], bound[targets]).ravel()
         targets = targets.ravel()
@@ -227,19 +218,6 @@ def _reconstruct_front(state: np.ndarray, limit: np.ndarray, changed: np.ndarray
         order = np.arange(targets.size)
         slot[targets] = order
         changed = targets[slot[targets] == order]
-    values, limits = memoryview(flat), memoryview(bound)
-    around = around.tolist()
-    work = changed.tolist()
-    while work:
-        p = work.pop()
-        value = values[p]
-        for q in around:
-            q += p
-            if values[q] < value:
-                offer = min(value, limits[q])
-                if offer > values[q]:
-                    values[q] = offer
-                    work.append(q)
 
 
 def measure_granularity(

@@ -6,10 +6,11 @@ order statistics at h = (n - 1) * p.  Edge pixels and the centroid come
 from :func:`~morphoprof.core.mask_geometry`.  The sums, means, std and
 mass displacement come from the scaled values of
 :func:`~morphoprof.core.object_values`, and a sum past the float range is
-missing.  The median and quartiles are taken on the values themselves: at
-scale the quartiles lost their bit-for-bit match with ``np.percentile``.
-So is MAD, but on a plane whose largest magnitude reaches 2**1021 it is
-taken at scale, where its deviations cannot overflow.
+missing.  The median, MAD and quartiles are taken on the values
+themselves: at scale the quartiles lost their bit-for-bit match with
+``np.percentile``.  On a plane whose largest magnitude reaches 2**1021
+the median and MAD are taken at a scale of at most 2**-3, where neither
+the mean of the two middle values nor a deviation can overflow.
 """
 
 from __future__ import annotations
@@ -36,15 +37,18 @@ FEATURES = (
 )
 
 
-def _mad(values: np.ndarray, scaled: np.ndarray, exponent: int, median: float) -> float:
-    """The median absolute deviation from ``median``.  From a largest
-    magnitude of 2**1021 up, a deviation or the mean of the two middle ones
-    can overflow, so they are taken on the values times 2**-exponent and
-    restored (missing past the float range); smaller planes keep their bits."""
-    if exponent <= 1021:
-        return float(np.median(np.abs(values - median)))
-    deviations = np.abs(scaled - math.ldexp(median, -exponent))
-    return _restored(float(np.median(deviations)), exponent)
+def _median_and_mad(values: np.ndarray, exponent: int) -> tuple[float, float]:
+    """The median and the median absolute deviation from it.  From a largest
+    magnitude of 2**1021 up, the mean of the two middle values or a
+    deviation can overflow, so both are taken on the values times
+    2**-(exponent - 1021), at most 2**-3, and restored (the MAD missing past
+    the float range).  That moves no value of 2**-1019 or more below the
+    normal range, so each keeps its bits."""
+    shift = max(0, exponent - 1021)
+    part = np.ldexp(values, -shift) if shift else values
+    median = float(np.median(part))
+    mad = float(np.median(np.abs(part - median)))
+    return math.ldexp(median, shift), _restored(mad, shift)
 
 
 def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, float]:
@@ -52,7 +56,7 @@ def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, floa
     geometry = mask_geometry(region)
     values, scaled, exponent = object_values(region, plane)
     on_edge = geometry.edge[geometry.mask]
-    median = float(np.median(values))
+    median, mad = _median_and_mad(values, exponent)
     lower, upper = np.percentile(values, [25, 75]).tolist()
 
     centroid_r = float(geometry.row_sum) / geometry.count
@@ -72,7 +76,7 @@ def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, floa
         "StdIntensity": math.ldexp(float(scaled.std()), exponent),
         "MinIntensity": float(values.min()),
         "MaxIntensity": float(values.max()),
-        "MADIntensity": _mad(values, scaled, exponent, median),
+        "MADIntensity": mad,
         "LowerQuartile": lower,
         "UpperQuartile": upper,
         "IntegratedIntensityEdge": _restored(float(scaled[on_edge].sum()), exponent),

@@ -239,19 +239,6 @@ def front_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def tails(monkeypatch):
-    """The values of ``_TAIL`` a front test runs with: the module's own, 0
-    (the front runs to its end) and 10**9 (the worklist from the start)."""
-
-    def each():
-        for tail in (granularity._TAIL, 0, 10**9):
-            monkeypatch.setattr(granularity, "_TAIL", tail)
-            yield tail
-
-    return each
-
-
 def serpentine(height, width):
     """A one-pixel corridor snaking down the crop, walls between its runs."""
     mask = np.zeros((height, width), dtype=bool)
@@ -261,60 +248,49 @@ def serpentine(height, width):
     return mask
 
 
-def test_front_follows_a_long_serpentine_corridor(rng, front_calls, tails):
+def test_front_follows_a_long_serpentine_corridor(rng, front_calls):
     mask = serpentine(48, 48)
     assert mask.sum() >= 128 and mask.size >= granularity._SPARSE_MIN_SIZE
     limit = np.where(mask, rng.random(mask.shape), 0.0)
     marker = np.zeros_like(limit)
     marker[0, 1] = limit[0, 1]
-    want = dense_reconstruct(marker, limit, mask)
-    for _ in tails():
-        front_calls.clear()
-        got = reconstruct(marker, limit, mask)
-        assert front_calls
-        assert np.array_equal(got, want)
-        # The seed's value reached the far end of the corridor, never growing.
-        assert np.count_nonzero(got) == mask.sum()
-        assert got.max() == limit[0, 1]
+    got = reconstruct(marker, limit, mask)
+    assert front_calls
+    assert np.array_equal(got, dense_reconstruct(marker, limit, mask))
+    # The seed's value reached the far end of the corridor, never growing.
+    assert np.count_nonzero(got) == mask.sum()
+    assert got.max() == limit[0, 1]
 
 
 def test_front_matches_dense_and_naive_on_plateaus_holes_and_split_labels(
-    rng, front_calls, tails
+    rng, front_calls
 ):
     yy, xx = np.mgrid[:34, :40]
     disk_a = np.hypot(yy - 16, xx - 12) <= 11
     disk_b = np.hypot(yy - 17, xx - 31) <= 7
     holes = rng.random(yy.shape) < 0.08
-    cases = []
     for mask in (disk_a | disk_b, (disk_a | disk_b) & ~holes):
         limit = np.where(mask, rng.integers(0, 4, size=mask.shape), 0).astype(float)
         for marker in (
             disk_filter(limit, mask, 1, np.minimum),
             np.minimum(limit, rng.integers(0, 4, size=mask.shape)),
         ):
-            want = dense_reconstruct(marker, limit, mask)
-            assert np.array_equal(want, gray_reconstruct_oracle(marker, limit, mask))
-            cases.append((marker, limit, mask, want))
-    for _ in tails():
-        front_calls.clear()
-        for marker, limit, mask, want in cases:
-            assert np.array_equal(reconstruct(marker, limit, mask), want)
-        assert len(front_calls) == 4
+            got = reconstruct(marker, limit, mask)
+            assert np.array_equal(got, dense_reconstruct(marker, limit, mask))
+            assert np.array_equal(got, gray_reconstruct_oracle(marker, limit, mask))
+    assert len(front_calls) == 4
 
 
-def test_front_handles_one_pixel_and_one_line_objects(rng, front_calls, tails):
-    cases = []
+def test_front_handles_one_pixel_and_one_line_objects(rng, front_calls):
     for shape in ((1, 1), (1, 1500), (1500, 1), (2, 700)):
         mask = np.ones(shape, dtype=bool)
         limit = np.round(rng.random(shape), 1) + 0.1
         marker = np.zeros(shape)
         marker[0, 0] = limit[0, 0]
-        cases.append((marker, limit, mask, dense_reconstruct(marker, limit, mask)))
-    for _ in tails():
-        front_calls.clear()
-        for marker, limit, mask, want in cases:
-            assert np.array_equal(reconstruct(marker, limit, mask), want)
-        assert len(front_calls) == 3
+        assert np.array_equal(
+            reconstruct(marker, limit, mask), dense_reconstruct(marker, limit, mask)
+        )
+    assert len(front_calls) == 3
 
 
 @settings(max_examples=25, deadline=None)

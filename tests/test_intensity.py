@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 from conftest import assert_close, assert_feature_maps_close, plane_of, region_of
@@ -240,3 +241,26 @@ def test_mad_of_a_mixed_sign_plane_at_the_top_of_the_float_range(tmp_path):
     assert not any(map(math.isinf, got.values()))
     table = FeatureTable("cells", tuple(got), [1], [list(got.values())])
     write_table(table, tmp_path / "cells.csv")
+
+
+def test_mad_next_to_a_huge_value_keeps_the_bits_of_small_ones():
+    """Only the scale that stops the overflow is applied: 1.1..1.9 beside
+    1e308 keep their bits, so the MAD is |1.3 - 1.7| exactly, as unscaled."""
+    values = np.array([[1e308, 1.1, 1.3, 1.7, 1.9]])
+    got = measure_intensity(region_of(np.ones(values.shape, dtype=bool)), plane_of(values))
+    assert got["MedianIntensity"] == 1.7
+    assert got["MADIntensity"].hex() == abs(1.3 - 1.7).hex()
+
+
+def test_median_of_an_even_same_sign_plane_at_the_top_of_the_float_range():
+    """The mean of the two middle values, 1.6e308 and 1.5e308, overflowed:
+    MedianIntensity was inf, and so was MAD.  Both are now the correctly
+    rounded values."""
+    values = np.array([[1.7e308, 1.6e308, 1.5e308, 1.4e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = measure_intensity(region_of(np.ones(values.shape, dtype=bool)), plane_of(values))
+    median = float((Fraction(1.6e308) + Fraction(1.5e308)) / 2)
+    assert got["MedianIntensity"] == median
+    deviations = sorted(abs(Fraction(v) - Fraction(median)) for v in values.ravel())
+    assert got["MADIntensity"] == float((deviations[1] + deviations[2]) / 2)
