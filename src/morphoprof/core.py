@@ -295,6 +295,22 @@ def _restored(value: float, exponent: int) -> float:
         return MISSING
 
 
+def _median_and_mad(values: np.ndarray) -> tuple[np.ndarray, int, float, float]:
+    """``values`` times 2**-shift, the shift, and their median and median
+    absolute deviation from it, at that scale: the one order-statistics
+    rule.  From a largest magnitude of 2**1021 up, the mean of the two
+    middle values, a deviation, a quartile's interpolation or 1.4826 * MAD
+    can overflow, so the shift is e - 1021 (at most 3) for e, the exponent
+    of that magnitude; below, it is 0.  It moves no value of 2**-1019 or
+    more below the normal range, so each keeps its bits and a power of two
+    changes no bit of a result.  Callers restore a median or quartile with
+    ``math.ldexp`` and the MAD with :func:`_restored`."""
+    shift = max(0, math.frexp(float(np.abs(values).max()))[1] - 1021)
+    part = np.ldexp(values, -shift) if shift else values
+    median = float(np.median(part))
+    return part, shift, median, float(np.median(np.abs(part - median)))
+
+
 def object_values(region: ObjectRegion, plane: ImagePlane) -> tuple[np.ndarray, np.ndarray, int]:
     """``plane``'s values on ``region``'s mask, in row-major order and
     widened to float64, and the same values times 2**-e with e, the

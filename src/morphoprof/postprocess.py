@@ -3,7 +3,11 @@
 ``robust_standardize`` applies the conventional robust z-score
 (x - median) / (1.4826 * MAD), drops constant, all-missing and
 mostly-missing features, and imputes remaining gaps with 0 (the post-standardization
-median).  ``correlation_filter`` greedily removes features that are
+median).  Each column's median, MAD and z-scores are taken at the scale
+of :func:`~morphoprof.core._median_and_mad`, the one order-statistics
+rule intensity also follows: a column reaching 2**1021 is scaled by at
+most 2**-3, so nothing overflows, and a z-score has no scale to restore.
+``correlation_filter`` greedily removes features that are
 nearly collinear with an earlier kept feature: a complete column with spread
 meets all such kept columns in one row-wise product, and every other pair
 is correlated over its pairwise-complete rows.  ``compare_tables`` fits an
@@ -20,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MISSING, FeatureTable, _check_fraction, _scaled
+from .core import MISSING, FeatureTable, _check_fraction, _median_and_mad, _scaled
 from .raster_io import format_cell
 
 
@@ -37,11 +41,10 @@ def robust_standardize(table: FeatureTable, drop_missing_frac: float = 0.05) -> 
         missing_frac = 1.0 - present.sum() / col.size
         if not present.any() or missing_frac > drop_missing_frac:
             continue
-        med = float(np.median(col[present]))
-        mad = float(np.median(np.abs(col[present] - med)))
+        part, _, med, mad = _median_and_mad(col[present])
         if mad == 0.0:
             continue
-        values[present, j] = (col[present] - med) / (1.4826 * mad)
+        values[present, j] = (part - med) / (1.4826 * mad)
         kept.append(j)
     return replace(table, columns=tuple(table.columns[j] for j in kept), values=values[:, kept])
 

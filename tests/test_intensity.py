@@ -172,21 +172,30 @@ def test_extreme_but_finite_magnitudes_keep_std_exact(rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 500))
-def test_power_of_two_scaling_changes_no_bit_of_intensity(seed, e):
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 1023), signed=st.booleans())
+@example(seed=0, e=1023, signed=True)
+def test_power_of_two_scaling_changes_no_bit_of_intensity(seed, e, signed):
     """MassDisplacement is bitwise scale-invariant, every other feature,
-    StdIntensity included, is exactly x 2^e, and no value turns non-finite."""
+    StdIntensity, the median, MAD and both quartiles included, is exactly
+    x 2^e, on same-sign and mixed-sign planes; a sum past the float range
+    is missing, and no value turns infinite."""
     rng = np.random.default_rng(seed)
     mask = small_blob(rng, size=12)
-    # Multiples of 2^-10, so no scaled value falls below the normal range.
-    values = rng.integers(0, 1024, size=mask.shape) / 1024
+    # Multiples of 2^-10 in (-2, 2), so no scaled value falls below the
+    # normal range or past the float range.
+    values = rng.integers(-2047 if signed else 0, 2048, size=mask.shape) / 1024
     region = region_of(mask)
     base = measure_intensity(region, plane_of(values))
     got = measure_intensity(region, plane_of(np.ldexp(values, e)))
     assert got["MassDisplacement"] == base["MassDisplacement"]
     for key in SCALING:
-        assert got[key] == math.ldexp(base[key], e), key
-    assert all(map(math.isfinite, got.values()))
+        try:
+            want = math.ldexp(base[key], e)
+        except OverflowError:
+            assert key in ("IntegratedIntensity", "IntegratedIntensityEdge"), key
+            want = math.nan
+        assert got[key].hex() == want.hex(), key
+    assert not any(map(math.isinf, got.values()))
 
 
 def test_means_and_mass_displacement_hold_at_the_top_of_the_float_range():
@@ -264,3 +273,19 @@ def test_median_of_an_even_same_sign_plane_at_the_top_of_the_float_range():
     assert got["MedianIntensity"] == median
     deviations = sorted(abs(Fraction(v) - Fraction(median)) for v in values.ravel())
     assert got["MADIntensity"] == float((deviations[1] + deviations[2]) / 2)
+
+
+def test_quartiles_of_a_mixed_sign_plane_at_the_top_of_the_float_range(tmp_path):
+    """On the two pixels -1.7e308 and 1.7e308 the quartiles' interpolation
+    overflowed: LowerQuartile was inf and UpperQuartile -inf, with an
+    overflow warning, and write_table refused the row.  Each is the
+    quartile of the plane / 16, times 16, bit for bit."""
+    values = np.array([[-1.7e308, 1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = measure_intensity(region_of(np.ones(values.shape, dtype=bool)), plane_of(values))
+    for key, q in (("LowerQuartile", 25), ("UpperQuartile", 75)):
+        want = math.ldexp(float(np.percentile(np.ldexp(values, -4), q)), 4)
+        assert got[key].hex() == want.hex(), key
+    table = FeatureTable("cells", tuple(got), [1], [list(got.values())])
+    write_table(table, tmp_path / "cells.csv")

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from morphoprof import (
     correlation_filter,
     robust_standardize,
     write_report,
+    write_table,
 )
 
 
@@ -361,3 +363,58 @@ def test_power_of_two_scaling_changes_no_bit_of_a_fit_or_a_filter(case):
         assert correlation_filter(scaled, threshold).columns == tuple(
             ["a", "b"][j] for j in correlation_filter_oracle(values, threshold)
         )
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [1.7e308, 1.6e308, 1.5e308, 1.4e308],
+        [-1.7e308, 1.7e308, 1.0],
+        [-1.6e308, 1.5e308, -1.2e308, 1.3e308, 0.5],
+    ],
+)
+def test_columns_at_the_top_of_the_float_range_standardize_as_scaled_ones(column, tmp_path):
+    """The median of the first column overflowed, so it was kept as all NaN
+    and written as empty cells; on the mixed-sign ones 1.4826 * MAD
+    overflowed and every z-score came out +-0.0.  Each column now keeps
+    or drops as the column x 2^-8 does, with its z-scores bit for bit."""
+    values = np.column_stack([column, np.arange(len(column))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = robust_standardize(table_from(["huge", "plain"], values))
+    want = robust_standardize(table_from(["huge", "plain"], np.ldexp(values, [-8, 0])))
+    assert got.columns == want.columns == ("huge", "plain")
+    assert got.values.tobytes() == want.values.tobytes()
+    path = tmp_path / "normalized.csv"
+    write_table(got, path)
+    with open(path, newline="") as fh:
+        assert all(all(row) for row in csv.reader(fh))
+
+
+@st.composite
+def scaled_tables(draw):
+    """(values, e): 1-40 rows of 1-4 columns, multiples of 2**-10 in
+    (-2, 2) or [0, 2), some small-range or constant, with holes, and a
+    power-of-two exponent per column."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 4)))
+    low = rng.choice([-2047, 0, 2044], size=shape[1])
+    values = rng.integers(low, 2048, size=shape) / 1024
+    values[rng.random(shape) < 0.05] = np.nan
+    return values, draw(st.lists(st.integers(-1000, 1023), min_size=shape[1], max_size=shape[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_tables(), st.sampled_from([0.05, 0.5]))
+@example((np.array([[-1.875, 0.5], [1.875, np.nan], [0.0, 0.25]]), [1023, -1000]), 0.5)
+def test_power_of_two_scaling_changes_no_bit_of_a_robust_z_score(case, frac):
+    """The z-score has no scale: each column times 2^e keeps or drops as
+    the unscaled one does, with the same z-scores bit for bit, and no
+    present cell comes out non-finite."""
+    values, e = case
+    names = [f"c{j}" for j in range(values.shape[1])]
+    base = robust_standardize(table_from(names, values), frac)
+    got = robust_standardize(table_from(names, np.ldexp(values, e)), frac)
+    assert got.columns == base.columns
+    assert got.values.tobytes() == base.values.tobytes()
+    assert np.isfinite(got.values).all()

@@ -1,6 +1,8 @@
 """The test run's own configuration, and what the runtime needs."""
 
 import hashlib
+import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import numpy as np
 from synth import experiment
 
 import morphoprof
-from morphoprof import ImagePlane, save_image, save_mask
+from morphoprof import ImagePlane, core, save_image, save_mask
 from morphoprof.cli import main
 
 pytest_plugins = ["pytester"]
@@ -85,3 +87,13 @@ def test_extract_without_scipy_writes_the_same_bytes(tmp_path):
     here, blocked = (hashlib.sha256((tmp_path / f"{stem}_cells.csv").read_bytes()).hexdigest()
                      for stem in ("here", "blocked"))
     assert blocked == here
+
+
+def test_only_the_core_helper_takes_a_median():
+    # One order-statistics rule: every median in the package is taken by
+    # core._median_and_mad, at the scale it bounds, so no second rule that
+    # overflows at the top of the float range can creep back.
+    median = re.compile(r"\bnp\.(?:nan)?median\b")
+    found = sum(len(median.findall(path.read_text(encoding="utf-8")))
+                for path in Path(SRC, "morphoprof").glob("*.py"))
+    assert found == len(median.findall(inspect.getsource(core._median_and_mad))) > 0
