@@ -141,6 +141,8 @@ def _cmd_tessellate(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    _check_fraction("drop_missing_frac", args.drop_missing_frac)
+    _check_fraction("correlation threshold", args.corr_threshold)
     table = raster_io.read_table(args.table_in)
     table = postprocess.robust_standardize(table, args.drop_missing_frac)
     table = postprocess.correlation_filter(table, args.corr_threshold)
@@ -149,6 +151,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    postprocess._check_r2_threshold(args.r2_threshold)
     table_a = raster_io.read_table(args.a)
     table_b = raster_io.read_table(args.b)
     report = postprocess.compare_tables(table_a, table_b, r2_threshold=args.r2_threshold)

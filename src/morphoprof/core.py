@@ -277,12 +277,16 @@ def _check_int(name: str, value, low: int, high: float = math.inf) -> int:
     return value
 
 
+def _top_exponent(rows: np.ndarray) -> np.ndarray:
+    """The binary exponent of each row's largest finite magnitude, 0 if none."""
+    return np.frexp(np.abs(rows).max(axis=-1, initial=0.0, where=np.isfinite(rows)))[1]
+
+
 def _scaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` times 2**-e, C-ordered, and e, the binary exponent of each
-    row's largest finite magnitude (0 if none).  Scaled, that magnitude is
-    in [0.5, 1), so squares stay in range, and a power of two changes no
-    bit of a result in the normal range."""
-    exponent = np.frexp(np.abs(rows).max(axis=-1, initial=0.0, where=np.isfinite(rows)))[1]
+    """``rows`` times 2**-e, C-ordered, and e, :func:`_top_exponent`: scaled,
+    the largest magnitude is in [0.5, 1), so squares stay in range, and a
+    power of two changes no bit of a result in the normal range."""
+    exponent = _top_exponent(rows)
     return np.ldexp(rows, -exponent[..., None], order="C"), exponent
 
 
@@ -295,17 +299,17 @@ def _restored(value: float, exponent: int) -> float:
         return MISSING
 
 
-def _median_and_mad(values: np.ndarray) -> tuple[np.ndarray, int, float, float]:
+def _median_and_mad(values: np.ndarray, exponent: int) -> tuple[np.ndarray, int, float, float]:
     """``values`` times 2**-shift, the shift, and their median and median
     absolute deviation from it, at that scale: the one order-statistics
     rule.  From a largest magnitude of 2**1021 up, the mean of the two
     middle values, a deviation, a quartile's interpolation or 1.4826 * MAD
-    can overflow, so the shift is e - 1021 (at most 3) for e, the exponent
+    can overflow, so the shift is e - 1021 (at most 3) for e, the ``exponent``
     of that magnitude; below, it is 0.  It moves no value of 2**-1019 or
     more below the normal range, so each keeps its bits and a power of two
     changes no bit of a result.  Callers restore a median or quartile with
     ``math.ldexp`` and the MAD with :func:`_restored`."""
-    shift = max(0, math.frexp(float(np.abs(values).max()))[1] - 1021)
+    shift = max(0, exponent - 1021)
     part = np.ldexp(values, -shift) if shift else values
     median = float(np.median(part))
     return part, shift, median, float(np.median(np.abs(part - median)))

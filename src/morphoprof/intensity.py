@@ -44,7 +44,7 @@ def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, floa
     geometry = mask_geometry(region)
     values, scaled, exponent = object_values(region, plane)
     on_edge = geometry.edge[geometry.mask]
-    part, shift, median, mad = _median_and_mad(values)
+    part, shift, median, mad = _median_and_mad(values, exponent)
     lower, upper = np.percentile(part, [25, 75]).tolist()
 
     centroid_r = float(geometry.row_sum) / geometry.count
@@ -58,7 +58,7 @@ def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, floa
         displacement = math.hypot(weighted_r - centroid_r, weighted_c - centroid_c)
 
     return {
-        "IntegratedIntensity": _restored(float(scaled.sum()), exponent),
+        "IntegratedIntensity": _restored(mass, exponent),
         "MeanIntensity": math.ldexp(float(scaled.mean()), exponent),
         "MedianIntensity": math.ldexp(median, shift),
         "StdIntensity": math.ldexp(float(scaled.std()), exponent),

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MISSING, FeatureTable, _check_fraction, _median_and_mad, _scaled
+from .core import MISSING, FeatureTable, _check_fraction, _median_and_mad, _scaled, _top_exponent
 from .raster_io import format_cell
 
 
@@ -35,13 +35,14 @@ def robust_standardize(table: FeatureTable, drop_missing_frac: float = 0.05) -> 
     if table.n_rows == 0:
         raise ValueError("cannot standardize an empty table")
     values = np.zeros(table.values.shape)
+    exponents = _top_exponent(table.values.T).tolist()
     kept = []
     for j, col in enumerate(table.values.T):
         present = np.isfinite(col)
         missing_frac = 1.0 - present.sum() / col.size
         if not present.any() or missing_frac > drop_missing_frac:
             continue
-        part, _, med, mad = _median_and_mad(col[present])
+        part, _, med, mad = _median_and_mad(col[present], exponents[j])
         if mad == 0.0:
             continue
         values[present, j] = (part - med) / (1.4826 * mad)
@@ -98,14 +99,19 @@ class FeatureFit:
     n: int
 
 
+def _check_r2_threshold(value: float) -> None:
+    """Raise ValueError if ``value`` is NaN; any other float is a threshold."""
+    if math.isnan(value):
+        raise ValueError("r2_threshold must not be NaN")
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     fits: tuple[FeatureFit, ...]
     r2_threshold: float
 
     def __post_init__(self):
-        if math.isnan(self.r2_threshold):
-            raise ValueError("r2_threshold must not be NaN")
+        _check_r2_threshold(self.r2_threshold)
 
     @property
     def fraction_above(self) -> float:

@@ -23,7 +23,7 @@ class RadialParams:
     bins: int = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "bins", _check_int("bins", self.bins, 1))
+        object.__setattr__(self, "bins", _check_int("bins", self.bins, 1, 64))
 
 
 def feature_keys(params: RadialParams = RadialParams()) -> list[str]:

@@ -28,9 +28,11 @@ from oracles import (
     texture_oracle,
 )
 from synth import experiment, small_blob, smooth_plane
+from test_invariance import FAMILIES, check_rotation, check_scale_close, check_translation
 
 import morphoprof as mp
 from morphoprof import run, write_table
+from morphoprof.engine import REGISTRY
 from morphoprof.shape import zernike_indexes
 from morphoprof.texture import FEATURES as TEXTURE_FEATURES
 
@@ -167,93 +169,37 @@ def test_criterion_2_oracle_equivalence():
 def test_criterion_3_invariance_suites():
     with criterion(3, "translation/scaling/rotation invariance suites"):
         rng = np.random.default_rng(7)
+        config = mp.ExperimentSpec()
 
-        # Translation: bitwise for every non-positional feature of every family.
+        # Translation: every family with its configured params, as TRANSLATION says.
         for _ in range(5):
             blob = small_blob(rng)
-            values = smooth_plane(*blob.shape, rng)
-            values_b = smooth_plane(*blob.shape, rng)
+            planes = [smooth_plane(*blob.shape, rng) for _ in "ab"]
             h, w = blob.shape
-            big_mask = np.zeros((h + 30, w + 30), dtype=bool)
-            big_a = np.zeros((h + 30, w + 30))
-            big_b = np.zeros((h + 30, w + 30))
-            big_mask[3 : 3 + h, 5 : 5 + w] = blob
-            big_a[3 : 3 + h, 5 : 5 + w] = values
-            big_b[3 : 3 + h, 5 : 5 + w] = values_b
-            shift = (9, 13)
-            moved_mask = np.roll(big_mask, shift, axis=(0, 1))
-            moved_a = np.roll(big_a, shift, axis=(0, 1))
-            moved_b = np.roll(big_b, shift, axis=(0, 1))
-            r0, r1 = region_of(big_mask), region_of(moved_mask)
-            p0a, p1a = mp.ImagePlane(big_a), mp.ImagePlane(moved_a)
-            p0b, p1b = mp.ImagePlane(big_b), mp.ImagePlane(moved_b)
-            base_shape = mp.measure_shape(r0)
-            moved_shape = mp.measure_shape(r1)
-            for key, value in base_shape.items():
-                if not key.startswith("Centroid"):
-                    assert moved_shape[key] == value, key
-            pairs = [
-                (mp.measure_intensity(r0, p0a), mp.measure_intensity(r1, p1a)),
-                (mp.measure_texture(r0, p0a), mp.measure_texture(r1, p1a)),
-                (mp.measure_granularity(r0, p0a), mp.measure_granularity(r1, p1a)),
-                (mp.measure_radial(r0, p0a), mp.measure_radial(r1, p1a)),
-                (mp.measure_coloc(r0, p0a, p0b), mp.measure_coloc(r1, p1a, p1b)),
-            ]
-            for base, moved in pairs:
-                for key, value in base.items():
-                    same = moved[key] == value or (
-                        math.isnan(moved[key]) and math.isnan(value)
-                    )
-                    assert same, key
+            big_mask, big = np.zeros((h + 30, w + 30), dtype=bool), np.zeros((2, h + 30, w + 30))
+            big_mask[3 : 3 + h, 5 : 5 + w], big[:, 3 : 3 + h, 5 : 5 + w] = blob, planes
+            for family in REGISTRY:
+                check_translation(family.name, family.params(config), big_mask, big, (9, 13))
 
-        # Intensity scaling, per-module contracts, 1e-12 relative.
+        # Scaling by 2.7, not a power of two, within each family's tolerance.
         for _ in range(3):
             blob = small_blob(rng)
-            values = smooth_plane(*blob.shape, rng)
-            values_b = smooth_plane(*blob.shape, rng)
-            region = region_of(blob)
-            k = 2.7
-            base_int = mp.measure_intensity(region, mp.ImagePlane(values))
-            scaled_int = mp.measure_intensity(region, mp.ImagePlane(k * values))
-            for key, value in base_int.items():
-                expected = value if key == "MassDisplacement" else k * value
-                assert_close(scaled_int[key], expected, rel=1e-12, label=key)
-            base_gran = mp.measure_granularity(region, mp.ImagePlane(values))
-            scaled_gran = mp.measure_granularity(region, mp.ImagePlane(k * values))
-            for key, value in base_gran.items():
-                assert_close(scaled_gran[key], value, rel=1e-12, abs_tol=1e-10, label=key)
-            base_rad = mp.measure_radial(region, mp.ImagePlane(values))
-            scaled_rad = mp.measure_radial(region, mp.ImagePlane(k * values))
-            for key, value in base_rad.items():
-                assert_close(scaled_rad[key], value, rel=1e-12, abs_tol=1e-12, label=key)
-            base_col = mp.measure_coloc(region, mp.ImagePlane(values), mp.ImagePlane(values_b))
-            scaled_col = mp.measure_coloc(
-                region, mp.ImagePlane(k * values), mp.ImagePlane(values_b)
-            )
-            for key in ("Pearson", "Overlap", "MandersM1", "MandersM2"):
-                assert_close(scaled_col[key], base_col[key], rel=1e-12, label=key)
-            assert_close(scaled_col["Slope"], base_col["Slope"] / k, rel=1e-12)
+            planes = [smooth_plane(*blob.shape, rng) for _ in "ab"]
+            for name, abs_tol in (("intensity", 1e-12), ("granularity", 1e-10),
+                                  ("radial", 1e-12), ("coloc", 1e-12)):
+                params = FAMILIES[name].params(config)
+                check_scale_close(name, params, blob, planes, (2.7, 1.0), 1e-12, abs_tol)
 
-        # 90-degree rotations: shape features and texture direction-means, exact.
-        shape_exact = [
-            k
-            for k in mp.measure_shape(region_of(small_blob(rng)))
-            if not k.startswith(("Centroid", "Orientation"))
-        ]
+        # Quarter rotations, as ROTATION says.  One blob is drawn and not
+        # used, so that these examples keep their blobs.
+        small_blob(rng)
         for _ in range(5):
             blob = small_blob(rng)
             values = smooth_plane(*blob.shape, rng)
-            base_shape = mp.measure_shape(region_of(blob))
-            base_tex = mp.measure_texture(region_of(blob), mp.ImagePlane(values))
-            for k in (1, 2, 3):
-                rot_shape = mp.measure_shape(region_of(np.rot90(blob, k)))
-                for key in shape_exact:
-                    assert rot_shape[key] == base_shape[key], key
-                rot_tex = mp.measure_texture(
-                    region_of(np.rot90(blob, k)), mp.ImagePlane(np.rot90(values, k))
-                )
-                for key in TEXTURE_FEATURES:
-                    assert rot_tex[key] == base_tex[key], key
+            for family in REGISTRY:
+                for turns in (1, 2, 3):
+                    check_rotation(family.name, family.params(config), blob, [values, values],
+                                   turns)
 
         # Zernike magnitudes: rotation invariance within 2% on rasterized disks.
         size = 121

@@ -124,6 +124,9 @@ def _contract_args(tmp_path, paths):
     radius = ["tessellate", "--width", "48", "--height", "48", "--out", str(tmp_path / "h.raw"),
               "--radius"]
     normalize = ["normalize", "--in", str(table), "--out", str(tmp_path / "n.csv")]
+    # With the input missing, only a flag checked before reading gives exit code 2.
+    nowhere = str(tmp_path / "nope.csv")
+    unread = ["normalize", "--in", nowhere, "--out", str(tmp_path / "n.csv")]
     return {
         "good": (["list-features"], ""),
         "missing-file": (extract_args({**paths, "mask": tmp_path / "nope.raw"}), "nope.raw"),
@@ -143,6 +146,15 @@ def _contract_args(tmp_path, paths):
         "normalize-missing-frac": (normalize + ["--drop-missing-frac", "2"], "drop_missing_frac"),
         "compare-r2-nan": (["compare", "--a", str(table), "--b", str(table), "--out",
                             str(tmp_path / "r.csv"), "--r2-threshold", "nan"], "r2_threshold"),
+        "normalize-corr-unread": (unread + ["--corr-threshold", "2"], "threshold"),
+        "normalize-missing-frac-unread": (unread + ["--drop-missing-frac", "1.5"],
+                                          "drop_missing_frac"),
+        "compare-r2-nan-unread": (["compare", "--a", nowhere, "--b", nowhere, "--out",
+                                   str(tmp_path / "r.csv"), "--r2-threshold", "nan"],
+                                  "r2_threshold"),
+        "extract-radial-bins": (extract_args({**paths, "mask": tmp_path / "nope.raw"},
+                                             extra=["--radial-bins", "65"]), "bins"),
+        "list-features-radial-bins": (["list-features", "--radial-bins", "65"], "bins"),
         "misaligned": (["extract", "--image", str(narrow), "--channel-names", "Mito",
                         "--mask", str(wide), "--mask-names", "cells", "--features", "shape",
                         "--out", str(tmp_path / "f.csv")], "channel Mito (5x9)"),
@@ -156,6 +168,8 @@ def _contract_args(tmp_path, paths):
      ("coloc-one-channel", 2), ("tessellate-coverage", 2), ("tessellate-coverage-tissue", 2),
      ("tessellate-radius", 2), ("tessellate-radius-inf", 2),
      ("normalize-corr-nan", 2), ("normalize-missing-frac", 2), ("compare-r2-nan", 2),
+     ("normalize-corr-unread", 2), ("normalize-missing-frac-unread", 2),
+     ("compare-r2-nan-unread", 2), ("extract-radial-bins", 2), ("list-features-radial-bins", 2),
      ("misaligned", 2)],
 )
 def test_exit_code_contract(workspace, capsys, case, code):

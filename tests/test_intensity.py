@@ -10,9 +10,7 @@ from oracles import intensity_oracle
 
 from morphoprof import FeatureTable, ImagePlane, measure_intensity, write_table
 from morphoprof.intensity import FEATURES
-from synth import small_blob, smooth_plane
-
-SCALING = [k for k in FEATURES if k != "MassDisplacement"]
+from synth import small_blob
 
 
 def test_constant_object():
@@ -28,6 +26,9 @@ def test_constant_object():
     assert features["MassDisplacement"] == 0.0
     general = measure_intensity(region_of(mask), plane_of(np.full((6, 6), 0.3)))
     assert_close(general["IntegratedIntensity"], 12 * 0.3, rel=1e-12)
+    zeroed = measure_intensity(region_of(mask), plane_of(np.zeros((6, 6))))
+    assert zeroed["MassDisplacement"] == 0.0
+    assert zeroed["IntegratedIntensity"] == 0.0
 
 
 def test_mass_displacement_line():
@@ -71,22 +72,6 @@ def test_single_pixel_edge_is_itself():
     assert features["MeanIntensityEdge"] == 0.7
 
 
-def test_scaling_homogeneity(rng):
-    mask = small_blob(rng)
-    base_values = smooth_plane(*mask.shape, rng)
-    base = measure_intensity(region_of(mask), ImagePlane(base_values))
-    for k in (0.5, 2.0, 3.7):
-        scaled = measure_intensity(region_of(mask), ImagePlane(k * base_values))
-        for key in SCALING:
-            assert_close(scaled[key], k * base[key], rel=1e-12, label=key)
-        assert_close(
-            scaled["MassDisplacement"], base["MassDisplacement"], rel=1e-12
-        )
-    zeroed = measure_intensity(region_of(mask), ImagePlane(0.0 * base_values))
-    assert zeroed["MassDisplacement"] == 0.0
-    assert zeroed["IntegratedIntensity"] == 0.0
-
-
 def test_order_statistics_are_ordered(rng):
     for _ in range(10):
         mask = small_blob(rng)
@@ -118,21 +103,6 @@ def test_shuffle_preserves_order_statistics_and_sums(rng):
     assert_close(moved["StdIntensity"], base["StdIntensity"], rel=1e-12)
 
 
-def test_translation_invariance_is_exact(rng):
-    blob = small_blob(rng)
-    values = smooth_plane(*blob.shape, rng)
-    canvas_mask = np.zeros((60, 60), dtype=bool)
-    canvas_vals = np.zeros((60, 60))
-    canvas_mask[5 : 5 + blob.shape[0], 5 : 5 + blob.shape[1]] = blob
-    canvas_vals[5 : 5 + blob.shape[0], 5 : 5 + blob.shape[1]] = values
-    base = measure_intensity(region_of(canvas_mask), plane_of(canvas_vals))
-    moved = measure_intensity(
-        region_of(np.roll(canvas_mask, (9, 13), axis=(0, 1))),
-        plane_of(np.roll(canvas_vals, (9, 13), axis=(0, 1))),
-    )
-    assert moved == base
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_matches_naive_oracle(seed):
@@ -157,48 +127,6 @@ def test_quartiles_are_the_two_percentile_calls_bit_for_bit(values):
     got = measure_intensity(region_of(np.ones((1, len(values)), dtype=bool)), plane)
     for key, q in (("LowerQuartile", 25), ("UpperQuartile", 75)):
         assert got[key].hex() == float(np.percentile(values, q)).hex(), key
-
-
-def test_extreme_but_finite_magnitudes_keep_std_exact(rng):
-    # Planes x 2^-700 made StdIntensity drift (the squares underflowed), and
-    # x 2^1000 made it inf with an overflow warning.
-    mask = small_blob(rng)
-    values = smooth_plane(*mask.shape, rng)
-    region = region_of(mask)
-    base = measure_intensity(region, plane_of(values))
-    for e in (-700, -300, 300, 1000):
-        got = measure_intensity(region, plane_of(np.ldexp(values, e)))
-        assert got["StdIntensity"] == math.ldexp(base["StdIntensity"], e), e
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 1023), signed=st.booleans())
-@example(seed=0, e=1023, signed=True)
-def test_power_of_two_scaling_changes_no_bit_of_intensity(seed, e, signed):
-    """MassDisplacement is bitwise scale-invariant, every other feature,
-    StdIntensity, the median, MAD and both quartiles included, is exactly
-    x 2^e, on same-sign and mixed-sign planes, and every value is finite
-    but a sum past the float range, which is missing."""
-    rng = np.random.default_rng(seed)
-    mask = small_blob(rng, size=12)
-    # Multiples of 2^-10 in (-2, 2), so no scaled value falls below the
-    # normal range or past the float range.
-    values = rng.integers(-2047 if signed else 0, 2048, size=mask.shape) / 1024
-    region = region_of(mask)
-    base = measure_intensity(region, plane_of(values))
-    got = measure_intensity(region, plane_of(np.ldexp(values, e)))
-    assert all(map(math.isfinite, base.values()))
-    assert got["MassDisplacement"] == base["MassDisplacement"]
-    missing = set()
-    for key in SCALING:
-        try:
-            want = math.ldexp(base[key], e)
-        except OverflowError:
-            assert key in ("IntegratedIntensity", "IntegratedIntensityEdge"), key
-            missing.add(key)
-            want = math.nan
-        assert got[key].hex() == want.hex(), key
-    assert all(math.isfinite(v) for k, v in got.items() if k not in missing)
 
 
 def test_means_and_mass_displacement_hold_at_the_top_of_the_float_range():

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 from synth import experiment
+from test_invariance import PARAMS, SAME, SCALE, kinds
 
 import morphoprof
 from morphoprof import ImagePlane, core, save_image, save_mask
 from morphoprof.cli import main
+from morphoprof.engine import REGISTRY
 
 pytest_plugins = ["pytester"]
 
@@ -97,3 +99,18 @@ def test_only_the_core_helper_takes_a_median():
     found = sum(len(median.findall(path.read_text(encoding="utf-8")))
                 for path in Path(SRC, "morphoprof").glob("*.py"))
     assert found == len(median.findall(inspect.getsource(core._median_and_mad))) > 0
+
+
+def test_readme_names_each_feature_a_power_of_two_restores():
+    # README's power-of-two paragraph names each feature the invariance
+    # suite's SCALE table marks as restored or as missing past the range,
+    # and no other feature.
+    readme = Path(__file__).parents[1] / "README.md"
+    (paragraph,) = [p for p in readme.read_text(encoding="utf-8").split("\n\n")
+                    if p.startswith("One power-of-two rule")]
+    features = {key for family in REGISTRY for params in PARAMS[family.name]
+                for key, *_ in family.keys(params)}
+    restored = {key for name in SCALE for key, kind in kinds(SCALE, name, PARAMS[name][0]).items()
+                if kind != SAME}
+    named = set(re.findall(r"`([A-Za-z_]\w*)`", paragraph)) & features
+    assert sorted(named) == sorted(restored)
