@@ -8,6 +8,7 @@ from oracles import coloc_oracle
 
 from morphoprof import ColocParams, ImagePlane, measure_coloc
 from synth import small_blob
+from test_invariance import check_scale, inputs
 
 
 def square_region(size=4):
@@ -105,6 +106,14 @@ def test_ranges(seed, tau):
     assert 0.0 <= features["MandersM2"] <= 1.0
 
 
+def test_extreme_but_finite_magnitudes_measure_like_unit_ones(rng):
+    # Planes x 2^-300 used to raise ZeroDivisionError (var_a * var_b
+    # underflowed), and x 2^300 read Pearson and Overlap 0.0 (overflow).
+    planes = rng.random((2, 4, 4))
+    for e in (-300, 300):
+        check_scale("coloc", ColocParams(), np.ones((4, 4), dtype=bool), planes, (e, e))
+
+
 def test_slope_past_the_float_range_is_missing(rng):
     a = rng.integers(1, 1024, size=(4, 4)) / 1024
     b = rng.integers(1, 1024, size=(4, 4)) / 1024
@@ -115,3 +124,17 @@ def test_slope_past_the_float_range_is_missing(rng):
     assert {k: v for k, v in far.items() if k != "Slope"} == {
         k: v for k, v in base.items() if k != "Slope"
     }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    e_a=st.integers(-1000, 1023),
+    e_b=st.integers(-1000, 1023),
+    mixed=st.booleans(),
+)
+def test_power_of_two_scaling_changes_no_bit_of_coloc(seed, e_a, e_b, mixed):
+    """Pearson, Overlap and Manders are bitwise scale-invariant; Slope is
+    exactly x 2^(e_b - e_a) while that stays in the normal range, and
+    missing past the float range."""
+    check_scale("coloc", ColocParams(), *inputs(seed, False, mixed), (e_a, e_b))

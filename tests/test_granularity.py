@@ -22,6 +22,7 @@ from morphoprof import GranularityParams, ImagePlane, measure_granularity
 from morphoprof import granularity
 from morphoprof.granularity import disk_footprint
 from synth import small_blob
+from test_invariance import check_scale, inputs
 
 
 # The kernels on guarded buffers, as measure_granularity runs them, with
@@ -165,6 +166,16 @@ def test_a_pixel_at_the_top_of_the_float_range_loses_all_of_its_mass_in_step_one
         region_of(np.ones((5, 5), dtype=bool)), plane_of(values), GranularityParams(3, 1)
     )
     assert got == {"1": 100.0, "2": 0.0, "3": 0.0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 1023), mixed=st.booleans())
+@example(seed=0, e=1023, mixed=False)
+@example(seed=0, e=1023, mixed=True)
+def test_power_of_two_scaling_changes_no_bit_of_granularity(seed, e, mixed):
+    """Every step of a plane x 2^e is bitwise the unit plane's, up to the top
+    of the float range and for mixed signs: the spectrum is a ratio."""
+    check_scale("granularity", GranularityParams(6, 2), *inputs(seed, False, mixed), (e,))
 
 
 def test_matches_naive_pipeline_exactly_on_integer_inputs(rng):

@@ -10,7 +10,8 @@ from oracles import intensity_oracle
 
 from morphoprof import FeatureTable, ImagePlane, measure_intensity, write_table
 from morphoprof.intensity import FEATURES
-from synth import small_blob
+from synth import small_blob, smooth_plane
+from test_invariance import check_scale, check_translation, inputs
 
 
 def test_constant_object():
@@ -72,6 +73,16 @@ def test_single_pixel_edge_is_itself():
     assert features["MeanIntensityEdge"] == 0.7
 
 
+def test_translation_invariance_is_exact(rng):
+    blob = small_blob(rng)
+    values = smooth_plane(*blob.shape, rng)
+    canvas_mask = np.zeros((60, 60), dtype=bool)
+    canvas_vals = np.zeros((1, 60, 60))
+    canvas_mask[5 : 5 + blob.shape[0], 5 : 5 + blob.shape[1]] = blob
+    canvas_vals[0, 5 : 5 + blob.shape[0], 5 : 5 + blob.shape[1]] = values
+    check_translation("intensity", None, canvas_mask, canvas_vals, (9, 13))
+
+
 def test_order_statistics_are_ordered(rng):
     for _ in range(10):
         mask = small_blob(rng)
@@ -127,6 +138,26 @@ def test_quartiles_are_the_two_percentile_calls_bit_for_bit(values):
     got = measure_intensity(region_of(np.ones((1, len(values)), dtype=bool)), plane)
     for key, q in (("LowerQuartile", 25), ("UpperQuartile", 75)):
         assert got[key].hex() == float(np.percentile(values, q)).hex(), key
+
+
+def test_extreme_but_finite_magnitudes_keep_std_exact(rng):
+    # Planes x 2^-700 made StdIntensity drift (the squares underflowed), and
+    # x 2^1000 made it inf with an overflow warning.
+    mask = small_blob(rng)
+    values = smooth_plane(*mask.shape, rng)
+    for e in (-700, -300, 300, 1000):
+        check_scale("intensity", None, mask, values[None], (e,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 1023), signed=st.booleans())
+@example(seed=0, e=1023, signed=True)
+def test_power_of_two_scaling_changes_no_bit_of_intensity(seed, e, signed):
+    """MassDisplacement is bitwise scale-invariant, every other feature,
+    StdIntensity, the median, MAD and both quartiles included, is exactly
+    x 2^e, on same-sign and mixed-sign planes, and every value is finite
+    but a sum or MAD past the float range, which is missing."""
+    check_scale("intensity", None, *inputs(seed, False, signed), (e,))
 
 
 def test_means_and_mass_displacement_hold_at_the_top_of_the_float_range():

@@ -186,7 +186,7 @@ def check_rotation(name, params, mask, planes, turns) -> None:
             ), key
 
 
-def _inputs(seed: int, smooth: bool, mixed: bool):
+def inputs(seed: int, smooth: bool, mixed: bool):
     """A blob and two planes on it: dyadic (multiples of 2^-10 in (-2, 2),
     so no scaled value leaves the normal range) on a 12 x 12 canvas, or
     smooth on a 32 x 32 one; mixed-sign or not."""
@@ -238,7 +238,7 @@ def _examples(test):
 def test_power_of_two_scale(name, choice, seed, scales, mixed):
     smooth, exponents = scales
     params = PARAMS[name][choice % len(PARAMS[name])]
-    check_scale(name, params, *_inputs(seed, smooth, mixed), exponents)
+    check_scale(name, params, *inputs(seed, smooth, mixed), exponents)
 
 
 @pytest.mark.parametrize(
@@ -252,7 +252,7 @@ def test_power_of_two_scale(name, choice, seed, scales, mixed):
 def test_scale_by_any_factor(name, k, rel, abs_tol):
     # A fixed seed: a factor that is not a power of two rounds, and can merge
     # two values into one rank or quantization bin.
-    check_scale_close(name, PARAMS[name][0], *_inputs(1234, True, False), (k, 1.0), rel, abs_tol)
+    check_scale_close(name, PARAMS[name][0], *inputs(1234, True, False), (k, 1.0), rel, abs_tol)
 
 
 @settings(max_examples=100, deadline=None)
@@ -265,7 +265,7 @@ def test_scale_by_any_factor(name, k, rel, abs_tol):
 @example(name="shape", choice=0, seed=1234, mixed=False, offset=(2, 3), shift=(7, 11))
 @example(name="shape", choice=0, seed=31, mixed=False, offset=(0, 0), shift=(0, 5))
 def test_translation(name, choice, seed, mixed, offset, shift):
-    mask, planes = _inputs(seed, True, mixed)
+    mask, planes = inputs(seed, True, mixed)
     # Room for the largest offset and shift, so nothing wraps around.
     (h, w), (r, c) = mask.shape, offset
     canvas_mask, canvas = np.zeros((h + 26, w + 26), dtype=bool), np.zeros((2, h + 26, w + 26))
@@ -278,7 +278,7 @@ def test_translation(name, choice, seed, mixed, offset, shift):
 @given(name=st.sampled_from(tuple(FAMILIES)), choice=st.integers(0, 1),
        seed=st.integers(0, 2**32 - 1), mixed=st.booleans())
 def test_quarter_rotation(name, choice, seed, mixed):
-    mask, planes = _inputs(seed, True, mixed)
+    mask, planes = inputs(seed, True, mixed)
     params = PARAMS[name][choice % len(PARAMS[name])]
     for turns in (1, 2, 3):
         check_rotation(name, params, mask, planes, turns)

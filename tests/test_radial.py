@@ -6,7 +6,10 @@ from oracles import radial_oracle
 
 from morphoprof import ImagePlane, RadialParams, measure_radial
 from morphoprof.core import mask_geometry
-from synth import small_blob
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from synth import small_blob, smooth_plane
+from test_invariance import check_scale, check_translation, inputs
 
 
 def disk_mask(size=21, radius=7):
@@ -90,6 +93,16 @@ def test_empty_bin_yields_missing_mean_frac():
         assert math.isnan(features[f"RadialCV_{b}of4"])
 
 
+def test_translation_invariance_is_exact(rng):
+    blob = small_blob(rng)
+    values = smooth_plane(*blob.shape, rng)
+    canvas_mask = np.zeros((60, 60), dtype=bool)
+    canvas_vals = np.zeros((1, 60, 60))
+    canvas_mask[4 : 4 + blob.shape[0], 6 : 6 + blob.shape[1]] = blob
+    canvas_vals[0, 4 : 4 + blob.shape[0], 6 : 6 + blob.shape[1]] = values
+    check_translation("radial", RadialParams(), canvas_mask, canvas_vals, (11, 3))
+
+
 def test_respects_bin_count():
     mask = disk_mask()
     features = measure_radial(region_of(mask), plane_of(np.full(mask.shape, 0.5)),
@@ -97,3 +110,20 @@ def test_respects_bin_count():
     assert sorted(k for k in features if k.startswith("FracAtD")) == [
         f"FracAtD_{b}of6" for b in range(1, 7)
     ]
+
+
+def test_extreme_but_finite_magnitudes_measure_like_unit_ones(rng):
+    # Planes x 2^-700 made RadialCV drift (the squares underflowed), and
+    # x 2^1000 made it non-finite with an overflow warning.
+    mask = small_blob(rng)
+    values = smooth_plane(*mask.shape, rng)
+    for e in (-700, -300, 300, 1000):
+        check_scale("radial", RadialParams(), mask, values[None], (e,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 1023), mixed=st.booleans())
+def test_power_of_two_scaling_changes_no_bit_of_radial(seed, e, mixed):
+    """Every radial feature is scale-invariant: bitwise equal to the
+    unscaled value, with NaN exactly where the unscaled run has it."""
+    check_scale("radial", RadialParams(), *inputs(seed, False, mixed), (e,))

@@ -31,6 +31,7 @@ from morphoprof.shape import (
     zernike_indexes,
 )
 from synth import small_blob
+from test_invariance import check_rotation, check_translation
 
 
 def test_filled_square():
@@ -110,6 +111,21 @@ def test_zernike_feature_set_and_disk_normalization():
     for n, m in zernike_indexes(9):
         if m != 0:
             assert features[f"Zernike_{n}_{m}"] < 0.05
+
+
+def test_translation_invariance_is_exact(rng):
+    for _ in range(5):
+        blob = small_blob(rng)
+        base = np.zeros((50, 50), dtype=bool)
+        base[2 : 2 + blob.shape[0], 3 : 3 + blob.shape[1]] = blob
+        check_translation("shape", ShapeParams(), base, np.zeros((0, 50, 50)), (7, 11))
+
+
+def test_quarter_rotation_exactness(rng):
+    for _ in range(5):
+        blob = small_blob(rng)
+        for k in (1, 2, 3):
+            check_rotation("shape", ShapeParams(), blob, np.zeros((0, *blob.shape)), k)
 
 
 def test_zernike_rotation_invariance_on_rasterized_disks():

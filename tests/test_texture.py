@@ -1,12 +1,15 @@
 import math
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from conftest import assert_feature_maps_close, plane_of, region_of
 from oracles import glcm_oracle, quantize_oracle, texture_oracle
 
 from morphoprof import ImagePlane, TextureParams, measure_texture
 from morphoprof.texture import FEATURES, directions, glcm, haralick_features, quantize
-from synth import small_blob
+from synth import small_blob, smooth_plane
+from test_invariance import check_rotation, check_scale, inputs
 
 
 def test_quantize_constant_object_is_level_zero():
@@ -150,6 +153,14 @@ def test_bin_preserving_rescale_leaves_features_unchanged(rng):
         assert remapped[key] == base[key], key
 
 
+def test_quarter_rotation_keeps_direction_mean_exactly(rng):
+    for _ in range(5):
+        mask = small_blob(rng)
+        values = smooth_plane(*mask.shape, rng)
+        for k in (1, 2, 3):
+            check_rotation("texture", TextureParams(), mask, values[None], k)
+
+
 def test_distance_two_uses_distance_scaled_offsets(rng):
     mask = np.ones((8, 8), dtype=bool)
     plane = ImagePlane(rng.random((8, 8)))
@@ -160,3 +171,13 @@ def test_distance_two_uses_distance_scaled_offsets(rng):
         texture_oracle(region, plane, 2, 4),
         rel=1e-9,
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 1023), mixed=st.booleans())
+@example(seed=0, e=1023, mixed=False)
+@example(seed=0, e=1023, mixed=True)
+def test_power_of_two_scaling_changes_no_bit_of_texture(seed, e, mixed):
+    """Every feature of a plane x 2^e is bitwise the unit plane's, up to the
+    top of the float range and for mixed signs, where max - min overflowed."""
+    check_scale("texture", TextureParams(), *inputs(seed, False, mixed), (e,))
