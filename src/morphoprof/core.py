@@ -265,9 +265,11 @@ def _check_fraction(name: str, value: float) -> None:
 
 
 def _check_int(name: str, value, low: int, high: float = math.inf) -> int:
-    """``value`` as a Python int; ValueError unless it is an integer
-    (anything ``operator.index`` takes, NumPy integers too) in [low, high]."""
+    """``value`` as a Python int; ValueError unless it is an integer but no
+    bool (anything else ``operator.index`` takes) in [low, high]."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

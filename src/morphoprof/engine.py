@@ -93,7 +93,7 @@ REGISTRY = (
     ),
     Family(
         "granularity", "Granularity", 1, "granularity_params",
-        lambda p: _plain(map(str, range(1, p.spectrum_length + 1)), text=_param_text(p)),
+        lambda p: _plain(granularity.feature_keys(p), text=_param_text(p)),
         lambda region, planes, p: granularity.measure_granularity(region, *planes, p),
     ),
     Family(

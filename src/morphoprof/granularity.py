@@ -42,8 +42,9 @@ place: the opening on its own buffer of the values' ranks, guarded as
 wide as the disk (top, then bottom), the steps on one set of one-pixel
 guarded buffers of the residue's ranks (the image entering the step, the
 limit it sets and the reconstruction state).  A step whose erosion
-changed nothing ends the iteration: every later step would erode and
-reconstruct the same image, so each records 0.0.
+changed nothing, tested before reconstructing, ends the iteration: each
+later step would erode the same image, so records 0.0.  Reconstruction
+runs only here, on ranks: marker <= limit, and no NaN on the mask.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ class GranularityParams:
         radius = _check_int("background_radius", self.background_radius, 1)
         object.__setattr__(self, "spectrum_length", length)
         object.__setattr__(self, "background_radius", radius)
+
+
+def feature_keys(params: GranularityParams = GranularityParams()) -> list[str]:
+    return [str(i) for i in range(1, params.spectrum_length + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -159,22 +164,17 @@ def _disk_filter(padded: np.ndarray, radius: int, op, out: np.ndarray) -> None:
                 op(out, block, out=out)
 
 
-def _reconstruct(state: np.ndarray, limit: np.ndarray) -> bool:
+def _reconstruct(state: np.ndarray, limit: np.ndarray) -> None:
     """Reconstruct in place: ``state`` and ``limit`` hold a value below
     every on-mask one (-inf, or a rank's bottom guard) off the mask and in
-    a one-pixel band around the crop.  True when ``state`` was already
-    the reconstruction, so the first dense pass moved nothing."""
-    # NaN fails the comparison too; with it the iteration would never settle.
-    if not (state <= limit).all():
-        raise ValueError("marker must not exceed limit, and neither may be NaN, on the mask")
+    a one-pixel band around the crop.  The caller guarantees ``state`` <=
+    ``limit`` and no NaN on the mask; with a NaN it would never settle."""
     inner, bound = state[1:-1, 1:-1], limit[1:-1, 1:-1]
-    size = inner.size
     across = np.empty((state.shape[0], inner.shape[1]), state.dtype)
     grown = np.empty(inner.shape, state.dtype)
     # Guarded like ``state``, so the front reads padded flat indices off it.
     changed = np.zeros(state.shape, dtype=bool)
     moved = changed[1:-1, 1:-1]
-    first = True
     while True:
         np.maximum(state[:, :-2], state[:, 2:], out=across)
         np.maximum(across, state[:, 1:-1], out=across)
@@ -184,12 +184,11 @@ def _reconstruct(state: np.ndarray, limit: np.ndarray) -> bool:
         np.not_equal(grown, inner, out=moved)
         count = np.count_nonzero(moved)
         if count == 0:
-            return first
-        first = False
+            return
         inner[...] = grown
-        if size >= _SPARSE_MIN_SIZE and count * _SPARSE_RATIO < size:
+        if inner.size >= _SPARSE_MIN_SIZE and count * _SPARSE_RATIO < inner.size:
             _reconstruct_front(state, limit, np.flatnonzero(changed))
-            return False
+            return
 
 
 def _reconstruct_front(state: np.ndarray, limit: np.ndarray, changed: np.ndarray) -> None:
@@ -226,8 +225,7 @@ def measure_granularity(
     """Granular spectrum of one region; keys are the step indexes "1".."L"."""
     local_mask = region.local_mask
     _, values, _ = object_values(region, plane)
-    length = params.spectrum_length
-    keys = [str(i) for i in range(1, length + 1)]
+    out = dict.fromkeys(feature_keys(params), 0.0)
     # The background is the opening: an erosion, then a dilation, by the
     # disk on one buffer guarded as wide as the disk.  A radius of height +
     # width holds every offset within the crop, so larger ones cost no more.
@@ -252,7 +250,7 @@ def measure_granularity(
     del padded, opened, values, ranks  # freed before the steps, so they add nothing to the peak
     inner_limit = limit[1:-1, 1:-1]
     if start == 0.0:
-        return {k: 0.0 for k in keys}
+        return out
 
     entering = np.full_like(limit, top)
     inner_entering = entering[1:-1, 1:-1]
@@ -260,21 +258,20 @@ def measure_granularity(
     state = np.full_like(limit, bottom)
     inner = state[1:-1, 1:-1]
     outside = ~local_mask
-    out = {}
-    prev_mean = start
-    settled = False
-    for key in keys:
+    mean = start
+    for key in out:
+        _disk_filter(entering, 1, np.minimum, inner)
+        np.copyto(inner, bottom, where=outside)
+        np.copyto(inner_entering, inner, where=local_mask)
+        # An erosion that changed nothing is its own reconstruction, and each
+        # later step would record 100 * (mean - mean) / start, the 0.0 it holds.
+        settled = np.array_equal(state, limit)
         if not settled:
-            _disk_filter(entering, 1, np.minimum, inner)
-            np.copyto(inner, bottom, where=outside)
-            np.copyto(inner_entering, inner, where=local_mask)
-            # Only when the first dense pass moved nothing can the erosion
-            # have changed nothing.  Then no later step changes anything:
-            # each keeps this mean and records 100 * (mean - mean) / start.
-            settled = _reconstruct(state, limit) and np.array_equal(state, limit)
-            # np.mean's own arithmetic, the sum over the count, without its wrapper.
-            mean = float(table.take(inner[local_mask]).sum()) / count
-            np.copyto(inner_limit, inner_entering, where=local_mask)
+            _reconstruct(state, limit)
+        # np.mean's own arithmetic, the sum over the count, without its wrapper.
+        prev_mean, mean = mean, float(table.take(inner[local_mask]).sum()) / count
         out[key] = 100.0 * (prev_mean - mean) / start
-        prev_mean = mean
+        if settled:
+            break
+        np.copyto(inner_limit, inner_entering, where=local_mask)
     return out

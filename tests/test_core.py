@@ -336,6 +336,10 @@ def test_spec_holding_data_compares_and_hashes_through_its_planes():
         (0, (0, 0, 1, 1), "object label must be >= 1"),
         (-3, (0, 0, 1, 1), "object label must be >= 1"),
         (2.5, (0, 0, 1, 1), "object label must be an integer, got 2.5"),
+        (True, (0, 0, 2, 2), "object label must be an integer, got True"),
+        (np.True_, (0, 0, 2, 2), f"object label must be an integer, got {np.True_!r}"),
+        (7, (False, 0, 2, 2), "bbox must be an integer, got False"),
+        (7, (0, np.False_, 2, 2), f"bbox must be an integer, got {np.False_!r}"),
     ],
 )
 def test_region_checks_its_label_and_bbox_origin(label, bbox, message):
@@ -570,8 +574,9 @@ def test_plane_accepts_bool_and_integer_values(values):
     ],
 )
 def test_integer_settings_are_checked_at_construction(build, name):
-    # A float used to pass here and fail later inside a run, or not at all.
-    for value in (2.5, 2.0, "2", None, math.nan):
+    # A float used to pass here and fail later inside a run, or not at all;
+    # a Python bool used to pass as 1 or 0.
+    for value in (2.5, 2.0, "2", None, math.nan, True, False, np.True_, np.False_):
         message = f"{name} must be an integer, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             build(value)

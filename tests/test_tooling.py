@@ -101,6 +101,17 @@ def test_only_the_core_helper_takes_a_median():
     assert found == len(median.findall(inspect.getsource(core._median_and_mad))) > 0
 
 
+def test_only_granularity_reaches_the_unchecked_reconstruction():
+    # _reconstruct and _reconstruct_front check no input: measure_granularity
+    # passes them ranks it builds, the marker at most the limit and no NaN,
+    # with which they would never return.  No other module names them, so no
+    # value from outside the granularity spectrum can reach them.
+    kernel = re.compile(r"\b_reconstruct(?:_front)?\b")
+    named = {(path.name, name) for path in Path(SRC, "morphoprof").glob("*.py")
+             for name in kernel.findall(path.read_text(encoding="utf-8"))}
+    assert named == {("granularity.py", "_reconstruct"), ("granularity.py", "_reconstruct_front")}
+
+
 def test_readme_names_each_feature_a_power_of_two_restores():
     # README's power-of-two paragraph names each feature the invariance
     # suite's SCALE table marks as restored or as missing past the range,
