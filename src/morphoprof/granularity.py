@@ -49,6 +49,7 @@ runs only here, on ranks: marker <= limit, and no NaN on the mask.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,29 +82,16 @@ def feature_keys(params: GranularityParams = GranularityParams()) -> list[str]:
 
 
 @lru_cache(maxsize=None)
-def disk_footprint(radius: int) -> np.ndarray:
-    """Boolean disk {(dr, dc): dr^2 + dc^2 <= radius^2}, built once per
-    radius and read-only."""
-    span = np.arange(-radius, radius + 1)
-    disk = span[:, None] ** 2 + span[None, :] ** 2 <= radius * radius
-    disk.flags.writeable = False
-    return disk
-
-
-@lru_cache(maxsize=None)
 def _disk_rows(radius: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """For each half-width h = 0..radius: (reach, rows), where rows are the
     disk rows dr spanning columns -h..h and every row with |dr| <= reach
-    is at least that wide."""
-    halves = disk_footprint(radius).sum(axis=1) // 2
-    span = np.arange(-radius, radius + 1)
-    return tuple(
-        (
-            int(np.abs(span[halves >= h]).max()),
-            tuple(span[halves == h].tolist()),
-        )
-        for h in range(radius + 1)
-    )
+    is at least that wide.  In the disk {dr^2 + dc^2 <= radius^2}, row dr
+    spans isqrt(radius^2 - dr^2) columns on each side, so reach is
+    isqrt(radius^2 - h^2)."""
+    rows = [[] for _ in range(radius + 1)]
+    for dr in range(-radius, radius + 1):
+        rows[math.isqrt(radius * radius - dr * dr)].append(dr)
+    return tuple((math.isqrt(radius * radius - h * h), tuple(rows[h])) for h in range(radius + 1))
 
 
 def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.integer, np.integer]:

@@ -268,11 +268,16 @@ def _table_rows(text: str, path) -> tuple[int, Iterator[list[str]]]:
 def read_table(path) -> FeatureTable:
     """Read a CSV produced by :func:`write_table` (or matching its schema).
 
+    The text is UTF-8.  A label is Python ``int()`` syntax within int64.
     A value cell is Python ``float()`` syntax and an empty cell is missing;
     ``nan``, ``inf`` and overflowing cells are rejected with their row.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        n_rows, rows = _table_rows(fh.read(), path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    n_rows, rows = _table_rows(text, path)
     header = next(rows, None)
     if header is None:
         raise FormatError(f"{path}: empty file")
@@ -290,9 +295,12 @@ def read_table(path) -> FeatureTable:
         elif row[0] != object_set:
             raise FormatError(f"{path}: multiple object_set values in one table")
         try:
-            labels.append(int(row[1]))
+            label = int(row[1])
+            if not -(2**63) <= label < 2**63:  # int() takes any size; labels are int64
+                raise ValueError
         except ValueError:
             raise FormatError(f"{path}: bad label {row[1]!r} in row {i + 2}") from None
+        labels.append(label)
         cells = row[2:]
         # Parse the whole row at once; only a row with a bad cell is rescanned
         # cell by cell, to report the first one.

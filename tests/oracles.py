@@ -499,6 +499,12 @@ def texture_oracle(region, plane, distance, gray_levels):
 # ----------------------------------------------------------- granularity
 
 
+def disk_footprint(radius):
+    """Boolean disk {(dr, dc): dr^2 + dc^2 <= radius^2}."""
+    span = np.arange(-radius, radius + 1)
+    return span[:, None] ** 2 + span[None, :] ** 2 <= radius * radius
+
+
 def _disk_offsets(radius):
     return [
         (dr, dc)

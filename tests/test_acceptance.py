@@ -27,6 +27,7 @@ from oracles import (
     shape_oracle,
     texture_oracle,
 )
+from peakrss import probe_peaks
 from synth import experiment, small_blob, smooth_plane
 from test_invariance import FAMILIES, check_rotation, check_scale_close, check_translation
 
@@ -314,17 +315,8 @@ def test_criterion_5_compare_harness_calibration(tmp_path):
 
 def test_criterion_6_streaming_memory_bound():
     with criterion(6, "peak RSS at 5000 objects within 20% of 500 objects"):
-        probe = Path(__file__).parent / "memprobe.py"
-
-        def peak_kib(n_objects):
-            out = subprocess.run(
-                [sys.executable, str(probe), str(n_objects)],
-                capture_output=True, text=True, check=True, timeout=540,
-            )
-            return int(out.stdout.strip())
-
-        small = peak_kib(500)
-        large = peak_kib(5000)
+        # The whole process's peak, inputs included, not what the run adds.
+        small, large = (probe_peaks("run", n, timeout=540)[1] for n in (500, 5000))
         assert large <= 1.2 * small, f"500 objects: {small} KiB, 5000 objects: {large} KiB"
 
 

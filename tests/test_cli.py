@@ -110,6 +110,9 @@ def _contract_args(tmp_path, paths):
     nan_raw.write_bytes(b"MPROF F32 1 1\n" + np.array([np.nan], dtype="<f4").tobytes())
     bad_table = tmp_path / "bad.csv"
     bad_table.write_text("object_set,label,f\ncells,1\n")
+    latin1_table, big_label_table = tmp_path / "latin1.csv", tmp_path / "big_label.csv"
+    latin1_table.write_bytes(b"object_set,label,f\ncells,1,\xff\n")
+    big_label_table.write_text("object_set,label,f\ncells,99999999999999999999,1.5\n")
     one_channel = extract_args(paths, features="coloc")
     del one_channel[one_channel.index("--image") + 2 : one_channel.index("--channel-names")]
     one_channel[one_channel.index("--channel-names") + 1] = "DNA"
@@ -136,6 +139,12 @@ def _contract_args(tmp_path, paths):
         "non-finite-raster": (extract_args({**paths, "img1": nan_raw}), "nan.raw"),
         "malformed-table": (["normalize", "--in", str(bad_table), "--out", str(tmp_path / "n.csv")],
                             "bad.csv"),
+        "non-utf8-table": (["normalize", "--in", str(latin1_table), "--out",
+                            str(tmp_path / "n.csv")], "latin1.csv"),
+        "non-utf8-table-compare": (["compare", "--a", str(table), "--b", str(latin1_table),
+                                    "--out", str(tmp_path / "r.csv")], "latin1.csv"),
+        "label-past-int64": (["normalize", "--in", str(big_label_table), "--out",
+                              str(tmp_path / "n.csv")], "big_label.csv: bad label"),
         "coloc-one-channel": (one_channel, "two channels"),
         "tessellate-coverage": (tessellate, "min_coverage"),
         "tessellate-coverage-tissue": (tessellate + ["--tissue-mask", str(paths["mask"])],
@@ -164,6 +173,7 @@ def _contract_args(tmp_path, paths):
 @pytest.mark.parametrize(
     "case, code",
     [("good", 0), ("missing-file", 1), ("malformed-raster", 1), ("malformed-table", 1),
+     ("non-utf8-table", 1), ("non-utf8-table-compare", 1), ("label-past-int64", 1),
      ("trailing-raw-bytes", 1), ("trailing-pgm-bytes", 1), ("non-finite-raster", 1),
      ("coloc-one-channel", 2), ("tessellate-coverage", 2), ("tessellate-coverage-tissue", 2),
      ("tessellate-radius", 2), ("tessellate-radius-inf", 2),

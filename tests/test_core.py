@@ -1,9 +1,6 @@
 import math
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +8,7 @@ import scipy.ndimage
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import extract_objects_oracle
+from peakrss import probe_peaks
 
 from morphoprof import (
     ColocParams,
@@ -172,11 +170,8 @@ def test_projecting_adds_about_one_plane_to_the_peak(tmp_path, rng):
     for i in range(3):
         paths.append(tmp_path / f"plane{i}.raw")
         save_image(ImagePlane(rng.random((1024, 1024), dtype=np.float32)), paths[-1])
-    out = subprocess.run(
-        [sys.executable, str(Path(__file__).parent / "projectprobe.py"), *map(str, paths)],
-        capture_output=True, text=True, check=True, timeout=120,
-    )
-    added_kib, plane_kib = int(out.stdout), 1024 * 1024 * 4 // 1024
+    before, after = probe_peaks("project", *paths)
+    added_kib, plane_kib = after - before, 1024 * 1024 * 4 // 1024
     assert added_kib <= 1.5 * plane_kib, f"projecting added {added_kib} KiB"
 
 

@@ -1,8 +1,5 @@
 import math
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,16 +8,17 @@ from conftest import plane_of, region_of
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    disk_footprint,
     granularity_float64_reference,
     granularity_oracle,
     gray_erode_oracle,
     gray_open_oracle,
     gray_reconstruct_oracle,
 )
+from peakrss import probe_peaks
 
 from morphoprof import GranularityParams, ImagePlane, measure_granularity
 from morphoprof import granularity
-from morphoprof.granularity import disk_footprint
 from synth import small_blob
 from test_invariance import check_scale, inputs
 
@@ -386,14 +384,10 @@ def test_64_step_spectra_equal_the_float64_reference_bit_for_bit(rng, monkeypatc
 
 
 def test_granularity_memory_is_bounded_by_a_few_crops():
-    # A fresh interpreter, so ru_maxrss reflects this one call.  The crop of
-    # a radius-160 disk is 805 KiB; 7 MiB is about nine crop-sized arrays.
-    probe = Path(__file__).parent / "granprobe.py"
-    out = subprocess.run(
-        [sys.executable, str(probe), "160"],
-        capture_output=True, text=True, check=True, timeout=120,
-    )
-    added_kib = int(out.stdout.strip())
+    # The crop of a radius-160 disk is 805 KiB; 7 MiB is about nine
+    # crop-sized arrays.
+    before, after = probe_peaks("granularity", 160)
+    added_kib = after - before
     assert added_kib < 7 * 1024, f"measure_granularity added {added_kib} KiB"
 
 

@@ -2,11 +2,8 @@ import csv
 import io
 import os
 import re
-import subprocess
-import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +26,7 @@ from morphoprof import (
 from morphoprof import raster_io
 from morphoprof.cli import main
 from oracles import write_table_oracle
+from peakrss import probe_peaks
 
 
 def header_of(path):
@@ -341,6 +339,26 @@ def test_a_quoted_cell_past_the_csv_field_limit_is_a_format_error(tmp_path, caps
     assert capsys.readouterr().err.startswith(f"morphoprof: error: {path}: ")
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"object_set,label,f\ncells,1,\xff\n",
+         "'utf-8' codec can't decode byte 0xff in position 27"),
+        (b"object_set,label,f\ncells,99999999999999999999,1.5\n",
+         "bad label '99999999999999999999' in row 2"),
+        (b"object_set,label,f\ncells,1,0.5\ncells,-9223372036854775809,1.5\n",
+         "bad label '-9223372036854775809' in row 3"),
+    ],
+)
+def test_undecodable_text_and_labels_past_int64_are_format_errors(tmp_path, content, message):
+    # Both used to escape read_table: a UnicodeDecodeError that named no file
+    # (exit code 2 from the CLI), and an OverflowError from the int64 labels.
+    path = tmp_path / "t.csv"
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+        read_table(path)
+
+
 def reference_read(text):
     """``csv.reader`` rows of a table's text, each cell read by ``float()``:
     (columns, labels, values), or the message of the first malformed row or
@@ -360,6 +378,8 @@ def reference_read(text):
         try:
             labels.append(int(row[1]))
         except ValueError:
+            return f"bad label {row[1]!r} in row {n}"
+        if not -(2**63) <= labels[-1] < 2**63:
             return f"bad label {row[1]!r} in row {n}"
         for cell in row[2:]:
             if cell == "":
@@ -397,7 +417,7 @@ def table_text(draw):
     for n in range(draw(st.integers(0, 6))):
         width = draw(st.sampled_from([n_cols] * 18 + [max(n_cols - 1, 0), n_cols + 1]))
         object_set = draw(st.sampled_from([cells_set] * 18 + ["nuclei", cells_set + "\x00"]))
-        label = draw(st.sampled_from([str(n + 1)] * 18 + ["x", f"{n + 1}\x00"]))
+        label = draw(st.sampled_from([str(n + 1)] * 18 + ["x", f"{n + 1}\x00", str(2**63)]))
         rows.append([object_set, label, *draw(st.lists(_CELLS, min_size=width, max_size=width))])
     ends = ["\n"] if plain else draw(st.sampled_from([["\r\n"], ["\r"], ["\n", "\r\n", "\r"]]))
     lines = []
@@ -506,11 +526,8 @@ def test_loading_a_raster_adds_about_its_payload_to_the_peak(tmp_path, rng, kind
         save_image(ImagePlane(rng.random(samples.shape, dtype=np.float32)), path)
     else:
         save_mask(LabelMask(samples), path)
-    out = subprocess.run(
-        [sys.executable, str(Path(__file__).parent / "loadprobe.py"), kind, str(path)],
-        capture_output=True, text=True, check=True, timeout=120,
-    )
-    added_kib, payload_kib = int(out.stdout), samples.nbytes // 1024
+    before, after = probe_peaks("load", kind, path)
+    added_kib, payload_kib = after - before, samples.nbytes // 1024
     assert added_kib <= 1.5 * payload_kib, f"loading a {kind} added {added_kib} KiB"
 
 

@@ -1,7 +1,4 @@
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +14,7 @@ from oracles import (
     zernike_fsum_oracle,
     zernike_full_table_reference,
 )
+from peakrss import probe_peaks
 
 from morphoprof import LabelMask, ShapeParams, extract_objects, measure_shape
 from morphoprof.core import MaskGeometry
@@ -302,13 +300,8 @@ def test_zernike_rotation_exact_across_blocks(rng):
 
 
 def test_shape_memory_is_bounded_by_pixel_blocks():
-    # A fresh interpreter, so ru_maxrss reflects this one call.
-    probe = Path(__file__).parent / "shapeprobe.py"
-    out = subprocess.run(
-        [sys.executable, str(probe), "160"],
-        capture_output=True, text=True, check=True, timeout=120,
-    )
-    added_kib = int(out.stdout.strip())
+    before, after = probe_peaks("shape", 160)
+    added_kib = after - before
     assert added_kib < 4 * 1024, f"measure_shape added {added_kib} KiB"
 
 

@@ -1,15 +1,14 @@
 import math
-import subprocess
 import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import hex_metric, hex_tessellation_oracle
+from peakrss import probe_peaks
 
 from morphoprof import HexGridParams, LabelMask, filter_by_coverage, hex_tessellation
 
@@ -98,16 +97,11 @@ def test_labels_match_the_sorted_lattice_ranking(width, height, radius):
 
 
 def test_tessellation_memory_is_bounded_by_row_blocks():
-    # A fresh interpreter, so ru_maxrss reflects this one call.  The canvas
-    # is 8 MiB of int64 labels; the scan adds one flat lattice index per
-    # pixel, and R = 0.5 a bincount about 1.5 times the canvas.
-    probe = Path(__file__).parent / "hexprobe.py"
-    for radius, bound_mib in (("24", 40), ("0.5", 48)):
-        out = subprocess.run(
-            [sys.executable, str(probe), "1024", "1024", radius],
-            capture_output=True, text=True, check=True, timeout=120,
-        )
-        added_kib = int(out.stdout.strip())
+    # The canvas is 8 MiB of int64 labels; the scan adds one flat lattice
+    # index per pixel, and R = 0.5 a bincount about 1.5 times the canvas.
+    for radius, bound_mib in ((24, 40), (0.5, 48)):
+        before, after = probe_peaks("tessellation", 1024, 1024, radius)
+        added_kib = after - before
         assert added_kib < bound_mib * 1024, f"R = {radius}: added {added_kib} KiB"
 
 

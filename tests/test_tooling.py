@@ -112,6 +112,18 @@ def test_only_granularity_reaches_the_unchecked_reconstruction():
     assert named == {("granularity.py", "_reconstruct"), ("granularity.py", "_reconstruct_front")}
 
 
+def test_every_memory_probe_runs_through_one_helper():
+    # Each peak-memory test names a probe of peakrss.py and runs it through
+    # peakrss.probe_peaks, so one script holds every probe's baseline and
+    # reading.  simdprobe.py compares digests, not memory.
+    tests = Path(__file__).parent
+    assert sorted(path.name for path in tests.glob("*probe.py")) == ["simdprobe.py"]
+    mentions = {path.name: re.findall(r".*\bpeakrss\b.*", path.read_text(encoding="utf-8"))
+                for path in tests.glob("*.py") if path.name not in ("peakrss.py", Path(__file__).name)}
+    assert {name: lines for name, lines in mentions.items()
+            if lines not in ([], ["from peakrss import probe_peaks"])} == {}
+
+
 def test_readme_names_each_feature_a_power_of_two_restores():
     # README's power-of-two paragraph names each feature the invariance
     # suite's SCALE table marks as restored or as missing past the range,
