@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -311,8 +312,9 @@ def run(spec: ExperimentSpec) -> list[FeatureTable]:
         values = np.empty((len(regions), len(columns)), dtype=np.float64)
         starts = range(0, len(regions), spec.batch_size)
         payloads = ((s, (set_name, steps, regions[s : s + spec.batch_size])) for s in starts)
-        # No more workers than batches; a single batch is measured in-process.
-        for start, block in _blocks(min(spec.workers, len(starts)), planes, payloads):
+        # No more workers than batches or CPUs; one worker measures in-process.
+        workers = min(spec.workers, len(starts), os.cpu_count() or 1)
+        for start, block in _blocks(workers, planes, payloads):
             values[start : start + len(block)] = block
         tables.append(FeatureTable(set_name, columns, [r.label for r in regions], values))
     return tables

@@ -81,7 +81,10 @@ def feature_keys(params: GranularityParams = GranularityParams()) -> list[str]:
     return [str(i) for i in range(1, params.spectrum_length + 1)]
 
 
-@lru_cache(maxsize=None)
+# Bounded: a background_radius past the crops gives each crop size its own
+# opening radius, height + width.  Default settings use at most 10 radii:
+# 1 for the steps and 2..10 for the opening.
+@lru_cache(maxsize=16)
 def _disk_rows(radius: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """For each half-width h = 0..radius: (reach, rows), where rows are the
     disk rows dr spanning columns -h..h and every row with |dr| <= reach

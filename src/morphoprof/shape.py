@@ -62,25 +62,25 @@ class ShapeParams:
         object.__setattr__(self, "zernike_max_order", order)
 
 
-def zernike_indexes(max_order: int) -> list[tuple[int, int]]:
+def _zernike_indexes(max_order: int) -> list[tuple[int, int]]:
     """(n, m) pairs with 0 <= m <= n <= max_order and n - m even."""
     return [(n, m) for n in range(max_order + 1) for m in range(n % 2, n + 1, 2)]
 
 
 def feature_keys(params: ShapeParams = ShapeParams()) -> list[str]:
     keys = list(BASE_FEATURES)
-    keys.extend(f"Zernike_{n}_{m}" for n, m in zernike_indexes(params.zernike_max_order))
+    keys.extend(f"Zernike_{n}_{m}" for n, m in _zernike_indexes(params.zernike_max_order))
     return keys
 
 
-def crack_perimeter(local_mask: np.ndarray) -> int:
+def _crack_perimeter(local_mask: np.ndarray) -> int:
     """Count of exposed unit pixel edges (4-neighborhood, outside = background)."""
     shared = np.count_nonzero(local_mask[1:] & local_mask[:-1])
     shared += np.count_nonzero(local_mask[:, 1:] & local_mask[:, :-1])
     return 4 * np.count_nonzero(local_mask) - 2 * shared
 
 
-def convex_hull_area(local_mask: np.ndarray) -> float:
+def _convex_hull_area(local_mask: np.ndarray) -> float:
     """Area of the convex hull of all object pixel corners.
 
     Only the outer corners of each row's end pixels are taken; rows without
@@ -115,7 +115,7 @@ def convex_hull_area(local_mask: np.ndarray) -> float:
     return float(abs(twice_area)) / 8.0
 
 
-def euler_number(local_mask: np.ndarray) -> int:
+def _euler_number(local_mask: np.ndarray) -> int:
     """8-connected object components minus enclosed 4-connected holes:
     (Q1 - Q3 - 2 QD) / 4, where Q1 and Q3 count the 2x2 windows of the
     padded mask holding one and three pixels, and QD those holding a lone
@@ -170,7 +170,7 @@ def _eigen_features(geometry: MaskGeometry) -> tuple[float, float, float, float]
 @lru_cache(maxsize=None)
 def _radial_poly_table(max_order: int) -> tuple[list[int], np.ndarray, np.ndarray, list[int], float]:
     """(row per term, m per row, coefficients, prefix, bound) for the terms
-    of :func:`zernike_indexes`, one row per term, the rows ordered by their
+    of :func:`_zernike_indexes`, one row per term, the rows ordered by their
     number of coefficients, most first (ties keep the terms' order).
 
     Row r holds the coefficients of R_nm as a polynomial in rho^2 (highest
@@ -184,7 +184,7 @@ def _radial_poly_table(max_order: int) -> tuple[list[int], np.ndarray, np.ndarra
     |coeffs|, which bounds every |R_nm * exp(-i*m*theta)| on rho <= 1 with
     room for rounding.
     """
-    terms = zernike_indexes(max_order)
+    terms = _zernike_indexes(max_order)
     order = sorted(range(len(terms)), key=lambda t: terms[t][1] - terms[t][0])
     coeffs = np.zeros((len(terms), max_order // 2 + 1))
     halves = []
@@ -253,7 +253,7 @@ def _exact_row_sums(blocks, count: int, bound: float) -> list[float]:
 
 def _zernike_magnitudes(geometry: MaskGeometry, max_order: int) -> dict[str, float]:
     """|z_nm| on the unit disk centered at the centroid, keyed
-    ``Zernike_<n>_<m>`` in :func:`zernike_indexes` order.
+    ``Zernike_<n>_<m>`` in :func:`_zernike_indexes` order.
 
     The disk radius is the largest centroid-to-pixel-center distance
     (1 if that is 0); radii beyond 1 are clamped.  The geometry's exact
@@ -311,7 +311,7 @@ def _zernike_magnitudes(geometry: MaskGeometry, max_order: int) -> dict[str, flo
     pi_area = math.pi * float(count)
     return {
         f"Zernike_{n}_{m}": math.hypot(sums[row], sums[terms + row]) * ((n + 1) / pi_area)
-        for row, (n, m) in zip(row_of, zernike_indexes(max_order))
+        for row, (n, m) in zip(row_of, _zernike_indexes(max_order))
     }
 
 
@@ -321,10 +321,10 @@ def measure_shape(region: ObjectRegion, params: ShapeParams = ShapeParams()) -> 
     geometry = mask_geometry(region)
     n = geometry.count
     area = float(n)
-    perimeter = crack_perimeter(mask)
+    perimeter = _crack_perimeter(mask)
     bbox_area = mask.shape[0] * mask.shape[1]
     major, minor, eccentricity, orientation = _eigen_features(geometry)
-    hull_area = convex_hull_area(mask)
+    hull_area = _convex_hull_area(mask)
 
     features = {
         "Area": area,
@@ -338,7 +338,7 @@ def measure_shape(region: ObjectRegion, params: ShapeParams = ShapeParams()) -> 
         "Orientation": orientation,
         "FormFactor": 4.0 * math.pi * area / float(perimeter * perimeter),
         "Solidity": area / hull_area,
-        "EulerNumber": float(euler_number(mask)),
+        "EulerNumber": float(_euler_number(mask)),
         "BoundingBoxArea": float(bbox_area),
         "MaxRadius": float(geometry.distance.max()),
     }

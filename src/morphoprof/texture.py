@@ -3,13 +3,15 @@
 Intensities are quantized per object into equal-width bins between the
 min and max of its scaled values (:func:`~morphoprof.core.object_values`);
 the level grid holds -1 off the object, so it alone says which pixels
-pair up.  One symmetric GLCM is built for each of the four standard
-directions at the configured distance, and the 13 classic Haralick
-statistics are averaged over the directions that produced at least one
-pixel pair.  A direction whose offset reaches past the bbox has none, so
-at a distance of at least the bbox's height and width (or on a single
-pixel) every value is missing.  Entropies use log base 2 with
-0*log(0) = 0.
+pair up.  One (4, G, G) stack holds the symmetric GLCMs of the four
+standard directions at the configured distance, one bincount each; a
+direction whose offset reaches past the bbox has no pair and leaves its
+matrix zero.  The 13 classic Haralick statistics of the matrices with
+pairs come back as one row each, their marginals reduced over the stack
+at once, and each column is averaged over those directions.  So at a
+distance of at least the bbox's height and width (or on a single pixel)
+every value is missing.  Entropies use log base 2 with 0*log(0) = 0,
+each over its own matrix's nonzero entries.
 """
 
 from __future__ import annotations
@@ -50,13 +52,7 @@ class TextureParams:
         object.__setattr__(self, "gray_levels", levels)
 
 
-def directions(distance: int) -> tuple[tuple[int, int], ...]:
-    """Pair offsets (drow, dcol) for 0, 45, 90 and 135 degrees."""
-    d = distance
-    return ((0, d), (-d, d), (-d, 0), (-d, -d))
-
-
-def quantize(region: ObjectRegion, plane: ImagePlane, gray_levels: int) -> np.ndarray:
+def _levels(region: ObjectRegion, plane: ImagePlane, gray_levels: int) -> np.ndarray:
     """Per-pixel gray level in {0..G-1} on the region's bbox; -1 off-object.
 
     Bins are equal-width between the object's min and max intensity; a
@@ -64,101 +60,89 @@ def quantize(region: ObjectRegion, plane: ImagePlane, gray_levels: int) -> np.nd
     """
     local_mask = region.local_mask
     _, values, _ = object_values(region, plane)
-    lo = float(values.min())
-    hi = float(values.max())
+    lo, hi = float(values.min()), float(values.max())
     levels = np.full(local_mask.shape, -1, dtype=np.int32)
-    if hi == lo:
-        levels[local_mask] = 0
-        return levels
-    scaled = np.floor(gray_levels * (values - lo) / (hi - lo))
-    levels[local_mask] = np.minimum(gray_levels - 1, scaled).astype(np.int32)
+    scaled = 0.0 if hi == lo else np.floor(gray_levels * (values - lo) / (hi - lo))
+    levels[local_mask] = np.minimum(gray_levels - 1, scaled)
     return levels
 
 
-def glcm(levels: np.ndarray, offset: tuple[int, int], gray_levels: int) -> np.ndarray:
-    """Symmetric normalized co-occurrence matrix of ``levels`` for one offset.
+def _glcms(levels: np.ndarray, distance: int, gray_levels: int) -> np.ndarray:
+    """The (4, G, G) stack of symmetric normalized co-occurrence matrices of
+    ``levels`` (a :func:`_levels` grid) at 0, 45, 90 and 135 degrees.
 
-    ``levels`` is a :func:`quantize` result, so the object is where
-    ``levels >= 0``.  Counts pairs (p, p + offset) with both pixels in the
-    object, adds the transpose and normalizes to sum 1; with no pairs the
-    ``gray_levels`` x ``gray_levels`` matrix is all-zero.
+    Matrix k counts the pairs (p, p + offset k), offsets (0, d), (-d, d),
+    (-d, 0) and (-d, -d), with both pixels on the object, adds its
+    transpose and sums to 1; an offset with no such pair, as one reaching
+    past the crop, leaves its matrix zero.
     """
-    dr, dc = offset
     h, w = levels.shape
-    r0, r1 = max(0, -dr), min(h, h - dr)
-    c0, c1 = max(0, -dc), min(w, w - dc)
-    if r0 >= r1 or c0 >= c1:  # the offset reaches past the crop
-        return np.zeros((gray_levels, gray_levels))
-    a = levels[r0:r1, c0:c1]
-    b = levels[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-    both = (a >= 0) & (b >= 0)
-    counts = np.bincount(a[both] * gray_levels + b[both], minlength=gray_levels * gray_levels)
-    counts = counts.reshape(gray_levels, gray_levels)
-    counts = counts + counts.T
-    return counts / max(int(counts.sum()), 1)
+    d = distance
+    counts = np.zeros((4, gray_levels * gray_levels), dtype=np.int64)
+    for row, (dr, dc) in zip(counts, ((0, d), (-d, d), (-d, 0), (-d, -d))):
+        r0, c0 = max(0, -dr), max(0, -dc)
+        r1, c1 = max(r0, min(h, h - dr)), max(c0, min(w, w - dc))  # empty past the crop
+        a = levels[r0:r1, c0:c1]
+        b = levels[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+        both = (a >= 0) & (b >= 0)
+        row[:] = np.bincount(a[both] * gray_levels + b[both], minlength=row.size)
+    counts = counts.reshape(4, gray_levels, gray_levels)
+    counts = counts + counts.transpose(0, 2, 1)
+    return counts / np.maximum(counts.sum(axis=(1, 2)), 1)[:, None, None]
 
 
-def haralick_features(p: np.ndarray) -> dict[str, float]:
-    """The 13 Haralick statistics of one normalized symmetric GLCM."""
-    g = p.shape[0]
+def _haralick(p: np.ndarray) -> np.ndarray:
+    """The 13 Haralick statistics, in ``FEATURES`` order, of each matrix of
+    the (n, G, G) stack ``p`` of normalized symmetric GLCMs: one row each.
+
+    The marginals, their means and variances are reduced over the stack;
+    the rest is taken matrix by matrix, each entropy over that matrix's
+    own nonzero entries.
+    """
+    g = p.shape[1]
     idx = np.arange(g, dtype=np.float64)
-    px = p.sum(axis=1)
-    py = p.sum(axis=0)
-    mu_x = float((idx * px).sum())
-    mu_y = float((idx * py).sum())
-    var_x = float(((idx - mu_x) ** 2 * px).sum())
-    var_y = float(((idx - mu_y) ** 2 * py).sum())
-    std_x = math.sqrt(var_x)
-    std_y = math.sqrt(var_y)
-
-    i_idx = idx[:, None]
-    j_idx = idx[None, :]
-    diff2 = (i_idx - j_idx) ** 2
-
-    # Distributions of i+j (k = 0..2G-2) and |i-j| (k = 0..G-1).
-    ij_sum = np.add.outer(np.arange(g), np.arange(g))
-    ij_diff = np.abs(np.subtract.outer(np.arange(g), np.arange(g)))
-    p_sum = np.bincount(ij_sum.ravel(), weights=p.ravel(), minlength=2 * g - 1)
-    p_diff = np.bincount(ij_diff.ravel(), weights=p.ravel(), minlength=g)
+    px, py = p.sum(axis=2), p.sum(axis=1)
+    mu_x, mu_y = (idx * px).sum(axis=1), (idx * py).sum(axis=1)
+    var_x = ((idx - mu_x[:, None]) ** 2 * px).sum(axis=1)
+    var_y = ((idx - mu_y[:, None]) ** 2 * py).sum(axis=1)
+    # Tables of G alone: (i - j)^2, i * j, and the bins of i + j and |i - j|.
+    diff2 = np.subtract.outer(idx, idx) ** 2
+    idm_weight = 1.0 + diff2
+    ij = np.multiply.outer(idx, idx)
+    ij_sum = np.add.outer(np.arange(g), np.arange(g)).ravel()
+    ij_diff = np.abs(np.subtract.outer(np.arange(g), np.arange(g))).ravel()
     k_sum = np.arange(2 * g - 1, dtype=np.float64)
-    k_diff = np.arange(g, dtype=np.float64)
-
-    sum_average = float((k_sum * p_sum).sum())
-    sum_variance = float(((k_sum - sum_average) ** 2 * p_sum).sum())
-    diff_mean = float((k_diff * p_diff).sum())
-    diff_variance = float(((k_diff - diff_mean) ** 2 * p_diff).sum())
-
-    if std_x == 0.0 or std_y == 0.0:
-        correlation = 0.0
-    else:
-        correlation = (float((i_idx * j_idx * p).sum()) - mu_x * mu_y) / (std_x * std_y)
-
-    hxy = _entropy(p)
-    marg = px[:, None] * py[None, :]
-    nz = p > 0
-    hxy1 = -float((p[nz] * np.log2(marg[nz])).sum())
-    hxy2 = _entropy(marg)
-    hx = _entropy(px)
-    hy = _entropy(py)
-    denom = max(hx, hy)
-    info1 = 0.0 if denom == 0.0 else (hxy - hxy1) / denom
-    info2 = math.sqrt(max(0.0, 1.0 - math.exp(-2.0 * (hxy2 - hxy))))
-
-    return {
-        "AngularSecondMoment": float((p * p).sum()),
-        "Contrast": float((diff2 * p).sum()),
-        "Correlation": correlation,
-        "Variance": var_x,
-        "InverseDifferenceMoment": float((p / (1.0 + diff2)).sum()),
-        "SumAverage": sum_average,
-        "SumVariance": sum_variance,
-        "SumEntropy": _entropy(p_sum),
-        "Entropy": hxy,
-        "DifferenceVariance": diff_variance,
-        "DifferenceEntropy": _entropy(p_diff),
-        "InfoMeas1": info1,
-        "InfoMeas2": info2,
-    }
+    rows = np.empty((len(p), len(FEATURES)))
+    for k, m in enumerate(p):
+        p_sum = np.bincount(ij_sum, weights=m.ravel(), minlength=2 * g - 1)
+        p_diff = np.bincount(ij_diff, weights=m.ravel(), minlength=g)
+        sum_average = float((k_sum * p_sum).sum())
+        diff_mean = float((idx * p_diff).sum())
+        std_x, std_y = math.sqrt(var_x[k]), math.sqrt(var_y[k])
+        covariance = float((ij * m).sum()) - mu_x[k] * mu_y[k]
+        correlation = 0.0 if std_x == 0.0 or std_y == 0.0 else covariance / (std_x * std_y)
+        marg = np.multiply.outer(px[k], py[k])
+        nz = m > 0
+        hxy = _entropy(m)
+        hxy1 = -float((m[nz] * np.log2(marg[nz])).sum())
+        hxy2 = _entropy(marg)
+        denom = max(_entropy(px[k]), _entropy(py[k]))
+        rows[k] = (
+            (m * m).sum(),
+            (diff2 * m).sum(),
+            correlation,
+            var_x[k],
+            (m / idm_weight).sum(),
+            sum_average,
+            ((k_sum - sum_average) ** 2 * p_sum).sum(),
+            _entropy(p_sum),
+            hxy,
+            ((idx - diff_mean) ** 2 * p_diff).sum(),
+            _entropy(p_diff),
+            0.0 if denom == 0.0 else (hxy - hxy1) / denom,
+            math.sqrt(max(0.0, 1.0 - math.exp(-2.0 * (hxy2 - hxy)))),
+        )
+    return rows
 
 
 def _entropy(dist: np.ndarray) -> float:
@@ -171,17 +155,12 @@ def measure_texture(
 ) -> dict[str, float]:
     """Direction-averaged Haralick features; all missing when no direction
     has a co-occurring pixel pair."""
-    levels = quantize(region, plane, params.gray_levels)
-    per_direction = []
-    for offset in directions(params.distance):
-        p = glcm(levels, offset, params.gray_levels)
-        if p.any():
-            per_direction.append(haralick_features(p))
-    if not per_direction:
-        return {name: MISSING for name in FEATURES}
+    levels = _levels(region, plane, params.gray_levels)
+    p = _glcms(levels, params.distance, params.gray_levels)
+    p = p[p.any(axis=(1, 2))]
+    if not len(p):
+        return dict.fromkeys(FEATURES, MISSING)
+    rows = _haralick(p)
     # fsum makes the average independent of direction enumeration order,
     # so 90-degree rotations reproduce it bit for bit.
-    return {
-        name: math.fsum(d[name] for d in per_direction) / len(per_direction)
-        for name in FEATURES
-    }
+    return {name: math.fsum(column) / len(rows) for name, column in zip(FEATURES, rows.T)}

@@ -3,9 +3,12 @@
 Every function here recomputes a measurement family from first
 principles (explicit loops, brute-force distance scans, literal formula
 transcription) without touching the library's optimized kernels, so the
-library can be checked against an independent route.  One exception,
-``granularity_float64_reference``, runs the library's kernels on float64
-values: it checks the rank keys, not the kernels.
+library can be checked against an independent route.  The exceptions
+are references for one step each: ``granularity_float64_reference`` runs
+the library's kernels on float64 values, so it checks the rank keys, not
+the kernels; ``zernike_full_table_reference`` reuses the exact row sums;
+``texture_per_direction_reference`` is the earlier texture route, one
+GLCM and one dict per direction, kept bit for bit.
 """
 
 from __future__ import annotations
@@ -110,6 +113,12 @@ def _max_radius(local_mask):
     return float(dists.min(axis=1).max())
 
 
+def zernike_terms(max_order):
+    """The (n, m) of every Zernike term up to ``max_order``: 0 <= m <= n
+    and n - m even, by n, then m."""
+    return [(n, m) for n in range(max_order + 1) for m in range(n % 2, n + 1, 2)]
+
+
 def _zernike(local_mask, max_order):
     rr, cc = np.nonzero(local_mask)
     area = rr.size
@@ -123,22 +132,21 @@ def _zernike(local_mask, max_order):
     rho = np.minimum(1.0, radius / rmax)
     theta = np.arctan2(dy, dx)
     out = {}
-    for n in range(max_order + 1):
-        for m in range(n % 2, n + 1, 2):
-            radial = np.zeros_like(rho)
-            for s in range((n - m) // 2 + 1):
-                coef = (
-                    (-1) ** s
-                    * math.factorial(n - s)
-                    / (
-                        math.factorial(s)
-                        * math.factorial((n + m) // 2 - s)
-                        * math.factorial((n - m) // 2 - s)
-                    )
+    for n, m in zernike_terms(max_order):
+        radial = np.zeros_like(rho)
+        for s in range((n - m) // 2 + 1):
+            coef = (
+                (-1) ** s
+                * math.factorial(n - s)
+                / (
+                    math.factorial(s)
+                    * math.factorial((n + m) // 2 - s)
+                    * math.factorial((n - m) // 2 - s)
                 )
-                radial = radial + coef * rho ** (n - 2 * s)
-            moment = (radial * np.exp(-1j * m * theta)).sum() * (n + 1) / (math.pi * area)
-            out[f"Zernike_{n}_{m}"] = abs(moment)
+            )
+            radial = radial + coef * rho ** (n - 2 * s)
+        moment = (radial * np.exp(-1j * m * theta)).sum() * (n + 1) / (math.pi * area)
+        out[f"Zernike_{n}_{m}"] = abs(moment)
     return out
 
 
@@ -193,16 +201,16 @@ def zernike_fsum_oracle(local_mask, max_order):
 def zernike_full_table_reference(geometry, max_order):
     """The library's Zernike magnitudes with Horner's rule run over every
     column of one table, each term's coefficients right-aligned after
-    zeros and the rows in :func:`zernike_indexes` order: the route before
+    zeros and the rows in :func:`zernike_terms` order: the route before
     each row started at its first coefficient.
 
     Like ``granularity_float64_reference`` it reuses a library kernel, the
     exact row sums (which ``test_exact_row_sums_equal_fsum`` checks): it is
     the reference for the Horner steps alone.
     """
-    from morphoprof.shape import _BLOCK_PIXELS, _exact_row_sums, zernike_indexes
+    from morphoprof.shape import _BLOCK_PIXELS, _exact_row_sums
 
-    terms = zernike_indexes(max_order)
+    terms = zernike_terms(max_order)
     coeffs = np.zeros((len(terms), max_order // 2 + 1))
     for t, (n, m) in enumerate(terms):
         half = (n - m) // 2
@@ -389,6 +397,13 @@ def intensity_oracle(region, plane):
 # --------------------------------------------------------------- texture
 
 
+_TEXTURE_FEATURES = (
+    "AngularSecondMoment", "Contrast", "Correlation", "Variance",
+    "InverseDifferenceMoment", "SumAverage", "SumVariance", "SumEntropy",
+    "Entropy", "DifferenceVariance", "DifferenceEntropy", "InfoMeas1", "InfoMeas2",
+)
+
+
 def quantize_oracle(region, plane, gray_levels):
     r0, c0 = region.bbox[0], region.bbox[1]
     pixels = _pixel_set(region.local_mask)
@@ -483,16 +498,110 @@ def texture_oracle(region, plane, distance, gray_levels):
         p, had = glcm_oracle(levels, offset, gray_levels)
         if had:
             per_direction.append(haralick_oracle(p))
-    names = (
-        "AngularSecondMoment", "Contrast", "Correlation", "Variance",
-        "InverseDifferenceMoment", "SumAverage", "SumVariance", "SumEntropy",
-        "Entropy", "DifferenceVariance", "DifferenceEntropy", "InfoMeas1", "InfoMeas2",
-    )
     if not per_direction:
-        return {name: math.nan for name in names}
+        return dict.fromkeys(_TEXTURE_FEATURES, math.nan)
     return {
         name: math.fsum(d[name] for d in per_direction) / len(per_direction)
-        for name in names
+        for name in _TEXTURE_FEATURES
+    }
+
+
+def texture_per_direction_reference(region, plane, params):
+    """Frozen earlier ``measure_texture``, bit for bit: one GLCM and one
+    dict of the 13 statistics per direction, each matrix reduced on its
+    own, then the fsum mean over the directions with a pixel pair.  It
+    reads the object's values through the library's accessor."""
+    from morphoprof.core import object_values
+
+    g = params.gray_levels
+    local_mask = region.local_mask
+    _, values, _ = object_values(region, plane)
+    lo = float(values.min())
+    hi = float(values.max())
+    levels = np.full(local_mask.shape, -1, dtype=np.int32)
+    if hi == lo:
+        levels[local_mask] = 0
+    else:
+        scaled = np.floor(g * (values - lo) / (hi - lo))
+        levels[local_mask] = np.minimum(g - 1, scaled).astype(np.int32)
+
+    def glcm(dr, dc):
+        h, w = levels.shape
+        r0, r1 = max(0, -dr), min(h, h - dr)
+        c0, c1 = max(0, -dc), min(w, w - dc)
+        if r0 >= r1 or c0 >= c1:  # the offset reaches past the crop
+            return np.zeros((g, g))
+        a = levels[r0:r1, c0:c1]
+        b = levels[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+        both = (a >= 0) & (b >= 0)
+        counts = np.bincount(a[both] * g + b[both], minlength=g * g).reshape(g, g)
+        counts = counts + counts.T
+        return counts / max(int(counts.sum()), 1)
+
+    def entropy(dist):
+        nz = dist[dist > 0]
+        return -float((nz * np.log2(nz)).sum())
+
+    def haralick(p):
+        idx = np.arange(g, dtype=np.float64)
+        px = p.sum(axis=1)
+        py = p.sum(axis=0)
+        mu_x = float((idx * px).sum())
+        mu_y = float((idx * py).sum())
+        var_x = float(((idx - mu_x) ** 2 * px).sum())
+        var_y = float(((idx - mu_y) ** 2 * py).sum())
+        std_x = math.sqrt(var_x)
+        std_y = math.sqrt(var_y)
+        i_idx = idx[:, None]
+        j_idx = idx[None, :]
+        diff2 = (i_idx - j_idx) ** 2
+        ij_sum = np.add.outer(np.arange(g), np.arange(g))
+        ij_diff = np.abs(np.subtract.outer(np.arange(g), np.arange(g)))
+        p_sum = np.bincount(ij_sum.ravel(), weights=p.ravel(), minlength=2 * g - 1)
+        p_diff = np.bincount(ij_diff.ravel(), weights=p.ravel(), minlength=g)
+        k_sum = np.arange(2 * g - 1, dtype=np.float64)
+        k_diff = np.arange(g, dtype=np.float64)
+        sum_average = float((k_sum * p_sum).sum())
+        sum_variance = float(((k_sum - sum_average) ** 2 * p_sum).sum())
+        diff_mean = float((k_diff * p_diff).sum())
+        diff_variance = float(((k_diff - diff_mean) ** 2 * p_diff).sum())
+        if std_x == 0.0 or std_y == 0.0:
+            correlation = 0.0
+        else:
+            correlation = (float((i_idx * j_idx * p).sum()) - mu_x * mu_y) / (std_x * std_y)
+        hxy = entropy(p)
+        marg = px[:, None] * py[None, :]
+        nz = p > 0
+        hxy1 = -float((p[nz] * np.log2(marg[nz])).sum())
+        hxy2 = entropy(marg)
+        denom = max(entropy(px), entropy(py))
+        return {
+            "AngularSecondMoment": float((p * p).sum()),
+            "Contrast": float((diff2 * p).sum()),
+            "Correlation": correlation,
+            "Variance": var_x,
+            "InverseDifferenceMoment": float((p / (1.0 + diff2)).sum()),
+            "SumAverage": sum_average,
+            "SumVariance": sum_variance,
+            "SumEntropy": entropy(p_sum),
+            "Entropy": hxy,
+            "DifferenceVariance": diff_variance,
+            "DifferenceEntropy": entropy(p_diff),
+            "InfoMeas1": 0.0 if denom == 0.0 else (hxy - hxy1) / denom,
+            "InfoMeas2": math.sqrt(max(0.0, 1.0 - math.exp(-2.0 * (hxy2 - hxy)))),
+        }
+
+    d = params.distance
+    per_direction = []
+    for dr, dc in ((0, d), (-d, d), (-d, 0), (-d, -d)):
+        p = glcm(dr, dc)
+        if p.any():
+            per_direction.append(haralick(p))
+    if not per_direction:
+        return dict.fromkeys(_TEXTURE_FEATURES, math.nan)
+    return {
+        name: math.fsum(f[name] for f in per_direction) / len(per_direction)
+        for name in _TEXTURE_FEATURES
     }
 
 

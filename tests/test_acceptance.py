@@ -26,6 +26,7 @@ from oracles import (
     radial_oracle,
     shape_oracle,
     texture_oracle,
+    zernike_terms,
 )
 from peakrss import probe_peaks
 from synth import experiment, small_blob, smooth_plane
@@ -34,7 +35,6 @@ from test_invariance import FAMILIES, check_rotation, check_scale_close, check_t
 import morphoprof as mp
 from morphoprof import run, write_table
 from morphoprof.engine import REGISTRY
-from morphoprof.shape import zernike_indexes
 from morphoprof.texture import FEATURES as TEXTURE_FEATURES
 
 
@@ -215,7 +215,7 @@ def test_criterion_3_invariance_suites():
         for angle in (0.5, 1.3, 2.4):
             rotated = disk_at(angle)
             assert_close(rotated["Zernike_0_0"], base["Zernike_0_0"], rel=0.02)
-            for n, m in zernike_indexes(9):
+            for n, m in zernike_terms(9):
                 key = f"Zernike_{n}_{m}"
                 assert abs(rotated[key] - base[key]) < 0.03, key
 

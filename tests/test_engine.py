@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import itertools
+import os
 from concurrent.futures import Future
 
 import numpy as np
@@ -262,6 +263,8 @@ def test_pool_never_has_more_workers_than_batches(tmp_path, monkeypatch):
             super().__init__(max_workers, initializer=initializer, initargs=initargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # More CPUs than workers, so the batches alone bound the pool.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
     def csv_bytes(workers, batch_size):
         spec = experiment(n_objects=12, size=64, seed=3, workers=workers, batch_size=batch_size)
@@ -276,6 +279,49 @@ def test_pool_never_has_more_workers_than_batches(tmp_path, monkeypatch):
     assert built == []
     assert csv_bytes(4, 5)[0] == reference
     assert built == [min(4, -(-n_objects // 5))] == [3]
+
+
+def test_pool_never_has_more_workers_than_cpus(tmp_path, monkeypatch):
+    """A worker count past the CPUs, with one object per batch, starts one
+    worker per CPU, and one worker (in-process) when the count is unknown.
+    The pool starts no process: it measures each batch as it is submitted."""
+    built = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            built.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, payload):
+            future = Future()
+            future.set_result(fn(payload))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    # The initializer runs in this process: restore the planes it sets.
+    monkeypatch.setattr(engine, "_worker_planes", engine._worker_planes)
+
+    def csv_bytes(workers, cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spec = experiment(n_objects=12, size=64, seed=3, families=("shape", "intensity"),
+                          workers=workers, batch_size=1)
+        (table,) = run(spec)
+        path = tmp_path / f"{workers}-{cpus}.csv"
+        write_table(table, path)
+        return path.read_bytes(), table.n_rows
+
+    reference, n_objects = csv_bytes(1, 3)
+    assert n_objects > 3
+    assert csv_bytes(100_000, 3)[0] == reference
+    assert built == [3]
+    assert csv_bytes(100_000, None)[0] == reference
+    assert built == [3]
 
 
 def test_blocks_land_by_batch_start_whatever_order_batches_finish(tmp_path, monkeypatch):
@@ -307,6 +353,7 @@ def test_blocks_land_by_batch_start_whatever_order_batches_finish(tmp_path, monk
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NewestFirstPool)
     monkeypatch.setattr(concurrent.futures, "wait", newest_first)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
     # The initializer runs in this process: restore the planes it sets.
     monkeypatch.setattr(engine, "_worker_planes", engine._worker_planes)
 
@@ -347,6 +394,7 @@ def test_pool_payloads_hold_no_pixels_and_each_pool_gets_the_planes_once(monkeyp
             yield item
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool on any machine
     spec = tiny_spec(n_channels=2, n_sets=2, workers=2, batch_size=1)
     run(spec)
     # Two object sets of two objects: one pool and two one-object batches each.

@@ -487,6 +487,17 @@ def test_disk_rows_rebuild_the_disk():
         assert np.array_equal(disk, disk_footprint(radius)), radius
 
 
+def test_disk_rows_keep_a_few_radii_whatever_the_crop_sizes(rng):
+    # The opening's radius is min(background_radius, height + width): past
+    # every crop, each crop size has its own disk, and the cache keeps only
+    # the last few of them.
+    params = GranularityParams(spectrum_length=2, background_radius=10**6)
+    for size in range(1, 41):
+        plane = plane_of(rng.random((size, size)))
+        measure_granularity(region_of(np.ones((size, size), dtype=bool)), plane, params)
+    assert granularity._disk_rows.cache_info().currsize <= 16
+
+
 def test_disk_filters_equal_footprint_filters(rng):
     crops = [
         (np.ones((1, 60), dtype=bool), rng.random((1, 60))),

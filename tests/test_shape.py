@@ -20,13 +20,13 @@ from morphoprof import LabelMask, ShapeParams, extract_objects, measure_shape
 from morphoprof.core import MaskGeometry
 from morphoprof.shape import (
     _BLOCK_PIXELS,
+    _convex_hull_area,
+    _crack_perimeter,
+    _euler_number,
     _exact_row_sums,
+    _zernike_indexes,
     _zernike_magnitudes,
-    convex_hull_area,
-    crack_perimeter,
-    euler_number,
     feature_keys,
-    zernike_indexes,
 )
 from synth import small_blob
 from test_invariance import check_rotation, check_translation
@@ -98,7 +98,7 @@ def test_two_components_euler_two():
 
 def test_zernike_feature_set_and_disk_normalization():
     keys = feature_keys(ShapeParams(zernike_max_order=9))
-    assert len(zernike_indexes(9)) == 30
+    assert len(_zernike_indexes(9)) == 30
     assert len(keys) == 44
     rr, cc = np.ogrid[:41, :41]
     disk = (rr - 20) ** 2 + (cc - 20) ** 2 <= 15**2
@@ -106,7 +106,7 @@ def test_zernike_feature_set_and_disk_normalization():
     # A solid disk projects almost purely onto the constant polynomial;
     # residual m != 0 energy is pixel-grid rasterization (strongest at m = 4).
     assert_close(features["Zernike_0_0"], 1.0 / math.pi, rel=0.02)
-    for n, m in zernike_indexes(9):
+    for n, m in _zernike_indexes(9):
         if m != 0:
             assert features[f"Zernike_{n}_{m}"] < 0.05
 
@@ -144,7 +144,7 @@ def test_zernike_rotation_invariance_on_rasterized_disks():
     for angle in (0.4, 1.1, 2.0, 2.9):
         rotated = disk_at(angle)
         assert_close(rotated["Zernike_0_0"], base["Zernike_0_0"], rel=0.02, label="Zernike_0_0")
-        for n, m in zernike_indexes(9):
+        for n, m in _zernike_indexes(9):
             if (n, m) == (0, 0):
                 continue
             key = f"Zernike_{n}_{m}"
@@ -206,9 +206,9 @@ def pixel_masks(draw):
 @example(_mask_from_rows("#######", "#.....#", "#.###.#", "#.#.#.#", "#.###.#", "#.....#", "#######"))
 @example(_mask_from_rows("##....", "......", "......", "...#..", "......", "....##"))
 def test_mask_kernels_match_the_definitions_exactly(mask):
-    assert crack_perimeter(mask) == _perimeter(_pixel_set(mask))
-    assert euler_number(mask) == _euler(mask)
-    assert convex_hull_area(mask) == convex_hull_oracle(mask)
+    assert _crack_perimeter(mask) == _perimeter(_pixel_set(mask))
+    assert _euler_number(mask) == _euler(mask)
+    assert _convex_hull_area(mask) == convex_hull_oracle(mask)
 
 
 @st.composite
@@ -292,7 +292,7 @@ def test_zernike_rotation_exact_across_blocks(rng):
     assert mask.sum() > 2 * _BLOCK_PIXELS
     for order in (9, 20):
         params = ShapeParams(zernike_max_order=order)
-        keys = [f"Zernike_{n}_{m}" for n, m in zernike_indexes(order)]
+        keys = [f"Zernike_{n}_{m}" for n, m in _zernike_indexes(order)]
         base = measure_shape(region_of(mask), params)
         for k in (1, 2, 3):
             rotated = measure_shape(region_of(np.rot90(mask, k)), params)

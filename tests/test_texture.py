@@ -4,23 +4,23 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import assert_feature_maps_close, plane_of, region_of
-from oracles import glcm_oracle, quantize_oracle, texture_oracle
+from oracles import glcm_oracle, quantize_oracle, texture_oracle, texture_per_direction_reference
 
 from morphoprof import ImagePlane, TextureParams, measure_texture
-from morphoprof.texture import FEATURES, directions, glcm, haralick_features, quantize
+from morphoprof.texture import FEATURES, _glcms, _haralick, _levels
 from synth import small_blob, smooth_plane
 from test_invariance import check_rotation, check_scale, inputs
 
 
 def test_quantize_constant_object_is_level_zero():
     mask = np.ones((3, 3), dtype=bool)
-    levels = quantize(region_of(mask), plane_of(np.full((3, 3), 0.4)), 8)
+    levels = _levels(region_of(mask), plane_of(np.full((3, 3), 0.4)), 8)
     assert (levels == 0).all()
 
 
 def test_quantize_two_values_two_levels():
     mask = np.ones((1, 2), dtype=bool)
-    levels = quantize(region_of(mask), plane_of([[0.0, 1.0]]), 2)
+    levels = _levels(region_of(mask), plane_of([[0.0, 1.0]]), 2)
     assert levels.tolist() == [[0, 1]]
 
 
@@ -28,7 +28,7 @@ def test_quantize_histogram_matches_per_pixel_oracle(rng):
     mask = small_blob(rng)
     plane = ImagePlane(rng.random(mask.shape))
     region = region_of(mask)
-    levels = quantize(region, plane, 8)
+    levels = _levels(region, plane, 8)
     expected = quantize_oracle(region, plane, 8)
     assert (levels[~region.local_mask] == -1).all()
     for (r, c), level in expected.items():
@@ -38,18 +38,18 @@ def test_quantize_histogram_matches_per_pixel_oracle(rng):
 def test_glcm_two_pixel_object():
     mask = np.ones((1, 2), dtype=bool)
     region = region_of(mask)
-    levels = quantize(region, plane_of([[0.0, 1.0]]), 2)
-    p = glcm(levels, (0, 1), 2)
-    assert p.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+    levels = _levels(region, plane_of([[0.0, 1.0]]), 2)
+    p = _glcms(levels, 1, 2)
+    assert p[0].tolist() == [[0.0, 0.5], [0.5, 0.0]]
 
 
 def test_glcm_single_pixel_has_no_pairs():
     mask = np.zeros((3, 3), dtype=bool)
     mask[1, 1] = True
     region = region_of(mask)
-    levels = quantize(region, plane_of(np.zeros((3, 3))), 8)
-    p = glcm(levels, (0, 1), 8)
-    assert p.shape == (8, 8)
+    levels = _levels(region, plane_of(np.zeros((3, 3))), 8)
+    p = _glcms(levels, 1, 8)
+    assert p.shape == (4, 8, 8)
     assert (p == 0).all()
 
 
@@ -57,16 +57,17 @@ def test_glcm_matches_pair_enumeration(rng):
     mask = small_blob(rng, size=16)
     plane = ImagePlane(rng.random(mask.shape))
     region = region_of(mask)
-    levels = quantize(region, plane, 8)
+    levels = _levels(region, plane, 8)
     oracle_levels = quantize_oracle(region, plane, 8)
-    for direction in directions(1) + directions(2) + directions(3):
-        p = glcm(levels, direction, 8)
-        expected, had_expected = glcm_oracle(oracle_levels, direction, 8)
-        assert p.any() == had_expected
-        assert np.allclose(p, expected, atol=1e-15)
-        if had_expected:
-            assert abs(p.sum() - 1.0) < 1e-12
-            assert np.array_equal(p, p.T)
+    for d in (1, 2, 3):
+        directions = ((0, d), (-d, d), (-d, 0), (-d, -d))
+        for p, direction in zip(_glcms(levels, d, 8), directions, strict=True):
+            expected, had_expected = glcm_oracle(oracle_levels, direction, 8)
+            assert p.any() == had_expected
+            assert np.allclose(p, expected, atol=1e-15)
+            if had_expected:
+                assert abs(p.sum() - 1.0) < 1e-12
+                assert np.array_equal(p, p.T)
 
 
 def test_constant_object_features():
@@ -83,14 +84,14 @@ def test_checkerboard_horizontal_glcm():
     board = np.indices((6, 6)).sum(axis=0) % 2
     mask = np.ones((6, 6), dtype=bool)
     region = region_of(mask)
-    levels = quantize(region, plane_of(board.astype(float)), 2)
-    p = glcm(levels, (0, 1), 2)
+    levels = _levels(region, plane_of(board.astype(float)), 2)
+    p = _glcms(levels, 1, 2)[0]
     assert p[0, 1] == p[1, 0] == 0.5
     oracle = {
         "Contrast": 1.0,
         "AngularSecondMoment": 0.5,
     }
-    features = haralick_features(p)
+    features = dict(zip(FEATURES, _haralick(p[None])[0]))
     assert features["Contrast"] == oracle["Contrast"]
     assert features["AngularSecondMoment"] == oracle["AngularSecondMoment"]
 
@@ -113,10 +114,11 @@ def test_distance_past_the_bbox_counts_no_pairs(rng):
     # Past the height only: the horizontal direction alone counts.
     for distance in (2, 3):
         params = TextureParams(distance=distance)
-        levels = quantize(region, plane, params.gray_levels)
-        horizontal = glcm(levels, (0, distance), params.gray_levels)
-        assert horizontal.any()
-        assert measure_texture(region, plane, params) == haralick_features(horizontal)
+        levels = _levels(region, plane, params.gray_levels)
+        stack = _glcms(levels, distance, params.gray_levels)
+        assert stack[0].any() and not stack[1:].any()
+        expected = dict(zip(FEATURES, _haralick(stack[:1])[0]))
+        assert measure_texture(region, plane, params) == expected
 
 
 def test_matches_literal_formula_oracle(rng):
@@ -181,3 +183,38 @@ def test_power_of_two_scaling_changes_no_bit_of_texture(seed, e, mixed):
     """Every feature of a plane x 2^e is bitwise the unit plane's, up to the
     top of the float range and for mixed signs, where max - min overflowed."""
     check_scale("texture", TextureParams(), *inputs(seed, False, mixed), (e,))
+
+
+@st.composite
+def _texture_cases(draw):
+    """A mask with holes inside a one-pixel border or reaching the canvas
+    edges, a 1 x n or n x 1 run, or a single pixel; a plane of floats or of
+    a few repeated dyadic values, of either sign, times 2^e; a distance
+    from 1 to past the bbox; 2 to 256 gray levels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["holes", "edge", "row", "column", "pixel"]))
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    h, w = {"row": (1, w), "column": (h, 1), "pixel": (1, 1)}.get(kind, (h, w))
+    mask = rng.random((h, w)) < (0.7 if kind == "holes" else 0.9)
+    mask.flat[rng.integers(mask.size)] = True
+    if kind == "holes":
+        mask = np.pad(mask, 1)
+    values = rng.random(mask.shape)
+    if draw(st.booleans()):
+        values = rng.integers(0, 4, size=mask.shape) / 4
+    if draw(st.booleans()):
+        values = 2 * values - 1
+    plane = ImagePlane(np.ldexp(values, draw(st.integers(-1000, 1023))))
+    distance = draw(st.integers(1, max(h, w) + 2))
+    return region_of(mask), plane, TextureParams(distance, draw(st.integers(2, 256)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_texture_cases())
+def test_stacked_glcms_give_the_bits_of_the_per_direction_route(case):
+    """All 13 features of the one (4, G, G) stack are bitwise those of one
+    GLCM and one set of reductions per direction."""
+    region, plane, params = case
+    got = measure_texture(region, plane, params)
+    expected = texture_per_direction_reference(region, plane, params)
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in expected.items()}

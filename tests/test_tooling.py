@@ -1,6 +1,7 @@
 """The test run's own configuration, and what the runtime needs."""
 
 import hashlib
+import importlib
 import inspect
 import re
 import subprocess
@@ -89,6 +90,17 @@ def test_extract_without_scipy_writes_the_same_bytes(tmp_path):
     here, blocked = (hashlib.sha256((tmp_path / f"{stem}_cells.csv").read_bytes()).hexdigest()
                      for stem in ("here", "blocked"))
     assert blocked == here
+
+
+def test_each_family_module_has_one_entry_point():
+    # One public function measures a family; feature_keys, where a module
+    # has one, lists its keys.  Helpers stay private, so no public name
+    # lives only for the tests.
+    for family in REGISTRY:
+        module = importlib.import_module(f"morphoprof.{family.name}")
+        public = {name for name, value in inspect.getmembers(module, inspect.isfunction)
+                  if value.__module__ == module.__name__ and not name.startswith("_")}
+        assert public - {"feature_keys"} == {f"measure_{family.name}"}, family.name
 
 
 def test_only_the_core_helper_takes_a_median():
