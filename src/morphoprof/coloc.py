@@ -3,6 +3,8 @@
 Thresholds for the Manders fractions are a fixed fraction of each
 channel's per-object maximum; degenerate inputs (zero variance, zero
 mass) yield the missing sentinel rather than a crash or NaN surprise.
+Pearson and Overlap are clamped to [-1, 1], which rounding could leave
+by one unit in the last place.
 Both channels' values are taken at the power-of-two scale of
 :func:`~morphoprof.core.object_values`; Slope alone is restored, and is
 missing if it lies past the float range.
@@ -45,7 +47,7 @@ def measure_coloc(
     if var_a == 0.0 or var_b == 0.0:
         pearson = MISSING
     else:
-        pearson = cov / math.sqrt(var_a * var_b)
+        pearson = min(1.0, max(-1.0, cov / math.sqrt(var_a * var_b)))
     slope = _restored(cov / var_a, e_b - e_a) if var_a != 0.0 else MISSING
 
     sq_a = float((a * a).sum())
@@ -53,7 +55,7 @@ def measure_coloc(
     if sq_a == 0.0 or sq_b == 0.0:
         overlap = MISSING
     else:
-        overlap = float((a * b).sum()) / math.sqrt(sq_a * sq_b)
+        overlap = min(1.0, max(-1.0, float((a * b).sum()) / math.sqrt(sq_a * sq_b)))
 
     tau = params.manders_threshold_frac
     thresh_a = tau * float(a.max())

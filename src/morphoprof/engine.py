@@ -297,6 +297,14 @@ def _blocks(workers: int, planes: dict[str, ImagePlane], payloads):
                 yield pending.pop(future), future.result()
 
 
+def _usable_cpus() -> int | None:
+    """The CPUs this process may run on: its CPU affinity where the OS
+    reports one, else the machine's count (None if unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def run(spec: ExperimentSpec) -> list[FeatureTable]:
     """Measure every object set; one table per set, rows by ascending label.
 
@@ -313,7 +321,7 @@ def run(spec: ExperimentSpec) -> list[FeatureTable]:
         starts = range(0, len(regions), spec.batch_size)
         payloads = ((s, (set_name, steps, regions[s : s + spec.batch_size])) for s in starts)
         # No more workers than batches or CPUs; one worker measures in-process.
-        workers = min(spec.workers, len(starts), os.cpu_count() or 1)
+        workers = min(spec.workers, len(starts), _usable_cpus() or 1)
         for start, block in _blocks(workers, planes, payloads):
             values[start : start + len(block)] = block
         tables.append(FeatureTable(set_name, columns, [r.label for r in regions], values))

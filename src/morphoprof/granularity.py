@@ -261,7 +261,8 @@ def measure_granularity(
             _reconstruct(state, limit)
         # np.mean's own arithmetic, the sum over the count, without its wrapper.
         prev_mean, mean = mean, float(table.take(inner[local_mask]).sum()) / count
-        out[key] = 100.0 * (prev_mean - mean) / start
+        # Rounding can carry a step that takes all that is left past 100.
+        out[key] = min(100.0, 100.0 * (prev_mean - mean) / start)
         if settled:
             break
         np.copyto(inner_limit, inner_entering, where=local_mask)

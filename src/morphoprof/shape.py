@@ -18,9 +18,11 @@ Conventions, fixed so outputs are reproducible across tools and runs:
   (:func:`~morphoprof.core.mask_geometry`), which makes them bitwise
   invariant under translation and multiples of 90-degree rotation.
 * Each Zernike term's sum over the pixels is correctly rounded (equal to
-  math.fsum), computed by exact limb extraction over blocks of pixels, so
-  the order in which pixels are summed cannot change a bit and the
-  magnitudes share that invariance.
+  math.fsum): each block of pixels' products is split exactly into limbs
+  whose sums cannot round, and one math.fsum joins a term's limb sums from
+  every block.  The order in which pixels are summed cannot change a bit,
+  so the magnitudes share that invariance, and the sums need one block of
+  products plus one partial sum per term, block and limb level.
 """
 
 from __future__ import annotations
@@ -167,9 +169,9 @@ def _eigen_features(geometry: MaskGeometry) -> tuple[float, float, float, float]
     return major, minor, eccentricity, orientation
 
 
-@lru_cache(maxsize=None)
-def _radial_poly_table(max_order: int) -> tuple[list[int], np.ndarray, np.ndarray, list[int], float]:
-    """(row per term, m per row, coefficients, prefix, bound) for the terms
+@lru_cache(maxsize=21)  # one entry per order ShapeParams admits
+def _radial_poly_table(max_order: int) -> tuple[list[int], np.ndarray, np.ndarray, list[int]]:
+    """(row per term, m per row, coefficients, prefix) for the terms
     of :func:`_zernike_indexes`, one row per term, the rows ordered by their
     number of coefficients, most first (ties keep the terms' order).
 
@@ -180,9 +182,7 @@ def _radial_poly_table(max_order: int) -> tuple[list[int], np.ndarray, np.ndarra
     first coefficient, which is bitwise the rule over a table right-aligned
     after zeros: over a leading zero it gives 0 * rho2 + 0, which is 0,
     then 0 * rho2 + c, which is c.  Column k is a coefficient of the first
-    ``prefix[k - 1]`` rows only.  ``bound`` is twice the largest sum of
-    |coeffs|, which bounds every |R_nm * exp(-i*m*theta)| on rho <= 1 with
-    room for rounding.
+    ``prefix[k - 1]`` rows only.
     """
     terms = _zernike_indexes(max_order)
     order = sorted(range(len(terms)), key=lambda t: terms[t][1] - terms[t][0])
@@ -194,61 +194,47 @@ def _radial_poly_table(max_order: int) -> tuple[list[int], np.ndarray, np.ndarra
         for s in range(halves[-1] + 1):
             coeffs[row, s] = (-1) ** s * math.comb(n - s, s) * math.comb(n - 2 * s, halves[-1] - s)
     prefix = [sum(half >= k for half in halves) for k in range(1, coeffs.shape[1])]
-    bound = 2.0 * float(np.abs(coeffs).sum(axis=1).max())
     term_m = np.array([terms[t][1] for t in order])
     # Cached and shared by every call, so read-only.
     term_m.flags.writeable = coeffs.flags.writeable = False
-    return np.argsort(order).tolist(), term_m, coeffs, prefix, bound
+    return np.argsort(order).tolist(), term_m, coeffs, prefix
 
 
 #: Pixels per block of the Zernike sums, which bounds their temporaries.
 _BLOCK_PIXELS = 1024
 
 
-def _exact_row_sums(blocks, count: int, bound: float) -> list[float]:
-    """Correctly rounded sum of each row of ``count`` columns that arrive as
-    (rows, k) float64 blocks: bitwise ``math.fsum`` of the row, up to the
-    sign of a zero sum.  Each block is overwritten with its residue.
+def _limb_sums(block: np.ndarray) -> list[np.ndarray]:
+    """Exact row sums of the limbs of a (rows, k) float64 block, one array
+    per limb level, highest first; together they sum to the block's rows.
+    The block is overwritten with its residue.
 
-    Needs 1 <= count < 2**40 and every value of magnitude at most
-    ``bound``, with 0 < bound <= 2**960.  Each value is split exactly into
-    limbs on one ladder of binary exponents b, by error-free extraction
-    (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 2008): with
+    Needs finite values below 2**960 in magnitude.  Each value is split
+    exactly into limbs on a ladder of binary exponents b, by error-free
+    extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 2008): with
     sigma = 1.5 * 2**(b + 52), q = (x + sigma) - sigma is x rounded to a
-    multiple of 2**b and x - q is exact.  Limbs are
-    52 - bit_length(count - 1) bits wide, so every float sum of one limb's
-    q over any blocks in any order is exact.  The ladder runs down to
-    2**-1074, the unit of every float64, so no residual is lost; a block
-    stops once its residual is zero.  The limb sums are joined as one
-    integer and rounded once, by int / int division.
+    multiple of 2**b and x - q is exact.  Limbs are 52 - bit_length(k - 1)
+    bits wide and the top one holds the block's largest magnitude, so the
+    float sum of a row's k limbs on one level is exact in any order.  The
+    ladder runs down to 2**-1074, the unit of every float64, so no residue
+    is lost; it stops once the residue is zero.  ``math.fsum`` over a row's
+    limb sums from every block is then the row's correctly rounded sum,
+    bitwise ``math.fsum`` of the row up to the sign of a zero sum, from one
+    block of products plus one partial sum per row, block and limb level.
     """
-    width = 52 - (count - 1).bit_length()
-    top = math.frexp(bound)[1] - width + 1
-    ladder = [*range(top, -1074, -width), -1074]
-    sigmas = [math.ldexp(1.5, b + 52) for b in ladder]
-    limbs = None
-    used = 0
-    for residual in blocks:
-        if limbs is None:
-            limbs = np.zeros((len(ladder), residual.shape[0]))
-        q = np.empty_like(residual)
-        for level, sigma in enumerate(sigmas):
-            np.add(residual, sigma, out=q)
-            q -= sigma
-            residual -= q
-            limbs[level] += q.sum(axis=1)
-            if not residual.any():
-                break
-        used = max(used, level + 1)
-    exps = np.array(ladder[:used])
-    ints = np.ldexp(limbs[:used], -exps[:, None]).astype(np.int64).tolist()
-    totals = ints[0]
-    for level in range(1, used):
-        shift = ladder[level - 1] - ladder[level]
-        totals = [(t << shift) + v for t, v in zip(totals, ints[level])]
-    low = ladder[used - 1]
-    scale = min(low, 0)
-    return [(t << (low - scale)) / (1 << -scale) for t in totals]
+    width = 52 - (block.shape[1] - 1).bit_length()
+    top = math.frexp(max(block.max(), -block.min()))[1] - width + 1
+    q = np.empty_like(block)
+    sums = []
+    for b in [*range(top, -1074, -width), -1074]:
+        sigma = math.ldexp(1.5, b + 52)
+        np.add(block, sigma, out=q)
+        q -= sigma
+        block -= q
+        sums.append(q.sum(axis=1))
+        if not block.any():
+            break
+    return sums
 
 
 def _zernike_magnitudes(geometry: MaskGeometry, max_order: int) -> dict[str, float]:
@@ -259,55 +245,53 @@ def _zernike_magnitudes(geometry: MaskGeometry, max_order: int) -> dict[str, flo
     (1 if that is 0); radii beyond 1 are clamped.  The geometry's exact
     deviations and each term's correctly rounded sum over the pixels (equal
     to math.fsum) make the magnitudes bitwise invariant under translation
-    and 90-degree rotation.  Pixels are taken in blocks:
-    each block's term products go to one array whose rows are summed
-    exactly by :func:`_exact_row_sums`.
+    and 90-degree rotation.  Pixels are taken in blocks: each block's term
+    products go to one array, split by :func:`_limb_sums`, and each term's
+    sum is one ``math.fsum`` over its limb sums from every block.
     """
     count, (dr, dc) = geometry.count, geometry.deviations
     d2 = dr * dr + dc * dc
     # A lone pixel has d2 = 0 everywhere, so any divisor gives rho = 0.
     d2_max = float(d2.max()) or 1.0
-    row_of, term_m, coeffs, prefix, bound = _radial_poly_table(max_order)
+    row_of, term_m, coeffs, prefix = _radial_poly_table(max_order)
     terms = term_m.size
-
-    def blocks():
-        products = np.empty((2 * terms, min(count, _BLOCK_PIXELS)))
-        for start in range(0, count, _BLOCK_PIXELS):
-            part = slice(start, start + _BLOCK_PIXELS)
-            d2_part = d2[part]
-            size = d2_part.size
-            rho2 = np.minimum(1.0, d2_part.astype(np.float64) / d2_max)
-            rho = np.sqrt(rho2)
-            norm = np.sqrt(d2_part.astype(np.float64))
-            # exp(-i*theta) held as separate real/imag arrays: complex-array
-            # products may be FMA-contracted, which would break the bitwise
-            # rotation symmetry.
-            with np.errstate(invalid="ignore", divide="ignore"):
-                unit_re = np.where(norm > 0, dc[part] / norm, 1.0)
-                unit_im = np.where(norm > 0, -(dr[part] / norm), 0.0)
-            # Row m: rho^m and exp(-i*m*theta), each by one product per step.
-            rho_pow = np.ones((max_order + 1, size))
-            pow_re = np.ones((max_order + 1, size))
-            pow_im = np.zeros((max_order + 1, size))
-            for m in range(1, max_order + 1):
-                np.multiply(rho_pow[m - 1], rho, out=rho_pow[m])
-                np.subtract(pow_re[m - 1] * unit_re, pow_im[m - 1] * unit_im, out=pow_re[m])
-                np.add(pow_re[m - 1] * unit_im, pow_im[m - 1] * unit_re, out=pow_im[m])
-            # R_nm by Horner's rule in the imaginary half, each row from its
-            # first coefficient, then both products.
-            out = products[:, :size]
-            radial = out[terms:]
-            radial[:] = coeffs[:, :1]
-            for column, rows in enumerate(prefix, 1):
-                part = radial[:rows]
-                part *= rho2
-                part += coeffs[:rows, column, None]
-            radial *= rho_pow[term_m]
-            np.multiply(radial, pow_re[term_m], out=out[:terms])
-            radial *= pow_im[term_m]
-            yield out
-
-    sums = _exact_row_sums(blocks(), count, bound)
+    products = np.empty((2 * terms, min(count, _BLOCK_PIXELS)))
+    partials = []
+    for start in range(0, count, _BLOCK_PIXELS):
+        part = slice(start, start + _BLOCK_PIXELS)
+        d2_part = d2[part]
+        size = d2_part.size
+        rho2 = np.minimum(1.0, d2_part.astype(np.float64) / d2_max)
+        rho = np.sqrt(rho2)
+        norm = np.sqrt(d2_part.astype(np.float64))
+        # exp(-i*theta) held as separate real/imag arrays: complex-array
+        # products may be FMA-contracted, which would break the bitwise
+        # rotation symmetry.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit_re = np.where(norm > 0, dc[part] / norm, 1.0)
+            unit_im = np.where(norm > 0, -(dr[part] / norm), 0.0)
+        # Row m: rho^m and exp(-i*m*theta), each by one product per step.
+        rho_pow = np.ones((max_order + 1, size))
+        pow_re = np.ones((max_order + 1, size))
+        pow_im = np.zeros((max_order + 1, size))
+        for m in range(1, max_order + 1):
+            np.multiply(rho_pow[m - 1], rho, out=rho_pow[m])
+            np.subtract(pow_re[m - 1] * unit_re, pow_im[m - 1] * unit_im, out=pow_re[m])
+            np.add(pow_re[m - 1] * unit_im, pow_im[m - 1] * unit_re, out=pow_im[m])
+        # R_nm by Horner's rule in the imaginary half, each row from its
+        # first coefficient, then both products.
+        out = products[:, :size]
+        radial = out[terms:]
+        radial[:] = coeffs[:, :1]
+        for column, rows in enumerate(prefix, 1):
+            lead = radial[:rows]
+            lead *= rho2
+            lead += coeffs[:rows, column, None]
+        radial *= rho_pow[term_m]
+        np.multiply(radial, pow_re[term_m], out=out[:terms])
+        radial *= pow_im[term_m]
+        partials += _limb_sums(out)
+    sums = [math.fsum(row) for row in np.array(partials).T.tolist()]
     pi_area = math.pi * float(count)
     return {
         f"Zernike_{n}_{m}": math.hypot(sums[row], sums[terms + row]) * ((n + 1) / pi_area)

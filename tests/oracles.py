@@ -205,10 +205,11 @@ def zernike_full_table_reference(geometry, max_order):
     each row started at its first coefficient.
 
     Like ``granularity_float64_reference`` it reuses a library kernel, the
-    exact row sums (which ``test_exact_row_sums_equal_fsum`` checks): it is
-    the reference for the Horner steps alone.
+    exact limb sums joined by ``math.fsum`` (which
+    ``test_exact_row_sums_equal_fsum`` checks): it is the reference for the
+    Horner steps alone.
     """
-    from morphoprof.shape import _BLOCK_PIXELS, _exact_row_sums
+    from morphoprof.shape import _BLOCK_PIXELS, _limb_sums
 
     terms = zernike_terms(max_order)
     coeffs = np.zeros((len(terms), max_order // 2 + 1))
@@ -216,36 +217,35 @@ def zernike_full_table_reference(geometry, max_order):
         half = (n - m) // 2
         for s in range(half + 1):
             coeffs[t, s - half - 1] = (-1) ** s * math.comb(n - s, s) * math.comb(n - 2 * s, half - s)
-    bound = 2.0 * float(np.abs(coeffs).sum(axis=1).max())
     term_m = np.array([m for _, m in terms])
     count, (dr, dc) = geometry.count, geometry.deviations
     d2 = dr * dr + dc * dc
     d2_max = float(d2.max()) or 1.0
 
-    def blocks():
-        for start in range(0, count, _BLOCK_PIXELS):
-            part = slice(start, start + _BLOCK_PIXELS)
-            rho2 = np.minimum(1.0, d2[part].astype(np.float64) / d2_max)
-            rho = np.sqrt(rho2)
-            norm = np.sqrt(d2[part].astype(np.float64))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                unit_re = np.where(norm > 0, dc[part] / norm, 1.0)
-                unit_im = np.where(norm > 0, -(dr[part] / norm), 0.0)
-            rho_pow = np.ones((max_order + 1, rho.size))
-            pow_re = np.ones((max_order + 1, rho.size))
-            pow_im = np.zeros((max_order + 1, rho.size))
-            for m in range(1, max_order + 1):
-                rho_pow[m] = rho_pow[m - 1] * rho
-                pow_re[m] = pow_re[m - 1] * unit_re - pow_im[m - 1] * unit_im
-                pow_im[m] = pow_re[m - 1] * unit_im + pow_im[m - 1] * unit_re
-            radial = np.empty((len(terms), rho.size))
-            radial[:] = coeffs[:, :1]
-            for column in coeffs.T[1:]:
-                radial = radial * rho2 + column[:, None]
-            radial = radial * rho_pow[term_m]
-            yield np.concatenate([radial * pow_re[term_m], radial * pow_im[term_m]])
+    partials = []
+    for start in range(0, count, _BLOCK_PIXELS):
+        part = slice(start, start + _BLOCK_PIXELS)
+        rho2 = np.minimum(1.0, d2[part].astype(np.float64) / d2_max)
+        rho = np.sqrt(rho2)
+        norm = np.sqrt(d2[part].astype(np.float64))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit_re = np.where(norm > 0, dc[part] / norm, 1.0)
+            unit_im = np.where(norm > 0, -(dr[part] / norm), 0.0)
+        rho_pow = np.ones((max_order + 1, rho.size))
+        pow_re = np.ones((max_order + 1, rho.size))
+        pow_im = np.zeros((max_order + 1, rho.size))
+        for m in range(1, max_order + 1):
+            rho_pow[m] = rho_pow[m - 1] * rho
+            pow_re[m] = pow_re[m - 1] * unit_re - pow_im[m - 1] * unit_im
+            pow_im[m] = pow_re[m - 1] * unit_im + pow_im[m - 1] * unit_re
+        radial = np.empty((len(terms), rho.size))
+        radial[:] = coeffs[:, :1]
+        for column in coeffs.T[1:]:
+            radial = radial * rho2 + column[:, None]
+        radial = radial * rho_pow[term_m]
+        partials += _limb_sums(np.concatenate([radial * pow_re[term_m], radial * pow_im[term_m]]))
 
-    sums = _exact_row_sums(blocks(), count, bound)
+    sums = [math.fsum(row) for row in np.array(partials).T.tolist()]
     pi_area = math.pi * float(count)
     return {
         f"Zernike_{n}_{m}": math.hypot(sums[t], sums[len(terms) + t]) * ((n + 1) / pi_area)
@@ -680,7 +680,7 @@ def granularity_oracle(region, plane, spectrum_length, background_radius):
         cur = np.where(mask, cur, 0.0)
         rec = gray_reconstruct_oracle(cur, entering, mask)
         mean = float(rec[mask].mean())
-        out[key] = 100.0 * (prev - mean) / start
+        out[key] = min(100.0, 100.0 * (prev - mean) / start)
         prev = mean
     return out
 
@@ -716,7 +716,7 @@ def granularity_float64_reference(region, plane, params):
         state = _guarded(eroded[mask], mask, 1, -np.inf)
         _reconstruct(state, _guarded(image, mask, 1, -np.inf))
         mean = float(state[1:-1, 1:-1][mask].mean())
-        out[key] = 100.0 * (prev - mean) / start
+        out[key] = min(100.0, 100.0 * (prev - mean) / start)
         prev, image = mean, eroded[mask]
     return out
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 from conftest import assert_close, assert_feature_maps_close, plane_of, region_of
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import coloc_oracle
 
@@ -138,3 +138,24 @@ def test_power_of_two_scaling_changes_no_bit_of_coloc(seed, e_a, e_b, mixed):
     exactly x 2^(e_b - e_a) while that stays in the normal range, and
     missing past the float range."""
     check_scale("coloc", ColocParams(), *inputs(seed, False, mixed), (e_a, e_b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 60),
+    kind=st.sampled_from(["scaled", "shifted", "negated"]),
+)
+@example(seed=8, size=47, kind="scaled")  # Overlap read 1.0000000000000002
+@example(seed=1, size=19, kind="shifted")  # Pearson read 1.0000000000000002
+def test_pearson_and_overlap_of_nearly_proportional_channels_stay_in_range(seed, size, kind):
+    """B = A (1 + 1e-12 N(0, 1)), 3 A + 1e-9 N(0, 1) or -3 A + 1e-9 N(0, 1)
+    on a row of pixels: rounding can carry a ratio one unit past 1."""
+    rng = np.random.default_rng(seed)
+    a = rng.random((1, size))
+    noise = rng.standard_normal((1, size))
+    b = {"scaled": a * (1 + 1e-12 * noise), "shifted": 3 * a + 1e-9 * noise,
+         "negated": -3 * a + 1e-9 * noise}[kind]
+    features = measure_coloc(region_of(np.ones((1, size), dtype=bool)), plane_of(a), plane_of(b))
+    assert -1.0 <= features["Pearson"] <= 1.0
+    assert -1.0 <= features["Overlap"] <= 1.0

@@ -264,7 +264,7 @@ def test_pool_never_has_more_workers_than_batches(tmp_path, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     # More CPUs than workers, so the batches alone bound the pool.
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 8)
 
     def csv_bytes(workers, batch_size):
         spec = experiment(n_objects=12, size=64, seed=3, workers=workers, batch_size=batch_size)
@@ -308,7 +308,7 @@ def test_pool_never_has_more_workers_than_cpus(tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "_worker_planes", engine._worker_planes)
 
     def csv_bytes(workers, cpus):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
         spec = experiment(n_objects=12, size=64, seed=3, families=("shape", "intensity"),
                           workers=workers, batch_size=1)
         (table,) = run(spec)
@@ -322,6 +322,24 @@ def test_pool_never_has_more_workers_than_cpus(tmp_path, monkeypatch):
     assert built == [3]
     assert csv_bytes(100_000, None)[0] == reference
     assert built == [3]
+
+
+def test_pool_never_has_more_workers_than_the_cpus_the_process_may_use(monkeypatch):
+    """Two CPUs on the machine but an affinity of one, as under
+    ``taskset -c 0``: two workers measure in-process instead of starting
+    two processes on one CPU."""
+    built = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, initializer, initargs):
+            built.append(max_workers)
+            super().__init__(max_workers, initializer=initializer, initargs=initargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    run(tiny_spec(n_channels=2, n_sets=1, workers=2, batch_size=1))
+    assert built == []
 
 
 def test_blocks_land_by_batch_start_whatever_order_batches_finish(tmp_path, monkeypatch):
@@ -353,7 +371,7 @@ def test_blocks_land_by_batch_start_whatever_order_batches_finish(tmp_path, monk
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NewestFirstPool)
     monkeypatch.setattr(concurrent.futures, "wait", newest_first)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)  # two workers on any machine
     # The initializer runs in this process: restore the planes it sets.
     monkeypatch.setattr(engine, "_worker_planes", engine._worker_planes)
 
@@ -394,7 +412,7 @@ def test_pool_payloads_hold_no_pixels_and_each_pool_gets_the_planes_once(monkeyp
             yield item
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool on any machine
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)  # a pool on any machine
     spec = tiny_spec(n_channels=2, n_sets=2, workers=2, batch_size=1)
     run(spec)
     # Two object sets of two objects: one pool and two one-object batches each.

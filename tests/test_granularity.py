@@ -147,6 +147,15 @@ def test_a_pixel_at_the_top_of_the_float_range_loses_all_of_its_mass_in_step_one
     assert got == {"1": 100.0, "2": 0.0, "3": 0.0}
 
 
+def test_a_step_never_records_more_than_100_percent():
+    # The step's percentage read 100.00000000000001 here: the object loses
+    # all of its mass in step one, and rounding carried the ratio past 100.
+    values = [[0.9996441451276826, 0.21268992699940736]]
+    got = measure_granularity(region_of(np.ones((1, 2), dtype=bool)), plane_of(values))
+    assert got["1"] == 100.0
+    assert all(v <= 100.0 for v in got.values())
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 1023), mixed=st.booleans())
 @example(seed=0, e=1023, mixed=False)

@@ -23,7 +23,7 @@ from morphoprof.shape import (
     _convex_hull_area,
     _crack_perimeter,
     _euler_number,
-    _exact_row_sums,
+    _limb_sums,
     _zernike_indexes,
     _zernike_magnitudes,
     feature_keys,
@@ -213,7 +213,7 @@ def test_mask_kernels_match_the_definitions_exactly(mask):
 
 @st.composite
 def summand_rows(draw):
-    """(values, bound, block width): rows of 1-5,000 floats from subnormal
+    """(values, block width): rows of 1-5,000 floats from subnormal
     magnitudes up to 2**960, each row spread over many exponents, cancelling
     (x + tiny against -x), crowding the bound with one sign, or all zeros."""
     length = draw(st.integers(1, 5000))
@@ -241,21 +241,27 @@ def summand_rows(draw):
         else:
             row = np.where(rng.random(length) < 0.5, -0.0, 0.0)
         rows.append(row)
-    values = np.array(rows)
-    largest = float(np.abs(values).max())
-    bound = largest if draw(st.booleans()) and largest > 0 else math.ldexp(1.0, top)
-    return values, bound, draw(st.integers(1, 2 * _BLOCK_PIXELS))
+    return np.array(rows), draw(st.integers(1, 2 * _BLOCK_PIXELS))
+
+
+def _exact_row_sums(values, width):
+    """One ``math.fsum`` per row over the limb sums of its ``width``-column
+    blocks, as :func:`_zernike_magnitudes` joins them."""
+    partials = []
+    for start in range(0, values.shape[1], width):
+        partials += _limb_sums(values[:, start : start + width].copy())
+    return [math.fsum(row) for row in np.array(partials).T.tolist()]
 
 
 @settings(max_examples=150, deadline=None)
 @given(summand_rows())
+@example((np.zeros((2, 7)), 3))  # all-zero blocks
+@example((np.array([[1.0, 2.0**-1074, -1.0], [2.0**959, -(2.0**-1074), 3.0]]), 1))  # width 1
+@example((np.full((1, 5), -0.0), 2))  # a row of -0.0
 def test_exact_row_sums_equal_fsum(case):
-    values, bound, width = case
-    length = values.shape[1]
-    blocks = (values[:, start : start + width].copy() for start in range(0, length, width))
-    got = _exact_row_sums(blocks, length, bound)
+    values, width = case
     # == compares bits, except that it takes 0.0 and -0.0 as equal.
-    assert got == [math.fsum(row) for row in values.tolist()]
+    assert _exact_row_sums(values, width) == [math.fsum(row) for row in values.tolist()]
 
 
 def _pixels_nearest_a_point(count):

@@ -1,5 +1,6 @@
 """The test run's own configuration, and what the runtime needs."""
 
+import ast
 import hashlib
 import importlib
 import inspect
@@ -122,6 +123,26 @@ def test_only_granularity_reaches_the_unchecked_reconstruction():
     named = {(path.name, name) for path in Path(SRC, "morphoprof").glob("*.py")
              for name in kernel.findall(path.read_text(encoding="utf-8"))}
     assert named == {("granularity.py", "_reconstruct"), ("granularity.py", "_reconstruct_front")}
+
+
+def test_every_cache_in_the_package_names_a_finite_maxsize():
+    # A cache keyed by a setting or a crop size grows with each new key for
+    # the life of the process, as _disk_rows's once did, unless it is bounded.
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    caches = ("cache", "lru_cache")
+    sizes = []
+    for path in Path(SRC, "morphoprof").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # A bare @cache or @lru_cache names no size.
+            sizes += [(path.name, d.lineno, None)
+                      for d in getattr(node, "decorator_list", []) if name(d) in caches]
+            if isinstance(node, ast.Call) and name(node.func) in caches:
+                given = [*node.args, *(k.value for k in node.keywords if k.arg == "maxsize")]
+                finite = name(node.func) == "lru_cache" and given and isinstance(given[0], ast.Constant)
+                sizes.append((path.name, node.lineno, given[0].value if finite else None))
+    assert sizes and [entry for entry in sizes if not isinstance(entry[2], int)] == []
 
 
 def test_every_memory_probe_runs_through_one_helper():
