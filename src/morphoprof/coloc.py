@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import MISSING, ImagePlane, ObjectRegion, _restored, object_values
+from .core import MISSING, ImagePlane, ObjectRegion, _check_real, _restored, object_values
 
 FEATURES = ("Pearson", "Overlap", "Slope", "MandersM1", "MandersM2")
 
@@ -25,8 +25,10 @@ class ColocParams:
     manders_threshold_frac: float = 0.15
 
     def __post_init__(self):
-        if not 0.0 <= self.manders_threshold_frac < 1.0:
+        tau = _check_real("manders_threshold_frac", self.manders_threshold_frac)
+        if not 0.0 <= tau < 1.0:
             raise ValueError("manders_threshold_frac must be in [0, 1)")
+        object.__setattr__(self, "manders_threshold_frac", tau)
 
 
 def measure_coloc(

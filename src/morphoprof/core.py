@@ -13,6 +13,7 @@ to float64, which changes no value: every narrower sample is exact there.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -277,6 +278,17 @@ def _check_int(name: str, value, low: int, high: float = math.inf) -> int:
         bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be {bound}")
     return value
+
+
+def _check_real(name: str, value) -> float:
+    """``value`` as a Python float (an int past the float range as an
+    infinity); ValueError unless it is a ``numbers.Real`` but no bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _top_exponent(rows: np.ndarray) -> np.ndarray:

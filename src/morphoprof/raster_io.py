@@ -12,11 +12,13 @@ Raster formats, each with one sample dtype (``_DTYPES``):
   row-major little-endian uint32 labels (for label values above 65535).
 
 ``_parse_header`` alone reads magic bytes and headers, for both
-loaders; ``_load_samples`` reads a payload without trusting its declared
-size, and ``_save_samples`` writes every format.  A loaded raster keeps
-its file's width: a RAWF32 plane holds float32 samples and a mask its
-uint8, uint16 or uint32 labels, in the one buffer the payload was read
-into.  PGM image samples become float64 when they are normalized.
+loaders, and stops at the first payload byte.  ``_load_samples`` reads
+the payload of a regular file or a pipe alike into one uint8 buffer that
+doubles, up to the declared size, only as bytes arrive; ``_save_samples``
+writes every format.  A loaded raster keeps its file's width: a RAWF32
+plane holds float32 samples and a mask its uint8, uint16 or uint32
+labels, in that buffer.  PGM image samples become float64 when they are
+normalized.
 
 Feature tables are RFC-4180 CSV with a ``object_set,label,...`` header,
 ``\\n`` line endings and locale-independent ``.`` decimals.  Floats are
@@ -37,7 +39,6 @@ import csv
 import io
 import math
 import os
-import re
 import stat
 from collections.abc import Iterator
 
@@ -49,41 +50,32 @@ from .core import MISSING, FeatureTable, ImagePlane, LabelMask, _adopt
 _DTYPES = {"PGM8": "u1", "PGM16": ">u2", "RAWF32": "<f4", "RAWU32": "<u4"}
 _PGM_BY_MAXVAL = {np.iinfo(_DTYPES[f]).max: f for f in ("PGM8", "PGM16")}
 _RAW_BY_MAGIC = {b"MPROF F32 ": "RAWF32", b"MPROF U32 ": "RAWU32"}
-# Whitespace and '#' comments (PGM allows them anywhere), then one token.
-_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 class FormatError(ValueError):
     """Malformed or unsupported raster/table content."""
 
 
-class _HeaderCut(FormatError):
-    """The data read so far ends inside a raster header."""
-
-
-def _parse_header(fh, path) -> tuple[str, int, int, bytes]:
-    """(format, width, height, payload bytes read with the header) of the
-    raster open in ``fh``.  A header that runs past the first chunk (long
-    '#' comments) is read on, doubling."""
-    data = fh.read(256)
-    while True:
-        try:
-            if data[:2] == b"P5":
-                fmt, width, height, offset = _pgm_fields(data, path)
-            elif data[:10] in _RAW_BY_MAGIC:
-                fmt = _RAW_BY_MAGIC[data[:10]]
-                width, height, offset = _raw_fields(data, path)
-            else:
-                raise FormatError(f"{path}: unrecognized raster format")
-            break
-        except _HeaderCut:
-            more = fh.read(len(data))
-            if not more:
-                raise
-            data += more
+def _parse_header(fh, path) -> tuple[str, int, int]:
+    """(format, width, height) of the raster open in ``fh``, read up to and
+    leaving ``fh`` at the first payload byte."""
+    magic = fh.read(2)
+    if magic == b"P5":
+        fmt, width, height = _pgm_fields(fh, path)
+    else:
+        magic += fh.read(8)
+        if magic not in _RAW_BY_MAGIC:
+            raise FormatError(f"{path}: unrecognized raster format")
+        fmt, line = _RAW_BY_MAGIC[magic], fh.readline()
+        if not line.endswith(b"\n"):
+            raise FormatError(f"{path}: missing raw header line")
+        dims = line[:-1].split(b" ")
+        if len(dims) != 2 or not all(token.isdigit() for token in dims):  # ASCII only
+            raise FormatError(f"{path}: bad raw header {(magic + line[:-1])[:64]!r}")
+        width, height = (_header_int(token, path) for token in dims)
     if width < 1 or height < 1:
         raise FormatError(f"{path}: non-positive raster dimensions {width}x{height}")
-    return fmt, width, height, data[offset:]
+    return fmt, width, height
 
 
 def _header_int(token: bytes, path) -> int:
@@ -93,73 +85,62 @@ def _header_int(token: bytes, path) -> int:
         raise FormatError(f"{path}: bad header number {token[:32]!r}") from None
 
 
-def _pgm_fields(data: bytes, path) -> tuple[str, int, int, int]:
-    if data[2:3] and not data[2:3].isspace():
+def _pgm_fields(fh, path) -> tuple[str, int, int]:
+    # Byte by byte: whitespace and '#' comments (to the line end) come
+    # before each token, and the one whitespace byte after the maxval is
+    # the header's last.
+    byte, fields = fh.read(1), []
+    if byte and not byte.isspace():
         raise FormatError(f"{path}: no whitespace after the PGM magic")
-    pos, fields = 2, []
     while len(fields) < 3:
-        match = _PGM_TOKEN.match(data, pos)
-        token, pos = match[1], match.end()
-        if pos >= len(data):
-            raise _HeaderCut(f"{path}: truncated PGM header")
+        while byte.isspace() or byte == b"#":
+            if byte == b"#":
+                fh.readline()
+            byte = fh.read(1)
+        token = bytearray()
+        while byte and not byte.isspace():
+            token += byte
+            byte = fh.read(1)
+        if not byte:
+            raise FormatError(f"{path}: truncated PGM header")
         if not token.isdigit():
-            raise FormatError(f"{path}: bad PGM header token {token[:32]!r}")
-        fields.append(_header_int(token, path))
+            raise FormatError(f"{path}: bad PGM header token {bytes(token[:32])!r}")
+        fields.append(_header_int(bytes(token), path))
     width, height, maxval = fields
     if maxval not in _PGM_BY_MAXVAL:
         raise FormatError(f"{path}: unsupported PGM maxval {maxval} (use 255 or 65535)")
-    return _PGM_BY_MAXVAL[maxval], width, height, pos + 1  # one whitespace byte
-
-
-def _raw_fields(data: bytes, path) -> tuple[int, int, int]:
-    end = data.find(b"\n")
-    if end < 0:
-        raise _HeaderCut(f"{path}: missing raw header line")
-    dims = data[10:end].split(b" ")
-    if len(dims) != 2 or not all(token.isdigit() for token in dims):  # ASCII only
-        raise FormatError(f"{path}: bad raw header {data[:end][:64]!r}")
-    width, height = (_header_int(token, path) for token in dims)
-    return width, height, end + 1
+    return _PGM_BY_MAXVAL[maxval], width, height
 
 
 def _load_samples(path, formats) -> np.ndarray:
-    # A regular file's size is checked against the header's before anything
-    # is allocated, then its payload is read once into the array returned.
-    # A pipe cannot seek or report a size, so its payload is read on in
-    # chunks that double and joined once.  Either way a header that declares
-    # more than the file holds fails as truncated without allocating the
-    # declared size, and a byte past the declared size fails too.  The
-    # samples come back unconverted but in native byte order, shaped (h, w),
-    # in a buffer nothing else holds.
+    # One uint8 buffer starts at the declared size or less: a regular
+    # file's remaining bytes, or 64 KiB for a pipe, which can neither seek
+    # nor report a size.  It doubles, up to the declared size, only when
+    # bytes fill it, so a header that declares more than the file holds
+    # fails as truncated without allocating the declared size; a byte past
+    # the declared size fails too.  The samples come back unconverted but
+    # in native byte order, shaped (h, w), in that buffer, which nothing
+    # else holds.
     with open(path, "rb") as fh:
-        fmt, width, height, payload = _parse_header(fh, path)
+        fmt, width, height = _parse_header(fh, path)
         if fmt not in formats:
             raise FormatError(f"{path}: {fmt} is not one of {', '.join(formats)}")
         dtype = np.dtype(_DTYPES[fmt])
-        size, expected = len(payload), width * height * dtype.itemsize
+        expected = width * height * dtype.itemsize
         info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode):
-            size += info.st_size - fh.tell()
-            if size == expected:
-                buffer = np.empty(expected, np.uint8)
-                buffer[: len(payload)] = np.frombuffer(payload, np.uint8)
-                size = len(payload)
-                while size < expected and (count := fh.readinto(buffer[size:])):
-                    size += count
-        else:
-            chunks = [payload]
-            while size < expected:
-                chunk = fh.read(min(expected - size, max(size, 1 << 16)))
-                if not chunk:
-                    break
-                chunks.append(chunk)
-                size += len(chunk)
-            buffer = bytearray().join(chunks)
+        room = info.st_size - fh.tell() if stat.S_ISREG(info.st_mode) else 1 << 16
+        buffer, size = np.empty(min(expected, room), np.uint8), 0
+        while count := fh.readinto(buffer[size:]):
+            size += count
+            if size == len(buffer) < expected:
+                grown = np.empty(min(2 * size, expected), np.uint8)
+                grown[:size] = buffer
+                buffer = grown
         if size < expected:
             raise FormatError(f"{path}: truncated payload ({size} of {expected} bytes)")
-        if size > expected or fh.read(1):
+        if fh.read(1):
             raise FormatError(f"{path}: bytes after the {expected}-byte payload")
-    samples = np.frombuffer(buffer, dtype).reshape(height, width)
+    samples = buffer.view(dtype).reshape(height, width)
     if not dtype.isnative:
         samples = samples.byteswap(inplace=True).view(dtype.newbyteorder())
     return samples

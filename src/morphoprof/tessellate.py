@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelMask, _check_fraction, _check_int
+from .core import LabelMask, _check_fraction, _check_int, _check_real
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,10 @@ class HexGridParams:
             object.__setattr__(self, name, _check_int(f"canvas {name}", getattr(self, name), 1))
         # Pixel centers are 1 apart, so below 0.5 a hexagon bins at most one
         # pixel; if the lattice step sqrt(3)*R overflows there is no lattice.
-        r = self.circumradius
+        r = _check_real("circumradius", self.circumradius)
         if not (r >= 0.5 and math.sqrt(3.0) * r < math.inf):
             raise ValueError(f"circumradius must be >= 0.5 with sqrt(3)*R finite, got {r}")
+        object.__setattr__(self, "circumradius", r)
 
 
 #: Pixels per row band of the candidate scan, which bounds its temporaries.

@@ -95,9 +95,9 @@ def _haralick(p: np.ndarray) -> np.ndarray:
     """The 13 Haralick statistics, in ``FEATURES`` order, of each matrix of
     the (n, G, G) stack ``p`` of normalized symmetric GLCMs: one row each.
 
-    The marginals, their means and variances are reduced over the stack;
-    the rest is taken matrix by matrix, each entropy over that matrix's
-    own nonzero entries.
+    ASM, contrast, IDM, sum(i*j*p) and the marginals with their means and
+    variances are reduced over the stack; the rest is taken matrix by
+    matrix, each entropy over that matrix's own nonzero entries.
     """
     g = p.shape[1]
     idx = np.arange(g, dtype=np.float64)
@@ -112,6 +112,10 @@ def _haralick(p: np.ndarray) -> np.ndarray:
     ij_sum = np.add.outer(np.arange(g), np.arange(g)).ravel()
     ij_diff = np.abs(np.subtract.outer(np.arange(g), np.arange(g))).ravel()
     k_sum = np.arange(2 * g - 1, dtype=np.float64)
+    asm = (p * p).sum(axis=(1, 2))
+    contrast = (diff2 * p).sum(axis=(1, 2))
+    idm = (p / idm_weight).sum(axis=(1, 2))
+    covariance = (ij * p).sum(axis=(1, 2)) - mu_x * mu_y
     rows = np.empty((len(p), len(FEATURES)))
     for k, m in enumerate(p):
         p_sum = np.bincount(ij_sum, weights=m.ravel(), minlength=2 * g - 1)
@@ -119,8 +123,7 @@ def _haralick(p: np.ndarray) -> np.ndarray:
         sum_average = float((k_sum * p_sum).sum())
         diff_mean = float((idx * p_diff).sum())
         std_x, std_y = math.sqrt(var_x[k]), math.sqrt(var_y[k])
-        covariance = float((ij * m).sum()) - mu_x[k] * mu_y[k]
-        correlation = 0.0 if std_x == 0.0 or std_y == 0.0 else covariance / (std_x * std_y)
+        correlation = 0.0 if std_x == 0.0 or std_y == 0.0 else covariance[k] / (std_x * std_y)
         marg = np.multiply.outer(px[k], py[k])
         nz = m > 0
         hxy = _entropy(m)
@@ -128,11 +131,11 @@ def _haralick(p: np.ndarray) -> np.ndarray:
         hxy2 = _entropy(marg)
         denom = max(_entropy(px[k]), _entropy(py[k]))
         rows[k] = (
-            (m * m).sum(),
-            (diff2 * m).sum(),
+            asm[k],
+            contrast[k],
             correlation,
             var_x[k],
-            (m / idm_weight).sum(),
+            idm[k],
             sum_average,
             ((k_sum - sum_average) ** 2 * p_sum).sum(),
             _entropy(p_sum),

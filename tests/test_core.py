@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from morphoprof import (
     SpecValidationError,
     TextureParams,
     extract_objects,
+    feature_catalog,
     max_project,
     measure_coloc,
     measure_granularity,
@@ -551,6 +553,33 @@ def test_plane_rejects_values_that_are_not_real_numbers(values):
 @pytest.mark.parametrize("values", [[[True, False]], np.array([[3, 4]], dtype=np.uint16)])
 def test_plane_accepts_bool_and_integer_values(values):
     assert ImagePlane(values).pixels.tolist() == np.asarray(values, dtype=np.float64).tolist()
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: ColocParams(v), "manders_threshold_frac"),
+        (lambda v: HexGridParams(4, 4, v), "circumradius"),
+    ],
+)
+def test_real_settings_are_checked_at_construction(build, name):
+    # A Python bool used to pass as 1.0 or 0.0 (the catalog then printed
+    # manders_threshold_frac=False), a string or None raised TypeError, and
+    # a circumradius past the float range raised OverflowError.
+    for value in ("0.5", "3", None, 1j, True, False, np.True_, np.False_):
+        message = f"{name} must be a real number, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(value)
+    for value in (-1.0, 10**400):
+        with pytest.raises(ValueError, match=f"{name} must be "):
+            build(value)
+    for value in (0.75, np.float32(0.75), np.float64(0.75), Fraction(3, 4)):
+        stored = getattr(build(value), name)
+        assert type(stored) is float and stored == 0.75
+    assert type(HexGridParams(4, 4, np.int64(3)).circumradius) is float
+    assert feature_catalog(ExperimentSpec(coloc_params=ColocParams(np.float64(0.5))))[-1][3] == (
+        "manders_threshold_frac=0.5"
+    )
 
 
 @pytest.mark.parametrize(

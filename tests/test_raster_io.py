@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import re
+import stat
 import threading
 import tracemalloc
 
@@ -32,7 +33,7 @@ from peakrss import probe_peaks
 def header_of(path):
     """(format, width, height) of a raster file, read without its payload."""
     with open(path, "rb") as fh:
-        return raster_io._parse_header(fh, path)[:3]
+        return raster_io._parse_header(fh, path)
 
 
 def write_pgm16(path, samples):
@@ -217,8 +218,8 @@ def test_read_header_identifies_formats(tmp_path, rng):
         saver(obj, path)
         with open(path, "rb") as fh:
             header = raster_io._parse_header(fh, path)
-            payload = header[3] + fh.read()
-        assert header[:3] == (fmt, 9, 6)
+            payload = fh.read()  # the header is read up to the first payload byte
+        assert header == (fmt, 9, 6)
         assert len(payload) == 9 * 6 * sample_size
 
 
@@ -227,7 +228,7 @@ def test_read_header_reads_past_a_long_pgm_comment(tmp_path):
     path.write_bytes(b"P5\n#" + b"c" * 300 + b"\n2 1\n255\n\x00\xff")
     assert load_image(path).pixels.shape == (1, 2)
     assert header_of(path) == ("PGM8", 2, 1)
-    # Every cut of the header at the first chunk's end, tokens included.
+    # Comments ending on and around byte 256, tokens included.
     for pad in range(240, 262):
         path.write_bytes(b"P5\n#" + b"c" * pad + b"\n12 1\n65535\n" + bytes(24))
         assert header_of(path) == ("PGM16", 12, 1), pad
@@ -599,6 +600,49 @@ def test_bytes_after_a_magic_load_or_raise_format_error(tmp_path_factory, conten
             assert content[2:3].isspace()
         else:
             assert re.fullmatch(rb"MPROF [FU]32 [0-9]+ [0-9]+", content.split(b"\n")[0])
+
+
+def _loaded(load, source, content):
+    """What ``load`` gives for ``source``: (dtype, shape, bytes) of its array,
+    or the text of its FormatError after the ``f"{source}: "`` that starts it.
+    A FIFO is fed ``content`` by a thread, which stops quietly when the loader
+    closes the pipe early."""
+
+    def feed():
+        try:
+            with open(source, "wb") as fh:
+                fh.write(content)
+        except BrokenPipeError:  # the loader stopped reading
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    if stat.S_ISFIFO(os.stat(source).st_mode):
+        writer.start()
+    try:
+        loaded = load(source)
+        array = loaded.pixels if load is load_image else loaded.labels
+        return array.dtype, array.shape, array.tobytes()
+    except FormatError as exc:
+        assert str(exc).startswith(f"{source}: "), exc
+        return str(exc)[len(f"{source}: "):]
+    finally:
+        if writer.is_alive():
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+
+@settings(max_examples=200, deadline=None)
+@given(raster_bytes())
+@example(b"MPROF F32 1 1\n" + bytes(1 << 17))  # more than a pipe holds past the payload
+@example(b"P6" + bytes(1 << 17))
+def test_a_raster_loads_alike_from_a_file_and_a_pipe(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "same.bin"
+    fifo = tmp_path_factory.getbasetemp() / "same.fifo"
+    path.write_bytes(content)
+    if not fifo.exists():
+        os.mkfifo(fifo)
+    for load in (load_image, load_mask):
+        assert _loaded(load, path, content) == _loaded(load, fifo, content)
 
 
 _SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
