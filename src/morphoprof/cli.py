@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import engine, postprocess, raster_io, tessellate
-from .core import _check_fraction
+from .core import _check_real
 from .engine import ExperimentSpec, SpecValidationError
 
 #: Each family-parameter flag: (flag, ExperimentSpec params field, attribute).
@@ -58,8 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--mask", action="append", default=[], help="label mask (repeatable)")
     ex.add_argument("--mask-names", default="", help="comma-separated object set names")
     _add_family_flags(ex)
-    ex.add_argument("--batch-size", type=int, default=256)
-    ex.add_argument("--workers", type=int, default=1)
+    ex.add_argument("--batch-size", type=int, default=ExperimentSpec.batch_size)
+    ex.add_argument("--workers", type=int, default=ExperimentSpec.workers)
     ex.add_argument("--out", required=True, help="output stem or .csv path")
 
     tess = sub.add_parser("tessellate", help="write a hexagonal label mask")
@@ -73,14 +74,19 @@ def _build_parser() -> argparse.ArgumentParser:
     norm = sub.add_parser("normalize", help="robust-standardize and filter a feature table")
     norm.add_argument("--in", dest="table_in", required=True)
     norm.add_argument("--out", required=True)
-    norm.add_argument("--corr-threshold", type=float, default=0.9)
-    norm.add_argument("--drop-missing-frac", type=float, default=0.05)
 
     cmp_p = sub.add_parser("compare", help="per-feature OLS R^2 between two tables")
     cmp_p.add_argument("--a", required=True)
     cmp_p.add_argument("--b", required=True)
     cmp_p.add_argument("--out", required=True)
-    cmp_p.add_argument("--r2-threshold", type=float, default=0.9)
+    # Each threshold flag defaults to its library function's default.
+    for command, flag, function, name in (
+        (norm, "--corr-threshold", postprocess.correlation_filter, "threshold"),
+        (norm, "--drop-missing-frac", postprocess.robust_standardize, "drop_missing_frac"),
+        (cmp_p, "--r2-threshold", postprocess.compare_tables, "r2_threshold"),
+    ):
+        default = inspect.signature(function).parameters[name].default
+        command.add_argument(flag, type=float, default=default)
 
     lf = sub.add_parser("list-features", help="print the feature dictionary as CSV")
     _add_family_flags(lf)
@@ -129,7 +135,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_tessellate(args) -> int:
-    _check_fraction("min_coverage", args.min_coverage)  # with or without a tissue mask
+    _check_real("min_coverage", args.min_coverage, 0.0, 1.0)  # with or without a tissue mask
     mask = tessellate.hex_tessellation(
         tessellate.HexGridParams(args.width, args.height, args.radius)
     )
@@ -141,8 +147,8 @@ def _cmd_tessellate(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    _check_fraction("drop_missing_frac", args.drop_missing_frac)
-    _check_fraction("correlation threshold", args.corr_threshold)
+    _check_real("drop_missing_frac", args.drop_missing_frac, 0.0, 1.0)
+    _check_real("correlation threshold", args.corr_threshold, 0.0, 1.0)
     table = raster_io.read_table(args.table_in)
     table = postprocess.robust_standardize(table, args.drop_missing_frac)
     table = postprocess.correlation_filter(table, args.corr_threshold)
@@ -151,7 +157,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    postprocess._check_r2_threshold(args.r2_threshold)
+    _check_real("r2_threshold", args.r2_threshold)
     table_a = raster_io.read_table(args.a)
     table_b = raster_io.read_table(args.b)
     report = postprocess.compare_tables(table_a, table_b, r2_threshold=args.r2_threshold)

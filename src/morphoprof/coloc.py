@@ -25,8 +25,8 @@ class ColocParams:
     manders_threshold_frac: float = 0.15
 
     def __post_init__(self):
-        tau = _check_real("manders_threshold_frac", self.manders_threshold_frac)
-        if not 0.0 <= tau < 1.0:
+        tau = _check_real("manders_threshold_frac", self.manders_threshold_frac, 0.0, 1.0)
+        if tau == 1.0:
             raise ValueError("manders_threshold_frac must be in [0, 1)")
         object.__setattr__(self, "manders_threshold_frac", tau)
 

@@ -259,12 +259,6 @@ def max_project(stack: list[ImagePlane]) -> ImagePlane:
     return _adopt(ImagePlane, out)
 
 
-def _check_fraction(name: str, value: float) -> None:
-    """Raise ValueError unless ``value`` is in [0, 1]; NaN is not."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1]")
-
-
 def _check_int(name: str, value, low: int, high: float = math.inf) -> int:
     """``value`` as a Python int; ValueError unless it is an integer but no
     bool (anything else ``operator.index`` takes) in [low, high]."""
@@ -280,15 +274,19 @@ def _check_int(name: str, value, low: int, high: float = math.inf) -> int:
     return value
 
 
-def _check_real(name: str, value) -> float:
-    """``value`` as a Python float (an int past the float range as an
-    infinity); ValueError unless it is a ``numbers.Real`` but no bool."""
+def _check_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a Python float; ValueError unless it is a Python or NumPy
+    real or a ``Fraction`` but no bool (an int past the float range is an
+    infinity) in [low, high], which NaN never is."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        value = math.inf if value > 0 else -math.inf
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low:g}, {high:g}], got {value!r}")
+    return value
 
 
 def _top_exponent(rows: np.ndarray) -> np.ndarray:

@@ -24,14 +24,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MISSING, FeatureTable, _check_fraction, _median_and_mad, _scaled, _top_exponent
+from .core import MISSING, FeatureTable, _check_real, _median_and_mad, _scaled, _top_exponent
 from .raster_io import format_cell
 
 
 def robust_standardize(table: FeatureTable, drop_missing_frac: float = 0.05) -> FeatureTable:
     """Robust z-score per feature; drops MAD-zero columns and those with
     more than ``drop_missing_frac`` of their cells missing."""
-    _check_fraction("drop_missing_frac", drop_missing_frac)
+    drop_missing_frac = _check_real("drop_missing_frac", drop_missing_frac, 0.0, 1.0)
     if table.n_rows == 0:
         raise ValueError("cannot standardize an empty table")
     values = np.zeros(table.values.shape)
@@ -67,7 +67,7 @@ def _abs_corr(x: np.ndarray, y: np.ndarray) -> float:
 def correlation_filter(table: FeatureTable, threshold: float = 0.9) -> FeatureTable:
     """Greedy scan in column order; drop features correlated above threshold
     (in [0, 1]) with any already-kept feature."""
-    _check_fraction("correlation threshold", threshold)
+    threshold = _check_real("correlation threshold", threshold, 0.0, 1.0)
     # One contiguous row per column, so a row-wise mean sums as _abs_corr's
     # does; each is rescaled once, which |r| does not see.
     rows, _ = _scaled(table.values.T)
@@ -99,19 +99,13 @@ class FeatureFit:
     n: int
 
 
-def _check_r2_threshold(value: float) -> None:
-    """Raise ValueError if ``value`` is NaN; any other float is a threshold."""
-    if math.isnan(value):
-        raise ValueError("r2_threshold must not be NaN")
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     fits: tuple[FeatureFit, ...]
     r2_threshold: float
 
     def __post_init__(self):
-        _check_r2_threshold(self.r2_threshold)
+        object.__setattr__(self, "r2_threshold", _check_real("r2_threshold", self.r2_threshold))
 
     @property
     def fraction_above(self) -> float:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelMask, _check_fraction, _check_int, _check_real
+from .core import LabelMask, _check_int, _check_real
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class HexGridParams:
             object.__setattr__(self, name, _check_int(f"canvas {name}", getattr(self, name), 1))
         # Pixel centers are 1 apart, so below 0.5 a hexagon bins at most one
         # pixel; if the lattice step sqrt(3)*R overflows there is no lattice.
-        r = _check_real("circumradius", self.circumradius)
-        if not (r >= 0.5 and math.sqrt(3.0) * r < math.inf):
+        r = _check_real("circumradius", self.circumradius, 0.5)
+        if math.sqrt(3.0) * r == math.inf:
             raise ValueError(f"circumradius must be >= 0.5 with sqrt(3)*R finite, got {r}")
         object.__setattr__(self, "circumradius", r)
 
@@ -122,7 +122,7 @@ def filter_by_coverage(
 ) -> LabelMask:
     """Zero out hexagons whose fraction of foreground pixels is below the
     threshold in [0, 1]; survivors keep their labels."""
-    _check_fraction("min_coverage", min_coverage)
+    min_coverage = _check_real("min_coverage", min_coverage, 0.0, 1.0)
     if hex_mask.labels.shape != foreground.labels.shape:
         raise ValueError(
             f"foreground dims {foreground.width}x{foreground.height} do not match "

@@ -13,6 +13,7 @@ from peakrss import probe_peaks
 
 from morphoprof import (
     ColocParams,
+    ComparisonReport,
     ExperimentSpec,
     FeatureTable,
     FormatError,
@@ -25,8 +26,12 @@ from morphoprof import (
     ShapeParams,
     SpecValidationError,
     TextureParams,
+    compare_tables,
+    correlation_filter,
     extract_objects,
     feature_catalog,
+    filter_by_coverage,
+    hex_tessellation,
     max_project,
     measure_coloc,
     measure_granularity,
@@ -34,6 +39,7 @@ from morphoprof import (
     measure_radial,
     measure_texture,
     read_table,
+    robust_standardize,
     save_image,
 )
 from morphoprof import core
@@ -570,7 +576,7 @@ def test_real_settings_are_checked_at_construction(build, name):
         message = f"{name} must be a real number, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             build(value)
-    for value in (-1.0, 10**400):
+    for value in (-1.0, 10**400, math.nan):
         with pytest.raises(ValueError, match=f"{name} must be "):
             build(value)
     for value in (0.75, np.float32(0.75), np.float64(0.75), Fraction(3, 4)):
@@ -580,6 +586,39 @@ def test_real_settings_are_checked_at_construction(build, name):
     assert feature_catalog(ExperimentSpec(coloc_params=ColocParams(np.float64(0.5))))[-1][3] == (
         "manders_threshold_frac=0.5"
     )
+
+
+_TABLE = FeatureTable("cells", ("a", "b", "c"), np.arange(1, 9),
+                      np.random.default_rng(0).standard_normal((8, 3)))
+_HEXES = hex_tessellation(HexGridParams(8, 8, 2.0))
+_TISSUE = LabelMask(np.tri(8, dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "call, name, low, high",
+    [
+        (lambda v: robust_standardize(_TABLE, v).columns, "drop_missing_frac", 0, 1),
+        (lambda v: correlation_filter(_TABLE, v).columns, "correlation threshold", 0, 1),
+        (lambda v: filter_by_coverage(_HEXES, _TISSUE, v).labels.tolist(), "min_coverage", 0, 1),
+        (lambda v: compare_tables(_TABLE, _TABLE, v).summary_line, "r2_threshold", -math.inf,
+         math.inf),
+        (lambda v: ComparisonReport((), v).r2_threshold, "r2_threshold", -math.inf, math.inf),
+    ],
+)
+def test_real_arguments_are_checked_where_taken(call, name, low, high):
+    # A bool used to pass as 1.0 or 0.0 (correlation_filter(table, True)
+    # kept every column and ComparisonReport((), True) printed
+    # fraction_r2_gt_1=0.0), and a string, None or a complex raised TypeError.
+    for value in ("0.5", None, 1j, True, False, np.True_, np.False_):
+        message = f"{name} must be a real number, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(value)
+    for value in (math.nan, *(v for v in (-0.5, 1.5, -math.inf, math.inf) if not low <= v <= high)):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be in [{low:g}, {high:g}]")):
+            call(value)
+    for value in (np.float32(0.75), np.float64(0.75), Fraction(3, 4), low, high):
+        got, expected = call(value), call(float(value))
+        assert type(got) is type(expected) and got == expected
 
 
 @pytest.mark.parametrize(

@@ -125,6 +125,17 @@ def test_only_granularity_reaches_the_unchecked_reconstruction():
     assert named == {("granularity.py", "_reconstruct"), ("granularity.py", "_reconstruct_front")}
 
 
+def test_only_core_defines_setting_checkers():
+    # What a valid setting is gets decided in one module: the separate
+    # fraction and r2 checks that once stood beside _check_int and
+    # _check_real took bools as thresholds and raised TypeError on strings.
+    checkers = {(path.name, node.name) for path in Path(SRC, "morphoprof").glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_check_")}
+    assert checkers and {module for module, _ in checkers} == {"core.py"}
+
+
 def test_every_cache_in_the_package_names_a_finite_maxsize():
     # A cache keyed by a setting or a crop size grows with each new key for
     # the life of the process, as _disk_rows's once did, unless it is bounded.
