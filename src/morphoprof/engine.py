@@ -14,14 +14,14 @@ and the pixels in its bbox.  A batch comes back as one block of value rows, writ
 first row's index whatever order batches finish in, so the output tables
 are byte-identical for any worker count or batch size.
 
-Every family measures an object on its own region and the spec's own
-image planes, through the public ``measure_X`` functions, so the
-pipeline and a direct call measure the same way: the channel families
-read the object's values through ``core.object_values``, and no pixel is
-copied up front.  A batch carries the object set name, the expanded steps
-as (family name, params, channel names) and the batch's regions, never
-pixels; each pool worker gets the planes once, when it starts.  A family
-that fails names the object set, label, family and channels it failed on.
+A :class:`Family` names its module, and the engine calls that module's
+one entry point, ``measure_<name>``, on the object's own region, the
+spec's planes and its ``<name>_params``, so the pipeline and a direct call
+measure the same way and no pixel is copied up front.  A batch carries
+the object set name, the expanded steps as (family name, params, channel
+names) and the batch's regions, never pixels; each pool worker gets the
+planes once, when it starts.  A family that fails names the object set,
+label, family and channels it failed on.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import itertools
 import os
 import re
 from dataclasses import dataclass, field
+from types import ModuleType
 from typing import Any, Callable
 
 import numpy as np
@@ -44,22 +45,28 @@ Key = tuple[str, str, str, str]
 
 @dataclass(frozen=True)
 class Family:
-    """One measurement family: everything the engine knows about it."""
+    """One measurement family: its module and how its values become columns."""
 
-    name: str
+    #: ``morphoprof.<name>``, whose ``measure_<name>`` measures the family.
+    module: ModuleType
     #: Column token, e.g. ``RadialDistribution``.
     token: str
     #: Channels per measurement: 0 mask only, 1 one channel, 2 a channel pair.
     arity: int
-    #: The ExperimentSpec field holding the family's params; None if it has none.
-    params_field: str | None
     keys: Callable[[Any], list[Key]]
-    #: (region, planes of the measured channels, params) -> {dict key: value}.
-    measure: Callable[[ObjectRegion, tuple[ImagePlane, ...], Any], dict[str, float]]
+
+    @property
+    def name(self) -> str:
+        return self.module.__name__.rpartition(".")[2]
 
     def params(self, spec: ExperimentSpec):
-        """This family's params in ``spec``; None if it has none."""
-        return getattr(spec, self.params_field) if self.params_field else None
+        """This family's ``<name>_params`` in ``spec``; None if it has none."""
+        return getattr(spec, f"{self.name}_params", None)
+
+    def measure(self, region: ObjectRegion, planes: tuple[ImagePlane, ...], params):
+        """``measure_<name>(region, *planes[, params])``: {dict key: value}."""
+        measure = getattr(self.module, f"measure_{self.name}")
+        return measure(region, *planes, *([] if params is None else [params]))
 
 
 def _param_text(params) -> str:
@@ -79,35 +86,22 @@ def _shape_keys(params: shape.ShapeParams) -> list[Key]:
 
 
 REGISTRY = (
+    Family(shape, "Shape", 0, _shape_keys),
+    Family(intensity, "Intensity", 1, lambda p: _plain(intensity.FEATURES)),
     Family(
-        "shape", "Shape", 0, "shape_params", _shape_keys,
-        lambda region, planes, p: shape.measure_shape(region, p),
-    ),
-    Family(
-        "intensity", "Intensity", 1, None, lambda p: _plain(intensity.FEATURES),
-        lambda region, planes, p: intensity.measure_intensity(region, *planes),
-    ),
-    Family(
-        "texture", "Texture", 1, "texture_params",
+        texture, "Texture", 1,
         lambda p: _plain(texture.FEATURES, f"d{p.distance}_g{p.gray_levels}", _param_text(p)),
-        lambda region, planes, p: texture.measure_texture(region, *planes, p),
     ),
     Family(
-        "granularity", "Granularity", 1, "granularity_params",
+        granularity, "Granularity", 1,
         lambda p: _plain(granularity.feature_keys(p), text=_param_text(p)),
-        lambda region, planes, p: granularity.measure_granularity(region, *planes, p),
     ),
     Family(
-        "radial", "RadialDistribution", 1, "radial_params",
+        radial, "RadialDistribution", 1,
         # Key "FracAtD_1of4" is column feature "FracAtD" with suffix "1of4".
         lambda p: [(key, *key.split("_"), _param_text(p)) for key in radial.feature_keys(p)],
-        lambda region, planes, p: radial.measure_radial(region, *planes, p),
     ),
-    Family(
-        "coloc", "Coloc", 2, "coloc_params",
-        lambda p: _plain(coloc.FEATURES, text=_param_text(p)),
-        lambda region, planes, p: coloc.measure_coloc(region, *planes, p),
-    ),
+    Family(coloc, "Coloc", 2, lambda p: _plain(coloc.FEATURES, text=_param_text(p))),
 )
 
 _BY_NAME = {family.name: family for family in REGISTRY}

@@ -2,9 +2,12 @@
 
 The object's background is first removed with a grayscale opening
 (tophat); the residue is then eroded one disk-radius step at a time,
-each erosion is reconstructed under the image that entered the step,
-and the spectrum records the percentage of the starting mean intensity
-lost at each step.
+each erosion is reconstructed with a 3x3 neighbourhood under the image
+that entered the step (the previous step's erosion; the residue for the
+first), and the spectrum records the percentage of the starting mean
+intensity lost at each step.  CellProfiler's MeasureGranularity, as
+remembered and not checked here, reconstructs every step under the
+residue with a disk(1) footprint instead, which gives other spectra.
 
 All operators are mask-aware: pixels outside the object behave as +inf
 for erosion and -inf for dilation, so values never leak across the

@@ -651,8 +651,11 @@ def gray_open_oracle(values, mask, radius):
     return gray_dilate_oracle(gray_erode_oracle(values, mask, radius), mask, radius)
 
 
-def gray_reconstruct_oracle(marker, limit, mask):
-    neighborhood = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+def gray_reconstruct_oracle(marker, limit, mask, neighborhood=None):
+    """Dilate ``marker`` under ``limit`` until it settles; the neighbourhood
+    is 3x3 unless ``neighborhood`` lists other (dr, dc) offsets."""
+    if neighborhood is None:
+        neighborhood = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
     cur = np.where(mask, marker, 0.0)
     while True:
         grown = _masked_filter(cur, mask, neighborhood, max, -math.inf)
@@ -679,6 +682,33 @@ def granularity_oracle(region, plane, spectrum_length, background_radius):
         cur = gray_erode_oracle(cur, mask, 1)
         cur = np.where(mask, cur, 0.0)
         rec = gray_reconstruct_oracle(cur, entering, mask)
+        mean = float(rec[mask].mean())
+        out[key] = min(100.0, 100.0 * (prev - mean) / start)
+        prev = mean
+    return out
+
+
+def granularity_cellprofiler_oracle(region, plane, spectrum_length, background_radius):
+    """The spectrum in CellProfiler MeasureGranularity's form, as remembered
+    and not checked against its source: every step's erosion is
+    reconstructed under the one background-subtracted residue with the
+    disk(1) footprint (the centre and its 4 neighbours).  The library and
+    ``granularity_oracle`` reconstruct under the previous step's erosion
+    with a 3x3 neighbourhood.  Opening and erosions are the library's."""
+    mask = region.local_mask
+    crop = region.crop(plane.pixels)
+    opened = gray_open_oracle(crop, mask, background_radius)
+    residue = np.where(mask, np.maximum(0.0, crop - opened), 0.0)
+    start = float(residue[mask].mean())
+    keys = [str(i) for i in range(1, spectrum_length + 1)]
+    if start == 0.0:
+        return {k: 0.0 for k in keys}
+    out = {}
+    prev = start
+    eroded = residue
+    for key in keys:
+        eroded = np.where(mask, gray_erode_oracle(eroded, mask, 1), 0.0)
+        rec = gray_reconstruct_oracle(eroded, residue, mask, _disk_offsets(1))
         mean = float(rec[mask].mean())
         out[key] = min(100.0, 100.0 * (prev - mean) / start)
         prev = mean

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import math
 import platform
 
 import numpy as np
@@ -11,14 +12,19 @@ from morphoprof import (
     FeatureTable,
     ImagePlane,
     LabelMask,
+    compare_tables,
+    correlation_filter,
+    filter_by_coverage,
     load_mask,
     read_table,
+    robust_standardize,
     save_image,
     save_mask,
     write_table,
 )
 from morphoprof.cli import _build_parser, _config, main
 from synth import blob_mask, smooth_plane
+from test_core import _HEXES, _TABLE, _TISSUE
 
 
 @pytest.fixture
@@ -130,6 +136,11 @@ def _contract_args(tmp_path, paths):
     # With the input missing, only a flag checked before reading gives exit code 2.
     nowhere = str(tmp_path / "nope.csv")
     unread = ["normalize", "--in", nowhere, "--out", str(tmp_path / "n.csv")]
+    empty_table = tmp_path / "empty.csv"
+    empty_table.write_bytes(b"")
+    unread_extract = ["extract", "--image", str(tmp_path / "none.raw"), "--channel-names", "DNA",
+                      "--out", str(tmp_path / "out")]
+    none_mask = str(tmp_path / "none.u32")
     return {
         "good": (["list-features"], ""),
         "missing-file": (extract_args({**paths, "mask": tmp_path / "nope.raw"}), "nope.raw"),
@@ -167,6 +178,12 @@ def _contract_args(tmp_path, paths):
         "misaligned": (["extract", "--image", str(narrow), "--channel-names", "Mito",
                         "--mask", str(wide), "--mask-names", "cells", "--features", "shape",
                         "--out", str(tmp_path / "f.csv")], "channel Mito (5x9)"),
+        "empty-table": (["normalize", "--in", str(empty_table), "--out", str(tmp_path / "n.csv")],
+                        "empty.csv: empty file"),
+        "extract-two-masks-one-name": (unread_extract + ["--mask", none_mask, "--mask", none_mask,
+                                                         "--mask-names", "cells"],
+                                       "2 --mask flags but 1 mask names"),
+        "extract-no-mask": (unread_extract, "at least one --mask is required"),
     }
 
 
@@ -180,7 +197,8 @@ def _contract_args(tmp_path, paths):
      ("normalize-corr-nan", 2), ("normalize-missing-frac", 2), ("compare-r2-nan", 2),
      ("normalize-corr-unread", 2), ("normalize-missing-frac-unread", 2),
      ("compare-r2-nan-unread", 2), ("extract-radial-bins", 2), ("list-features-radial-bins", 2),
-     ("misaligned", 2)],
+     ("misaligned", 2), ("empty-table", 1), ("extract-two-masks-one-name", 2),
+     ("extract-no-mask", 2)],
 )
 def test_exit_code_contract(workspace, capsys, case, code):
     """README: 0 success, 1 I/O or malformed file, 2 invalid request."""
@@ -188,6 +206,43 @@ def test_exit_code_contract(workspace, capsys, case, code):
     argv, stderr_text = _contract_args(tmp_path, paths)[case]
     assert main(argv) == code
     assert stderr_text in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value",
+    [-0.1, -0.0, 0.0, 0.5, 1.0, math.nextafter(1.0, 2.0), 2.0, math.nan, math.inf, -math.inf],
+)
+@pytest.mark.parametrize(
+    "argv, flag, call",
+    [
+        (["tessellate", "--width", "8", "--height", "8", "--radius", "2", "--tissue-mask", "{in}"],
+         "--min-coverage", lambda v: filter_by_coverage(_HEXES, _TISSUE, v)),
+        (["normalize", "--in", "{in}"], "--drop-missing-frac",
+         lambda v: robust_standardize(_TABLE, v)),
+        (["normalize", "--in", "{in}"], "--corr-threshold", lambda v: correlation_filter(_TABLE, v)),
+        (["compare", "--a", "{in}", "--b", "{in}"], "--r2-threshold",
+         lambda v: compare_tables(_TABLE, _TABLE, v)),
+    ],
+    ids=["min-coverage", "drop-missing-frac", "corr-threshold", "r2-threshold"],
+)
+def test_a_threshold_flag_is_refused_exactly_where_the_library_refuses_it(
+    tmp_path, capsys, argv, flag, call, value
+):
+    # The CLI checks each threshold before it reads its input, so with the
+    # input missing it exits 2 only from that check, and 1 once it reads.
+    try:
+        call(value)
+        refusal = None
+    except ValueError as exc:
+        refusal = str(exc)
+    missing = str(tmp_path / "missing")
+    argv = [arg.replace("{in}", missing) for arg in argv]
+    code = main([*argv, "--out", str(tmp_path / "out"), f"{flag}={value!r}"])
+    err = capsys.readouterr().err
+    if refusal is None:
+        assert code == 1 and missing in err
+    else:
+        assert code == 2 and refusal in err
 
 
 def test_repeat_invocation_is_byte_identical(workspace):

@@ -352,6 +352,32 @@ def test_region_checks_its_label_and_bbox_origin(label, bbox, message):
         ObjectRegion(label, bbox, np.ones((2, 2), dtype=bool))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ImagePlane(np.zeros(3)), "image must be 2-D with positive dims, got shape (3,)"),
+        (lambda: LabelMask(np.zeros((0, 3), dtype=np.int64)),
+         "mask must be 2-D with positive dims, got shape (0, 3)"),
+        (lambda: ObjectRegion(7, (0, 0, 1, 1), np.ones((2, 3), dtype=bool)),
+         "local_mask shape does not match bbox"),
+        (lambda: ObjectRegion(7, (0, 0, 1, 1), np.zeros((2, 2), dtype=bool)),
+         "object region must contain at least one pixel"),
+        (lambda: ObjectRegion(7, (0, 0, 1, 1), np.array([[True, False], [True, False]])),
+         "bbox is not tight around local_mask"),
+        (lambda: FeatureTable("s", ("a", "a"), [1], np.zeros((1, 2))), "duplicate column names"),
+        (lambda: FeatureTable("s", ("a",), [[1]], np.zeros((1, 1))), "labels must be 1-D"),
+        (lambda: FeatureTable("s", ("a", "b"), [1, 2], np.zeros((2, 1))),
+         "values shape (2, 1) does not match 2 rows x 2 columns"),
+        (lambda: ColocParams(1.0), "manders_threshold_frac must be in [0, 1)"),
+    ],
+    ids=["plane-1d", "mask-no-rows", "region-mask-shape", "region-empty", "region-bbox-loose",
+         "table-duplicate-columns", "table-labels-2d", "table-values-shape", "coloc-threshold-1"],
+)
+def test_malformed_values_are_refused_at_construction(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
 def test_region_stores_python_ints():
     bbox = tuple(np.int64(v) for v in (4, 5, 5, 6))
     region = ObjectRegion(np.int64(7), bbox, np.ones((2, 2), dtype=bool))

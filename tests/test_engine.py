@@ -91,24 +91,15 @@ NON_DEFAULT_PARAMS = dict(
 
 
 def test_measure_keys_follow_registry_key_list():
+    # family.measure is the public measure_<name> call, so its dict keys,
+    # in order, are what the registry's key list says.
     spec = tiny_spec(n_channels=2, n_sets=1, **NON_DEFAULT_PARAMS)
     region = extract_objects(spec.object_sets[0][1])[0]
-    plane_a, plane_b = (plane for _, plane in spec.channels)
-    public = {
-        "shape": lambda p: measure_shape(region, p),
-        "intensity": lambda p: measure_intensity(region, plane_a),
-        "texture": lambda p: measure_texture(region, plane_a, p),
-        "granularity": lambda p: measure_granularity(region, plane_a, p),
-        "radial": lambda p: measure_radial(region, plane_a, p),
-        "coloc": lambda p: measure_coloc(region, plane_a, plane_b, p),
-    }
-    assert tuple(public) == FAMILIES
-    planes = (plane_a, plane_b)
+    planes = tuple(plane for _, plane in spec.channels)
     for family in REGISTRY:
-        params = getattr(spec, family.params_field) if family.params_field else None
+        params = family.params(spec)
         keys = [key for key, *_ in family.keys(params)]
         assert list(family.measure(region, planes[: family.arity], params)) == keys, family.name
-        assert list(public[family.name](params)) == keys, family.name
 
 
 def test_run_measures_each_object_on_its_region_and_the_specs_planes(monkeypatch):
@@ -186,6 +177,12 @@ def test_bad_names_rejected():
         ExperimentSpec(
             channels=(("DNA", plane), ("DNA", plane)),
             object_sets=(("cells", mask),),
+            families=("shape",),
+        )
+    with pytest.raises(SpecValidationError, match="object set names must be unique"):
+        ExperimentSpec(
+            channels=(("DNA", plane),),
+            object_sets=(("cells", mask), ("cells", mask)),
             families=("shape",),
         )
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     disk_footprint,
+    granularity_cellprofiler_oracle,
     granularity_float64_reference,
     granularity_oracle,
     gray_erode_oracle,
@@ -19,7 +20,7 @@ from peakrss import probe_peaks
 
 from morphoprof import GranularityParams, ImagePlane, measure_granularity
 from morphoprof import granularity
-from synth import small_blob
+from synth import small_blob, smooth_plane
 from test_invariance import check_scale, inputs
 
 
@@ -123,6 +124,22 @@ def test_single_disk_spectrum_concentrates_at_its_radius():
     assert sum(spectrum[:4]) > 99.999
     assert all(abs(v) < 1e-9 for v in spectrum[4:])
     assert granularity_oracle(region_of(mask), plane_of(values), 8, 10) == features
+
+
+def test_steps_reconstruct_under_the_previous_erosion_not_the_residue():
+    # README's departure from CellProfiler, pinned on one example: a
+    # radius-10 disk on a smoothed 24 x 24 plane.  Under the previous
+    # erosion the second step takes most of what is left; under the
+    # residue with disk(1), CellProfiler's form, far less of it.
+    rr, cc = np.ogrid[:24, :24]
+    region = region_of((rr - 12) ** 2 + (cc - 12) ** 2 <= 10**2)
+    plane = ImagePlane(smooth_plane(24, 24, np.random.default_rng(3), sigma=1.0))
+    here = measure_granularity(region, plane, GranularityParams(6, 3))
+    assert here == granularity_oracle(region, plane, 6, 3)
+    cellprofiler = granularity_cellprofiler_oracle(region, plane, 6, 3)
+    assert list(here.values()) == pytest.approx([12.14, 63.99, 23.01, 0.86, 0, 0], abs=0.005)
+    assert list(cellprofiler.values()) == pytest.approx([15.03, 22.54, 47.18, 15.24, 0, 0],
+                                                        abs=0.005)
 
 
 def test_spectrum_bounds(rng):

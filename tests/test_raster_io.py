@@ -116,6 +116,18 @@ def test_rawu32_mask_rejects_labels_beyond_uint32(tmp_path):
         save_mask(LabelMask(np.array([[2**32 + 5]], dtype=np.int64)), path)
 
 
+@pytest.mark.parametrize(
+    "save, data, fmt, kind",
+    [(save_image, ImagePlane(np.zeros((2, 2))), "PGM4", "image"),
+     (save_mask, LabelMask(np.ones((2, 2), dtype=np.int64)), "PGM8", "mask")],
+)
+def test_unknown_save_formats_are_refused_before_writing(tmp_path, save, data, fmt, kind):
+    path = tmp_path / "out.raw"
+    with pytest.raises(ValueError, match=re.escape(f"unknown {kind} format {fmt!r}")):
+        save(data, path, fmt)
+    assert not path.exists()
+
+
 def random_table(rng, n_rows=6, n_cols=4):
     values = rng.standard_normal((n_rows, n_cols))
     values[rng.random((n_rows, n_cols)) < 0.2] = np.nan
@@ -349,6 +361,7 @@ def test_a_quoted_cell_past_the_csv_field_limit_is_a_format_error(tmp_path, caps
          "bad label '99999999999999999999' in row 2"),
         (b"object_set,label,f\ncells,1,0.5\ncells,-9223372036854775809,1.5\n",
          "bad label '-9223372036854775809' in row 3"),
+        (b"", "empty file"),
     ],
 )
 def test_undecodable_text_and_labels_past_int64_are_format_errors(tmp_path, content, message):

@@ -1,8 +1,8 @@
 """The test run's own configuration, and what the runtime needs."""
 
 import ast
+import dataclasses
 import hashlib
-import importlib
 import inspect
 import re
 import subprocess
@@ -14,7 +14,7 @@ from synth import experiment
 from test_invariance import PARAMS, SAME, SCALE, kinds
 
 import morphoprof
-from morphoprof import ImagePlane, core, save_image, save_mask
+from morphoprof import ExperimentSpec, ImagePlane, core, save_image, save_mask
 from morphoprof.cli import main
 from morphoprof.engine import REGISTRY
 
@@ -98,10 +98,33 @@ def test_each_family_module_has_one_entry_point():
     # has one, lists its keys.  Helpers stay private, so no public name
     # lives only for the tests.
     for family in REGISTRY:
-        module = importlib.import_module(f"morphoprof.{family.name}")
+        module = family.module
         public = {name for name, value in inspect.getmembers(module, inspect.isfunction)
                   if value.__module__ == module.__name__ and not name.startswith("_")}
         assert public - {"feature_keys"} == {f"measure_{family.name}"}, family.name
+
+
+def test_each_family_is_named_by_its_module_and_params_field():
+    # The engine finds a family's entry point and params by its name alone:
+    # measure_<name> in morphoprof.<name>, and ExperimentSpec.<name>_params
+    # where the module defines a *Params class, defaulting to one of them.
+    config = ExperimentSpec()
+    fields = {f.name for f in dataclasses.fields(config)}
+    for family in REGISTRY:
+        module = family.module
+        assert module is sys.modules[f"morphoprof.{family.name}"], family.name
+        classes = [value for name, value in inspect.getmembers(module, inspect.isclass)
+                   if value.__module__ == module.__name__ and name.endswith("Params")]
+        field = f"{family.name}_params"
+        assert (field in fields) == bool(classes), family.name
+        if classes:
+            (params_class,) = classes
+            assert isinstance(getattr(config, field), params_class), family.name
+            assert family.params(config) is getattr(config, field)
+        else:
+            assert family.params(config) is None
+    assert {f for f in fields if f.endswith("_params")} == {
+        f"{family.name}_params" for family in REGISTRY if family.params(config) is not None}
 
 
 def test_only_the_core_helper_takes_a_median():
