@@ -19,15 +19,15 @@ from . import engine, postprocess, raster_io, tessellate
 from .core import _check_real
 from .engine import ExperimentSpec, SpecValidationError
 
-#: Each family-parameter flag: (flag, ExperimentSpec params field, attribute).
+#: Each family-parameter flag: (flag, family, attribute of ExperimentSpec's <family>_params).
 _FAMILY_FLAGS = (
-    ("--texture-distance", "texture_params", "distance"),
-    ("--texture-gray-levels", "texture_params", "gray_levels"),
-    ("--zernike-order", "shape_params", "zernike_max_order"),
-    ("--radial-bins", "radial_params", "bins"),
-    ("--manders-threshold", "coloc_params", "manders_threshold_frac"),
-    ("--granularity-length", "granularity_params", "spectrum_length"),
-    ("--granularity-background-radius", "granularity_params", "background_radius"),
+    ("--texture-distance", "texture", "distance"),
+    ("--texture-gray-levels", "texture", "gray_levels"),
+    ("--zernike-order", "shape", "zernike_max_order"),
+    ("--radial-bins", "radial", "bins"),
+    ("--manders-threshold", "coloc", "manders_threshold_frac"),
+    ("--granularity-length", "granularity", "spectrum_length"),
+    ("--granularity-background-radius", "granularity", "background_radius"),
 )
 
 
@@ -40,8 +40,8 @@ def _add_family_flags(parser) -> None:
         default=",".join(defaults.families),
         help="comma-separated families (default: all)",
     )
-    for flag, field, attr in _FAMILY_FLAGS:
-        default = getattr(getattr(defaults, field), attr)
+    for flag, family, attr in _FAMILY_FLAGS:
+        default = getattr(getattr(defaults, f"{family}_params"), attr)
         metavar = flag[2:].upper().replace("-", "_")  # argparse's own, so --help stays put
         parser.add_argument(flag, dest=attr, metavar=metavar, type=type(default), default=default)
 
@@ -100,7 +100,8 @@ def _split_names(raw: str) -> list[str]:
 def _config(args) -> ExperimentSpec:
     """The configuration that --features and the family-parameter flags give."""
     config = ExperimentSpec(families=tuple(_split_names(args.features)))
-    for _, field, attr in _FAMILY_FLAGS:
+    for _, family, attr in _FAMILY_FLAGS:
+        field = f"{family}_params"
         params = replace(getattr(config, field), **{attr: getattr(args, attr)})
         config = replace(config, **{field: params})
     return config

@@ -360,15 +360,12 @@ def _band(line_max: np.ndarray, offsets: np.ndarray) -> tuple[list[int], list[in
     return first.tolist(), past.tolist()
 
 
-def _edt(mask: np.ndarray) -> np.ndarray:
-    """Exact Euclidean distance from each True pixel of ``mask``, in row-major
-    order, to the nearest False one, everything outside ``mask`` counting as
-    False: integer squared distances, then one square root."""
-    height, width = mask.shape
-    stride = width + 2
-    dtype = np.int32 if (height + 2) ** 2 + stride**2 < 2**31 else np.int64
-    padded = np.zeros((height + 2, stride), dtype=bool)  # np.pad costs more on small masks
-    padded[1:-1, 1:-1] = mask
+def _edt(padded: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance from each True pixel of ``padded``, a mask
+    inside a one-pixel False border, in row-major order, to the nearest
+    False one: integer squared distances, then one square root."""
+    height, stride = padded.shape
+    dtype = np.int32 if height**2 + stride**2 < 2**31 else np.int64
     g = _column_distance(padded, dtype)
     # d2 = min over offsets o of g*g at columns c +- o, plus o*o.  With h the
     # distance to the nearest False pixel in the row, the bound b = min(g, h)
@@ -384,7 +381,7 @@ def _edt(mask: np.ndarray) -> np.ndarray:
     # row only where the column is within o of the False border, so h < o:
     # the candidate, at least o*o, leaves such a pixel's d2 as it is.  Every
     # other candidate is a squared distance to a False pixel.
-    for start in range(0, height + 2, _EDT_STRIP):
+    for start in range(0, height, _EDT_STRIP):
         strip = bound[start : start + _EDT_STRIP]
         top = int(strip.max())
         if top < 2:
@@ -398,7 +395,7 @@ def _edt(mask: np.ndarray) -> np.ndarray:
             np.minimum(g2[lo - offset : hi - offset], g2[lo + offset : hi + offset], out=out)
             out += offset * offset
             np.minimum(d2[lo:hi], out, out=d2[lo:hi])
-    return np.sqrt(d2.reshape(padded.shape)[1:-1, 1:-1][mask], dtype=np.float64)
+    return np.sqrt(d2.reshape(padded.shape)[padded], dtype=np.float64)
 
 
 #: Angular wedges of pi/4 around the centroid, starting at angle -pi.
@@ -429,8 +426,8 @@ class MaskGeometry:
       exact integers that keep geometry derived from them bitwise
       reproducible under translation and 90-degree rotation; float64,
       without that guarantee, where they could overflow int64.
-    * ``edge``: the crack boundary as a bbox-shaped mask, object pixels
-      with a 4-neighbor outside the mask.
+    * ``padded``: the mask inside a one-pixel False border.
+    * ``edge``: whether each pixel is on the crack boundary: has a 4-neighbor outside the mask.
     * ``distance``: Euclidean distance to the nearest background pixel,
       counting everything outside the bbox as background; exact, the
       square root of an integer squared distance.
@@ -454,15 +451,20 @@ class MaskGeometry:
                 _frozen(n * self.cols.astype(dtype, copy=False) - self.col_sum))
 
     @cached_property
-    def edge(self) -> np.ndarray:
+    def padded(self) -> np.ndarray:
         padded = np.zeros((self.mask.shape[0] + 2, self.mask.shape[1] + 2), dtype=bool)
-        padded[1:-1, 1:-1] = self.mask
-        interior = padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-        return _frozen(self.mask & ~interior)
+        padded[1:-1, 1:-1] = self.mask  # np.pad costs more on small masks
+        return _frozen(padded)
+
+    @cached_property
+    def edge(self) -> np.ndarray:
+        p = self.padded
+        interior = p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:]
+        return _frozen(~interior[self.mask])
 
     @cached_property
     def distance(self) -> np.ndarray:
-        return _frozen(_edt(self.mask))
+        return _frozen(_edt(self.padded))
 
     @cached_property
     def rho(self) -> np.ndarray:

@@ -43,7 +43,7 @@ def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, floa
     """Intensity statistics of one region, keyed by bare feature name."""
     geometry = mask_geometry(region)
     values, scaled, exponent = object_values(region, plane)
-    on_edge = geometry.edge[geometry.mask]
+    on_edge = scaled[geometry.edge]
     part, shift, median, mad = _median_and_mad(values, exponent)
     lower, upper = np.percentile(part, [25, 75]).tolist()
 
@@ -67,7 +67,7 @@ def measure_intensity(region: ObjectRegion, plane: ImagePlane) -> dict[str, floa
         "MADIntensity": _restored(mad, shift),
         "LowerQuartile": math.ldexp(lower, shift),
         "UpperQuartile": math.ldexp(upper, shift),
-        "IntegratedIntensityEdge": _restored(float(scaled[on_edge].sum()), exponent),
-        "MeanIntensityEdge": math.ldexp(float(scaled[on_edge].mean()), exponent),
+        "IntegratedIntensityEdge": _restored(float(on_edge.sum()), exponent),
+        "MeanIntensityEdge": math.ldexp(float(on_edge.mean()), exponent),
         "MassDisplacement": displacement,
     }

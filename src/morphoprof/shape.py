@@ -75,31 +75,29 @@ def feature_keys(params: ShapeParams = ShapeParams()) -> list[str]:
     return keys
 
 
-def _crack_perimeter(local_mask: np.ndarray) -> int:
+def _crack_perimeter(geometry: MaskGeometry) -> int:
     """Count of exposed unit pixel edges (4-neighborhood, outside = background)."""
-    shared = np.count_nonzero(local_mask[1:] & local_mask[:-1])
-    shared += np.count_nonzero(local_mask[:, 1:] & local_mask[:, :-1])
-    return 4 * np.count_nonzero(local_mask) - 2 * shared
+    mask = geometry.mask
+    shared = np.count_nonzero(mask[1:] & mask[:-1]) + np.count_nonzero(mask[:, 1:] & mask[:, :-1])
+    return 4 * geometry.count - 2 * shared
 
 
-def _convex_hull_area(local_mask: np.ndarray) -> float:
+def _convex_hull_area(geometry: MaskGeometry) -> float:
     """Area of the convex hull of all object pixel corners.
 
-    Only the outer corners of each row's end pixels are taken; rows without
-    pixels are skipped.  Corners live on the half-integer grid; doubling
-    them keeps the whole computation in exact integer arithmetic (Andrew
-    monotone chain plus shoelace), so the result is exact.
+    Only the outer corners of each row's first and last pixel (row-major)
+    are taken.  Corners live on the half-integer grid; doubling them keeps
+    the whole computation in exact integer arithmetic (Andrew monotone
+    chain plus shoelace), so the result is exact.
     """
-    rows = np.flatnonzero(local_mask.any(axis=1))
-    first = local_mask.argmax(axis=1)[rows]
-    last = local_mask.shape[1] - 1 - local_mask[:, ::-1].argmax(axis=1)[rows]
+    rows, cols = geometry.rows, geometry.cols
+    breaks = np.flatnonzero(rows[1:] != rows[:-1])
+    first, last = np.r_[0, breaks + 1], np.r_[breaks, rows.size - 1]
     pts = set()
-    for r, lo, hi in zip(rows.tolist(), first.tolist(), last.tolist()):
+    for r, lo, hi in zip(rows[first].tolist(), cols[first].tolist(), cols[last].tolist()):
         u, v0, v1 = 2 * r, 2 * lo - 1, 2 * hi + 1
         pts.update(((u - 1, v0), (u - 1, v1), (u + 1, v0), (u + 1, v1)))
     points = sorted(pts)
-    if len(points) <= 2:
-        raise ValueError("degenerate corner set")
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -117,13 +115,12 @@ def _convex_hull_area(local_mask: np.ndarray) -> float:
     return float(abs(twice_area)) / 8.0
 
 
-def _euler_number(local_mask: np.ndarray) -> int:
+def _euler_number(geometry: MaskGeometry) -> int:
     """8-connected object components minus enclosed 4-connected holes:
     (Q1 - Q3 - 2 QD) / 4, where Q1 and Q3 count the 2x2 windows of the
     padded mask holding one and three pixels, and QD those holding a lone
     diagonal pair (Gray, IEEE Trans. Computers, 1971)."""
-    padded = np.zeros((local_mask.shape[0] + 2, local_mask.shape[1] + 2), dtype=np.uint8)
-    padded[1:-1, 1:-1] = local_mask
+    padded = geometry.padded.view(np.uint8)
     quads = padded[:-1, :-1] + 2 * padded[:-1, 1:] + 4 * padded[1:, :-1] + 8 * padded[1:, 1:]
     q = np.bincount(quads.ravel(), minlength=16).tolist()
     return (q[1] + q[2] + q[4] + q[8] - q[7] - q[11] - q[13] - q[14] - 2 * (q[6] + q[9])) // 4
@@ -301,14 +298,13 @@ def _zernike_magnitudes(geometry: MaskGeometry, max_order: int) -> dict[str, flo
 
 def measure_shape(region: ObjectRegion, params: ShapeParams = ShapeParams()) -> dict[str, float]:
     """All shape features for one region, keyed by bare feature name."""
-    mask = region.local_mask
     geometry = mask_geometry(region)
     n = geometry.count
     area = float(n)
-    perimeter = _crack_perimeter(mask)
-    bbox_area = mask.shape[0] * mask.shape[1]
+    perimeter = _crack_perimeter(geometry)
+    bbox_area = geometry.mask.size
     major, minor, eccentricity, orientation = _eigen_features(geometry)
-    hull_area = _convex_hull_area(mask)
+    hull_area = _convex_hull_area(geometry)
 
     features = {
         "Area": area,
@@ -322,7 +318,7 @@ def measure_shape(region: ObjectRegion, params: ShapeParams = ShapeParams()) -> 
         "Orientation": orientation,
         "FormFactor": 4.0 * math.pi * area / float(perimeter * perimeter),
         "Solidity": area / hull_area,
-        "EulerNumber": float(_euler_number(mask)),
+        "EulerNumber": float(_euler_number(geometry)),
         "BoundingBoxArea": float(bbox_area),
         "MaxRadius": float(geometry.distance.max()),
     }

@@ -563,8 +563,8 @@ def test_mask_geometry_is_kept_for_the_last_region_and_is_read_only():
     # ... and the next region replaces it, even with an equal mask.
     assert mask_geometry(second) is not geometry
     assert mask_geometry(first) is not geometry
-    arrays = [geometry.mask, geometry.rows, geometry.cols, *geometry.deviations, geometry.edge,
-              geometry.distance, geometry.rho, geometry.wedge]
+    arrays = [geometry.mask, geometry.rows, geometry.cols, *geometry.deviations, geometry.padded,
+              geometry.edge, geometry.distance, geometry.rho, geometry.wedge]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -278,6 +278,12 @@ def test_pool_never_has_more_workers_than_batches(tmp_path, monkeypatch):
     assert built == [min(4, -(-n_objects // 5))] == [3]
 
 
+def test_usable_cpus_without_cpu_affinity_are_the_cpu_count(monkeypatch):
+    # As on macOS and Windows, whose os module has no sched_getaffinity.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert engine._usable_cpus() == os.cpu_count()
+
+
 def test_pool_never_has_more_workers_than_cpus(tmp_path, monkeypatch):
     """A worker count past the CPUs, with one object per batch, starts one
     worker per CPU, and one worker (in-process) when the count is unknown.

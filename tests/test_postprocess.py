@@ -287,6 +287,11 @@ def test_report_file_format(tmp_path):
     assert lines[1].startswith("f1,")
     assert lines[-1] == "fraction_r2_gt_0.9=1.0"
     assert len(lines) == 4
+    # A report without fits, which compare_tables never builds: no rows.
+    empty = ComparisonReport((), 0.9)
+    assert empty.fraction_above == 0.0 and empty.summary_line == "fraction_r2_gt_0.9=0.0"
+    write_report(empty, path)
+    assert path.read_text() == "feature,slope,intercept,r2,n\nfraction_r2_gt_0.9=0.0\n"
 
 
 def test_report_quotes_cells_the_way_tables_do(tmp_path):

@@ -78,6 +78,19 @@ def test_vertical_rectangle_orientation():
     mask = np.zeros((12, 10), dtype=bool)
     mask[1:10, 2:5] = True
     assert measure_shape(region_of(mask))["Orientation"] == math.pi / 2
+    # A full column and one pixel beside it: b_num = -401 and lam_num - a_num
+    # is 0.0 in floats, so atan2 gives -pi/2, which the fold moves to pi/2.
+    mask = np.zeros((802, 2), dtype=bool)
+    mask[:, 0] = mask[400, 1] = True
+    assert measure_shape(region_of(mask))["Orientation"] == math.pi / 2
+    # a_num and the trace pass 2**53 and round, so lam_num - a_num is -4.0 while
+    # b_num is 16767565: atan2 passes pi/2, and the fold keeps the angle in
+    # range, a near-vertical axis either way.
+    mask = np.zeros((21566, 2), dtype=bool)
+    mask[:, 0] = mask[11560, 1] = True
+    orientation = measure_shape(region_of(mask))["Orientation"]
+    assert -math.pi / 2 < orientation <= math.pi / 2
+    assert abs(abs(orientation) - math.pi / 2) < 1e-6
 
 
 def test_square_with_center_hole_has_euler_zero():
@@ -206,9 +219,10 @@ def pixel_masks(draw):
 @example(_mask_from_rows("#######", "#.....#", "#.###.#", "#.#.#.#", "#.###.#", "#.....#", "#######"))
 @example(_mask_from_rows("##....", "......", "......", "...#..", "......", "....##"))
 def test_mask_kernels_match_the_definitions_exactly(mask):
-    assert _crack_perimeter(mask) == _perimeter(_pixel_set(mask))
-    assert _euler_number(mask) == _euler(mask)
-    assert _convex_hull_area(mask) == convex_hull_oracle(mask)
+    geometry = MaskGeometry(mask)
+    assert _crack_perimeter(geometry) == _perimeter(_pixel_set(mask))
+    assert _euler_number(geometry) == _euler(mask)
+    assert _convex_hull_area(geometry) == convex_hull_oracle(mask)
 
 
 @st.composite
